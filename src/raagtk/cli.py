@@ -27,7 +27,10 @@ SCHEMA = 1
 
 
 def _load_graph(path) -> DefGraph:
-    return DefGraph.load(path)
+    try:
+        return DefGraph.load(path)
+    except (OSError, UnicodeDecodeError) as e:
+        raise RaagError("cannot read graph file %r: %s" % (path, e)) from None
 
 
 def _nf(graph, text):
@@ -199,9 +202,13 @@ def cmd_tree(args):
     graph = _load_graph(args.graph)
     v = args.vertex
     if args.action == "dist":
+        if len(args.word) < 2:
+            raise WordSyntaxError("tree dist needs two --word arguments")
         d = T.tv_distance(graph, v, _nf(graph, args.word[0]), _nf(graph, args.word[1]))
         return _emit(args, {"distance": d}, str(d))
     if args.action == "length":
+        if not args.word:
+            raise WordSyntaxError("tree length needs a --word argument")
         ell = T.tv_translation_length(graph, v, _nf(graph, args.word[0]))
         return _emit(args, {"translation_length": ell}, str(ell))
     beta = T.arc(graph, v, _nf(graph, args.start), _nf(graph, args.end))
@@ -289,13 +296,13 @@ def cmd_cmp(args):
     graph = _load_graph(args.graph)
     phi = _dls_from_args(graph, args)
     if args.action == "defect":
-        rep = C.cmp_defect(phi, args.radius, jobs=args.jobs)
+        rep = C.cmp_defect(phi, args.radius)
         d = rep.as_dict()
         return _emit(args, d, "defect %d at radius %d (witness x=%s y=%s p=%s)"
                      % (rep.defect, rep.radius, *[str(t) for t in rep.witness]))
     if args.action == "certify":
         radii = tuple(int(r) for r in args.radii.split(",")) if args.radii else (2, 3, 4, 5)
-        rep = C.cmp_certify(phi, probe_radii=radii, jobs=args.jobs)
+        rep = C.cmp_certify(phi, probe_radii=radii)
         return _emit(args, rep.as_dict(), rep.verdict)
     return 2
 
@@ -360,6 +367,13 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
 
 def build_parser():
     ap = argparse.ArgumentParser(
@@ -435,7 +449,6 @@ def build_parser():
     p.add_argument("--amalgam")
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--radii")
-    p.add_argument("--jobs", type=int, default=None)
 
     p = add("decomp", cmd_decomp)
     p.add_argument("action", choices=["good", "chain", "classify"])
@@ -446,7 +459,8 @@ def build_parser():
 
     p = add("selftest", cmd_selftest, help="run the acceptance suite")
     p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,6")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="workers for the criterion 1-2 pools (at most the cpu count)")
     p.set_defaults(seed=0)
     p.add_argument("--seed", type=int, default=0)
 

@@ -6,25 +6,20 @@ median of (F(p), F(x), F(y)) over ball triples with p between x and y.  In a
 median graph that distance is the Gromov product
 (d(Fp,Fx) + d(Fp,Fy) - d(Fx,Fy)) / 2 and p is between x and y iff
 d(x,p) + d(p,y) = d(x,y), so the whole scan reduces to two pairwise distance
-tables: one for the ball, one for its image.
+tables: one for the ball, one for its image.  Both count hyperplanes: the
+distance between two vertices of the cube complex is the number of
+hyperplanes separating them, which one incidence-matrix product gives for all
+pairs at once.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BallCapExceededError, InvalidSplittingError
-from .graph import DefGraph
-from .words import (
-    _nf,
-    ball_codes,
-    inv_codes,
-    reduce_codes,
-)
+from .words import _nf, ball_codes, hyperplane_at
 from . import dls as D
 from .elements import gamma, is_label_irreducible
 
@@ -45,116 +40,64 @@ class DefectReport(NamedTuple):
         }
 
 
-def default_jobs():
-    try:
-        return max(1, int(os.environ.get("RAAGTK_JOBS", "")))
-    except ValueError:
-        return min(2, os.cpu_count() or 1)
+def _distance_table(graph, words):
+    """Pairwise distances between canonical words, counted as separating
+    hyperplanes: d(u, v) = |H(u)| + |H(v)| - 2|H(u) & H(v)|, where H(w) is the
+    set of hyperplanes crossed by the geodesic from 1 to w.  Prefixes of
+    canonical words are canonical, so H(w) is H(w minus its last letter) plus
+    one hyperplane, and each prefix is resolved once."""
+    column = {}     # hyperplane (label, rep) -> column of the incidence matrix
+    step = {}       # (prefix node, code) -> (node of prefix + code, column)
+    rows = []
+    for w in words:
+        node, cols = 0, []
+        for k, c in enumerate(w):
+            nxt = step.get((node, c))
+            if nxt is None:
+                h = hyperplane_at(graph, w[:k], c)
+                nxt = step[node, c] = (len(step) + 1,
+                                       column.setdefault((h.label, h.rep), len(column)))
+            node = nxt[0]
+            cols.append(nxt[1])
+        rows.append(cols)
+    lengths = [len(w) for w in words]
+    # float32 is exact on integers below 2**24, and every value computed here
+    # is at most four times the longest word
+    exact = np.float32 if max(lengths, default=0) < 1 << 22 else np.float64
+    B = np.zeros((len(words), len(column)), dtype=exact)
+    for i, cols in enumerate(rows):
+        B[i, cols] = 1
+    G = B @ B.T
+    del B
+    L = np.array(lengths, dtype=exact)
+    G *= -2
+    G += L[:, None]
+    G += L
+    # the scan adds two entries, so the table must hold twice the largest
+    top = 2 * int(G.max(initial=0))
+    return G.astype(next(t for t in (np.int16, np.int32, np.int64)
+                         if top <= np.iinfo(t).max))
 
 
-# -- per-process worker state -------------------------------------------------
-
-_W = {}
-
-
-def _init_rows_worker(graph_spec, words):
-    _W["graph"] = DefGraph(*graph_spec)
-    _W["words"] = words
-
-
-def _length_rows(rng):
-    """Rows [i0, i1) of the pairwise-distance table |w_i^-1 w_j|, j >= i."""
-    graph = _W["graph"]
-    words = _W["words"]
-    adj = graph.adj
-    n = len(words)
-    i0, i1 = rng
-    out = []
-    for i in range(i0, i1):
-        wi = inv_codes(words[i])
-        row = bytearray(n - i)
-        for j in range(i + 1, n):
-            row[j - i] = len(reduce_codes(adj, wi + words[j]))
-        out.append(bytes(row))
-    return i0, out
-
-
-def _init_scan_worker(d0_bytes, dd_bytes, n):
-    _W["D0"] = np.frombuffer(d0_bytes, dtype=np.int16).reshape(n, n)
-    _W["DD"] = np.frombuffer(dd_bytes, dtype=np.int16).reshape(n, n)
-
-
-def _scan_rows(rng):
-    """Best defect over triples (i, j >= i, p) with i in [i0, i1)."""
-    D0 = _W["D0"]
-    DD = _W["DD"]
-    i0, i1 = rng
-    best = -1
-    at = None
-    for i in range(i0, i1):
+def _scan(D0, DD):
+    """Least (i, j, k), j >= i, maximising DD[i, k] + DD[k, j] - DD[i, j] over k
+    between i and j (D0[i, k] + D0[k, j] == D0[i, j]), with that maximum.
+    Rows go in ascending i and argmax takes the first (j, k) of a row, so a
+    later row only replaces the witness with a strictly larger value."""
+    n = len(D0)
+    best, at = -1, None
+    for i in range(n):
         between = (D0[i][None, :] + D0[i:, :]) == D0[i, i:][:, None]
-        vals = DD[i][None, :] + DD[i:, :] - DD[i, i:][:, None]
-        vals = np.where(between, vals, -1)
-        mx = int(vals.max())
-        if mx > best:
-            best = mx
-            jk = np.argwhere(vals == mx)[0]
-            at = (i, i + int(jk[0]), int(jk[1]))
-        elif mx == best and best >= 0:
-            jk = np.argwhere(vals == mx)[0]
-            cand = (i, i + int(jk[0]), int(jk[1]))
-            if cand < at:
-                at = cand
+        vals = np.where(between, DD[i][None, :] + DD[i:, :] - DD[i, i:][:, None], -1)
+        jk = int(vals.argmax())
+        if vals.flat[jk] > best:
+            best = int(vals.flat[jk])
+            j, k = divmod(jk, n)
+            at = (i, i + j, k)
     return best, at
 
 
-def _even_chunks(n, parts):
-    """Index ranges with roughly equal upper-triangle area."""
-    bounds = [0]
-    total = n * (n + 1) / 2.0
-    acc = 0.0
-    for i in range(n):
-        acc += n - i
-        if acc >= total * len(bounds) / parts and len(bounds) < parts:
-            bounds.append(i + 1)
-    bounds.append(n)
-    return [
-        (bounds[k], bounds[k + 1])
-        for k in range(len(bounds) - 1)
-        if bounds[k] < bounds[k + 1]
-    ]
-
-
-def _pair_lengths(graph, words, jobs):
-    """Symmetric distance table as int16 numpy array."""
-    n = len(words)
-    graph_spec = (list(graph.vertices), graph.edge_pairs())
-    ranges = _even_chunks(n, max(1, jobs * 4))
-    rows = {}
-    if jobs > 1 and n > 400:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_rows_worker,
-            initargs=(graph_spec, words),
-        ) as pool:
-            for i0, part in pool.map(_length_rows, ranges):
-                for k, row in enumerate(part):
-                    rows[i0 + k] = row
-    else:
-        _init_rows_worker(graph_spec, words)
-        for rng in ranges:
-            i0, part = _length_rows(rng)
-            for k, row in enumerate(part):
-                rows[i0 + k] = row
-    M = np.zeros((n, n), dtype=np.int16)
-    for i in range(n):
-        row = np.frombuffer(rows[i], dtype=np.uint8)
-        M[i, i:] = row
-        M[i:, i] = row
-    return M
-
-
-def cmp_defect(phi, radius: int, jobs: int = None, cap: int = None) -> DefectReport:
+def cmp_defect(phi, radius: int, cap: int = None) -> DefectReport:
     """Exhaustive defect of the automorphism over the ball of the given
     radius: max over ball elements x, y and p between them (also in the
     ball) of the distance from image(p) to the median of the three images.
@@ -167,43 +110,15 @@ def cmp_defect(phi, radius: int, jobs: int = None, cap: int = None) -> DefectRep
         images_map = phi.generator_images
     else:
         graph, images_map = phi
-    if jobs is None:
-        jobs = default_jobs()
     ball = ball_codes(graph, radius, cap)
-    n = len(ball)
     images = [D.apply_images(graph, images_map, w).codes for w in ball]
-
-    D0 = _pair_lengths(graph, ball, jobs)
-    DD = _pair_lengths(graph, images, jobs)
-
-    ranges = _even_chunks(n, max(1, jobs * 4))
-    if jobs > 1 and n > 400:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_scan_worker,
-            initargs=(D0.tobytes(), DD.tobytes(), n),
-        ) as pool:
-            results = list(pool.map(_scan_rows, ranges))
-    else:
-        _init_scan_worker(D0.tobytes(), DD.tobytes(), n)
-        results = [_scan_rows(rng) for rng in ranges]
-
-    best = -1
-    at = None
-    for b, w in results:
-        if w is None:
-            continue
-        if b > best or (b == best and (at is None or w < at)):
-            best = b
-            at = w
-    if at is None:
-        return DefectReport(radius, 0, (_nf(graph, ()),) * 3, n)
-    i, j, k = at
+    # p = x is between x and y with value 0, so every row has a witness
+    best, (i, j, k) = _scan(_distance_table(graph, ball), _distance_table(graph, images))
     return DefectReport(
         radius,
         best // 2,
         (_nf(graph, ball[i]), _nf(graph, ball[j]), _nf(graph, ball[k])),
-        n,
+        len(ball),
     )
 
 
@@ -229,7 +144,7 @@ class CertifyReport(NamedTuple):
         }
 
 
-def cmp_certify(phi: D.DlsAutomorphism, probe_radii=(2, 3, 4, 5), jobs=None) -> CertifyReport:
+def cmp_certify(phi: D.DlsAutomorphism, probe_radii=(2, 3, 4, 5)) -> CertifyReport:
     """Classify via the splitting rules: folds and partial conjugations are
     certified outright; twists are certified only if the twist element is
     label-irreducible and its centralizer visually misses the splitting
@@ -265,7 +180,7 @@ def cmp_certify(phi: D.DlsAutomorphism, probe_radii=(2, 3, 4, 5), jobs=None) -> 
     defects = []
     for r in probe_radii:
         try:
-            rep = cmp_defect(phi, r, jobs=jobs)
+            rep = cmp_defect(phi, r)
         except BallCapExceededError:
             trace.append("probe stopped: ball cap exceeded at radius %d" % r)
             break

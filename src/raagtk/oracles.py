@@ -59,10 +59,6 @@ def oracle_equal_words(adj, nverts, w1, w2) -> bool:
     return _projections(adj, r1, nverts) == _projections(adj, r2, nverts)
 
 
-def oracle_is_identity(adj, nverts, codes) -> bool:
-    return not oracle_reduce(adj, codes)
-
-
 def bfs_equal_words(adj, w1, w2, max_states=200_000) -> bool:
     """Ground-truth equality by breadth-first search over single swaps of
     adjacent commuting letters and deletions of adjacent inverse pairs,

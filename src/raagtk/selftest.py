@@ -9,6 +9,7 @@ the asserted quantities are integers and set equalities).
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +59,18 @@ CATALOG = [
     ("K4", ["a", "b", "c", "d"],
      [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]),
 ]
+
+
+def default_jobs(jobs=None) -> int:
+    """Worker count for the criterion 1-2 pools: `jobs`, else RAAGTK_JOBS,
+    else 2, clamped to [1, cpu count]."""
+    cpus = os.cpu_count() or 1
+    if jobs is None:
+        try:
+            jobs = int(os.environ.get("RAAGTK_JOBS", ""))
+        except ValueError:
+            jobs = 2
+    return max(1, min(jobs, cpus))
 
 
 def catalog_graph(idx) -> DefGraph:
@@ -128,7 +141,7 @@ def _c1_task(args):
 
 def criterion_1(seed=0, jobs=None) -> CriterionResult:
     t0 = time.time()
-    jobs = jobs or C.default_jobs()
+    jobs = default_jobs(jobs)
     tasks = [(gi, k) for gi in range(len(CATALOG)) for k in range(7)]
     tasks.sort(key=lambda t: -(2 * len(CATALOG[t[0]][1])) ** t[1])
     if jobs > 1:
@@ -228,7 +241,7 @@ def _c2_task(args):
 
 def criterion_2(seed=0, jobs=None) -> CriterionResult:
     t0 = time.time()
-    jobs = jobs or C.default_jobs()
+    jobs = default_jobs(jobs)
     name_to_idx = {name: k for k, (name, _, _) in enumerate(CATALOG)}
     tasks = []
     for name in C2_GRAPHS:
@@ -374,7 +387,7 @@ def criterion_6(seed=0, jobs=None) -> CriterionResult:
     tw = D.build_transvection(z2, "b", _nf(z2, (1,)))
     vals = []
     for r in range(1, 6):
-        vals.append(C.cmp_defect(tw, r, jobs=jobs).defect)
+        vals.append(C.cmp_defect(tw, r).defect)
     dt = time.time() - t0
     passed = vals == [1, 2, 3, 4, 5]
     return CriterionResult(
@@ -390,8 +403,8 @@ def criterion_7(seed=0, jobs=None) -> CriterionResult:
     path = DefGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     pconj = D.build_partial_conjugation(path, ["a", "b"], ["b", "c"], ["b"],
                                         _nf(path, (1,)))
-    fold_vals = [C.cmp_defect(fold, r, jobs=jobs).defect for r in range(1, 7)]
-    pc_vals = [C.cmp_defect(pconj, r, jobs=jobs).defect for r in range(1, 7)]
+    fold_vals = [C.cmp_defect(fold, r).defect for r in range(1, 7)]
+    pc_vals = [C.cmp_defect(pconj, r).defect for r in range(1, 7)]
     dt = time.time() - t0
     passed = len(set(fold_vals)) == 1 and len(set(pc_vals)) == 1
     return CriterionResult(

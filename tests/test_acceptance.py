@@ -2,7 +2,9 @@
 stated scale and prints one pass/fail line per criterion.
 
 Run `pytest tests/test_acceptance.py -v -s` or `raagtk selftest` for the
-full suite; the heavy criteria honor RAAGTK_JOBS for parallel scanning.
+full suite.  Criteria 1 and 2 run on a process pool sized by RAAGTK_JOBS
+(see `selftest.default_jobs`); every other criterion, the defect scans of
+criteria 6 and 7 included, runs in one process.
 """
 
 import pytest

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from raagtk import selftest
 from raagtk.cli import main
 
 
@@ -75,8 +76,7 @@ def test_graph_dump_round_trip(graph_files, capsys, tmp_path):
 
 def test_cmp_defect_cli(graph_files, capsys):
     code, doc = run_json(capsys, "cmp", "defect", "--graph", graph_files["z2"],
-                         "--dls", "twist v=b z=a", "--radius", "4",
-                         "--jobs", "1")
+                         "--dls", "twist v=b z=a", "--radius", "4")
     assert code == 0
     assert doc["radius"] == 4 and doc["defect"] == 4
     assert set(doc["witness"]) == {"x", "y", "p"}
@@ -167,7 +167,50 @@ def test_closure_cli(graph_files, capsys):
 
 def test_deterministic_output(graph_files, capsys):
     args = ["cmp", "defect", "--graph", graph_files["z2"],
-            "--dls", "twist v=b z=a", "--radius", "3", "--jobs", "1", "--json"]
+            "--dls", "twist v=b z=a", "--radius", "3", "--json"]
     _, out1 = run(capsys, *args[:-1])
     _, out2 = run(capsys, *args[:-1])
     assert out1 == out2
+
+
+def test_cmp_has_no_jobs_option(graph_files):
+    assert main(["cmp", "defect", "--graph", graph_files["z2"],
+                 "--dls", "twist v=b z=a", "--jobs", "1"]) == 2
+
+
+def test_missing_graph_file_is_domain_error(graph_files, capsys, tmp_path):
+    for path in (str(tmp_path / "absent.graph"), str(tmp_path)):
+        code, doc = run_json(capsys, "normalize", "--graph", path, "--word", "a")
+        assert code == 1 and doc["error"] == "error"
+        assert "cannot read graph file" in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--word", "a"],
+    ["dist"],
+    ["length"],
+])
+def test_tree_word_count_is_syntax_error(graph_files, capsys, argv):
+    code, doc = run_json(capsys, "tree", argv[0], "--graph", graph_files["path"],
+                         "--vertex", "b", *argv[1:])
+    assert code == 1 and doc["error"] == "word_syntax"
+
+
+def test_selftest_jobs_below_one_is_usage_error(monkeypatch):
+    def no_criteria(**kw):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(selftest, "run_all", no_criteria)
+    assert main(["selftest", "--jobs", "0"]) == 2
+    assert main(["selftest", "--jobs", "-3"]) == 2
+
+
+def test_default_jobs_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(selftest.os, "cpu_count", lambda: 2)
+    for env, want in (("0", 1), ("-5", 1), ("1", 1), ("2", 2), ("3", 2), ("64", 2),
+                      ("many", 2)):
+        monkeypatch.setenv("RAAGTK_JOBS", env)
+        assert selftest.default_jobs() == want
+    monkeypatch.delenv("RAAGTK_JOBS")
+    assert selftest.default_jobs() == 2
+    assert selftest.default_jobs(8) == 2
