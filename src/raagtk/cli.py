@@ -118,6 +118,8 @@ def _dls_from_args(graph, args) -> D.DlsAutomorphism:
 def cmd_graph(args):
     graph = _load_graph(args.graph)
     if args.action == "dump":
+        if args.json:
+            return _emit(args, {"graph": graph.dump()}, "")
         sys.stdout.write(graph.dump())
         return 0
     return 2
@@ -246,6 +248,8 @@ def cmd_subgroup(args):
         ok = S.member(sf, _nf(graph, args.word))
         return _emit(args, {"member": ok}, "yes" if ok else "no")
     if args.action == "intersect":
+        if args.subgroup2 is None:
+            raise WordSyntaxError("subgroup intersect needs a --subgroup2 argument")
         other = _parse_subgroup(graph, args.subgroup2)
         res = S.intersect(sf, other, args.radius)
         return _emit(
@@ -301,8 +305,7 @@ def cmd_cmp(args):
         return _emit(args, d, "defect %d at radius %d (witness x=%s y=%s p=%s)"
                      % (rep.defect, rep.radius, *[str(t) for t in rep.witness]))
     if args.action == "certify":
-        radii = tuple(int(r) for r in args.radii.split(",")) if args.radii else (2, 3, 4, 5)
-        rep = C.cmp_certify(phi, probe_radii=radii)
+        rep = C.cmp_certify(phi, probe_radii=args.radii or (2, 3, 4, 5))
         return _emit(args, rep.as_dict(), rep.verdict)
     return 2
 
@@ -359,9 +362,14 @@ def cmd_decomp(args):
 
 
 def cmd_selftest(args):
-    only = set(int(k) for k in args.criteria.split(",")) if args.criteria else None
-    results = ST.run_all(seed=args.seed, jobs=args.jobs, only=only)
-    return 0 if all(r.passed for r in results) else 1
+    only = set(args.criteria) if args.criteria else None
+    # in JSON mode the per-criterion lines become the one document
+    results = ST.run_all(seed=args.seed, jobs=args.jobs, only=only,
+                         out=(lambda line: None) if args.json else print)
+    passed = all(r.passed for r in results)
+    if args.json:
+        _emit(args, {"passed": passed, "criteria": [r._asdict() for r in results]}, "")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +381,18 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
+
+
+def _positive_ints(text):
+    """A comma-separated list of integers >= 1."""
+    return tuple(_positive_int(part) for part in text.split(","))
+
+
+def _criteria(text):
+    numbers = _positive_ints(text)
+    if max(numbers) > len(ST.CRITERIA):
+        raise argparse.ArgumentTypeError("criteria are numbered 1..%d" % len(ST.CRITERIA))
+    return numbers
 
 
 def build_parser():
@@ -447,8 +467,8 @@ def build_parser():
     p.add_argument("--vertex")
     p.add_argument("--z")
     p.add_argument("--amalgam")
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--radii")
+    p.add_argument("--radius", type=_positive_int, default=3)
+    p.add_argument("--radii", type=_positive_ints, help="comma-separated, e.g. 2,3,4")
 
     p = add("decomp", cmd_decomp)
     p.add_argument("action", choices=["good", "chain", "classify"])
@@ -458,7 +478,7 @@ def build_parser():
     p.add_argument("--label", default=None)
 
     p = add("selftest", cmd_selftest, help="run the acceptance suite")
-    p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,6")
+    p.add_argument("--criteria", type=_criteria, help="comma-separated subset, e.g. 1,2,6")
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="workers for the criterion 1-2 pools (at most the cpu count)")
     p.set_defaults(seed=0)

@@ -8,17 +8,20 @@ median graph that distance is the Gromov product
 d(x,p) + d(p,y) = d(x,y), so the whole scan reduces to two pairwise distance
 tables: one for the ball, one for its image.  Both count hyperplanes: the
 distance between two vertices of the cube complex is the number of
-hyperplanes separating them, which one incidence-matrix product gives for all
-pairs at once.
+hyperplanes separating them.  The tables are grown along the prefix trie of
+the words, one depth level at a time, and the scan reads one fused table in
+which "between" and "how far from the median" are a single integer.  All of
+it is exact integer numpy code.
 """
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BallCapExceededError, InvalidSplittingError
+from .errors import BallCapExceededError, InvalidSplittingError, MemoryLimitError
 from .words import _nf, ball_codes, hyperplane_at
 from . import dls as D
 from .elements import gamma, is_label_irreducible
@@ -40,61 +43,155 @@ class DefectReport(NamedTuple):
         }
 
 
-def _distance_table(graph, words):
-    """Pairwise distances between canonical words, counted as separating
-    hyperplanes: d(u, v) = |H(u)| + |H(v)| - 2|H(u) & H(v)|, where H(w) is the
-    set of hyperplanes crossed by the geodesic from 1 to w.  Prefixes of
-    canonical words are canonical, so H(w) is H(w minus its last letter) plus
-    one hyperplane, and each prefix is resolved once."""
-    column = {}     # hyperplane (label, rep) -> column of the incidence matrix
-    step = {}       # (prefix node, code) -> (node of prefix + code, column)
-    rows = []
-    for w in words:
-        node, cols = 0, []
+def _int_dtype(top: int):
+    """The smallest of int16/int32/int64 that holds `top`."""
+    return next(t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+
+
+class _PrefixTrie(NamedTuple):
+    """The prefix trie of a list of canonical words.  Node 0 is the empty
+    word; node t > 0 extends node parent[t] by one letter, whose edge crosses
+    the hyperplane with id column[t].  Prefixes of canonical words are
+    canonical, so every node is a geodesic and crosses each hyperplane at
+    most once."""
+    parent: np.ndarray
+    column: np.ndarray
+    depth: np.ndarray
+    ends: np.ndarray        # node of each word
+    crossings: tuple        # (hyperplane ids, word indices): H(w) for every w
+    hyperplanes: int
+
+
+def _prefix_trie(graph, words) -> _PrefixTrie:
+    """Walk every word through its prefix trie, resolving the hyperplane of
+    each new prefix once."""
+    column = {}     # hyperplane (label, rep) -> id
+    step = {}       # (node, code) -> node of the prefix extended by code
+    parent, col, depth = [0], [0], [0]
+    ends, hits, owners = [], [], []
+    for i, w in enumerate(words):
+        node = 0
         for k, c in enumerate(w):
             nxt = step.get((node, c))
             if nxt is None:
-                h = hyperplane_at(graph, w[:k], c)
-                nxt = step[node, c] = (len(step) + 1,
-                                       column.setdefault((h.label, h.rep), len(column)))
-            node = nxt[0]
-            cols.append(nxt[1])
-        rows.append(cols)
-    lengths = [len(w) for w in words]
-    # float32 is exact on integers below 2**24, and every value computed here
-    # is at most four times the longest word
-    exact = np.float32 if max(lengths, default=0) < 1 << 22 else np.float64
-    B = np.zeros((len(words), len(column)), dtype=exact)
-    for i, cols in enumerate(rows):
-        B[i, cols] = 1
-    G = B @ B.T
-    del B
-    L = np.array(lengths, dtype=exact)
-    G *= -2
-    G += L[:, None]
-    G += L
-    # the scan adds two entries, so the table must hold twice the largest
-    top = 2 * int(G.max(initial=0))
-    return G.astype(next(t for t in (np.int16, np.int32, np.int64)
-                         if top <= np.iinfo(t).max))
+                # a letter with the even (inverse) code is read backwards from
+                # the canonical prefix w[:k+1], which needs no normal form
+                h = (hyperplane_at(graph, w[:k], c) if c & 1
+                     else hyperplane_at(graph, w[:k + 1], c | 1))
+                nxt = step[node, c] = len(parent)
+                parent.append(node)
+                col.append(column.setdefault((h.label, h.rep), len(column)))
+                depth.append(k + 1)
+            node = nxt
+            hits.append(col[node])
+        owners.extend([i] * len(w))
+        ends.append(node)
+    return _PrefixTrie(np.array(parent), np.array(col), np.array(depth),
+                       np.array(ends, dtype=np.intp),
+                       (np.array(hits, dtype=np.intp), np.array(owners, dtype=np.intp)),
+                       len(column))
+
+
+def _distance_table(trie: _PrefixTrie):
+    """Pairwise distances between the trie's words, counted as separating
+    hyperplanes: d(u, v) = |H(u)| + |H(v)| - 2|H(u) & H(v)|, where H(w) is the
+    set of hyperplanes crossed by the geodesic from 1 to w.  A node adds one
+    hyperplane to its parent's set, so its row of |H(node) & H(w)| over all
+    words w is its parent's row plus the hyperplane's row of the
+    hyperplane x word incidence; one depth level is one gathered add.  The
+    table has the smallest dtype that holds twice its largest entry, since the
+    scan adds two entries."""
+    n = len(trie.ends)
+    lengths = trie.depth[trie.ends]
+    longest = int(lengths.max(initial=0))
+    # every entry, and the sum L_u + L_v on the way to it, is at most 2*longest
+    dtype = _int_dtype(4 * longest)
+    crosses = np.zeros((trie.hyperplanes, n), dtype=np.bool_)
+    crosses[trie.crossings] = True
+    shared = np.zeros((n, n), dtype=dtype)
+    order = np.argsort(trie.depth, kind="stable")
+    starts = np.searchsorted(trie.depth[order], np.arange(longest + 2))
+    pos = np.zeros(len(trie.depth), dtype=np.intp)     # node -> row in its level
+    rows = np.zeros((1, n), dtype=dtype)                # level 0: the root
+    for d in range(1, longest + 1):
+        nodes = order[starts[d]:starts[d + 1]]
+        pos[nodes] = np.arange(len(nodes))
+        rows = rows[pos[trie.parent[nodes]]]
+        rows += crosses[trie.column[nodes]]
+        done = np.flatnonzero(lengths == d)
+        shared[done] = rows[pos[trie.ends[done]]]
+    del rows, crosses
+    lengths = lengths.astype(dtype)
+    shared *= -2
+    shared += lengths[:, None]
+    shared += lengths
+    return shared.astype(_int_dtype(2 * int(shared.max(initial=0))), copy=False)
 
 
 def _scan(D0, DD):
     """Least (i, j, k), j >= i, maximising DD[i, k] + DD[k, j] - DD[i, j] over k
     between i and j (D0[i, k] + D0[k, j] == D0[i, j]), with that maximum.
-    Rows go in ascending i and argmax takes the first (j, k) of a row, so a
-    later row only replaces the witness with a strictly larger value."""
+
+    The scan reads one table E = DD - c*D0 with c = 2*max(DD) + 1, where
+    E[i, k] + E[k, j] - E[i, j] is the DD value of a between triple (>= 0 by
+    the triangle inequality) and below 0 for any other triple (its D0 excess
+    is at least 1, which costs c, more than any DD value gains).  (i, i, i)
+    is between with value 0, so a row's first maximum is its least witness.
+    Rows go in ascending i, so a later row only replaces the witness with a
+    strictly larger value."""
     n = len(D0)
+    top0, topd = int(D0.max(initial=0)), int(DD.max(initial=0))
+    c = 2 * topd + 1
+    E = D0.astype(_scan_dtype(top0, topd))
+    E *= -c
+    E += DD
+    vals = np.empty_like(E)
     best, at = -1, None
     for i in range(n):
-        between = (D0[i][None, :] + D0[i:, :]) == D0[i, i:][:, None]
-        vals = np.where(between, DD[i][None, :] + DD[i:, :] - DD[i, i:][:, None], -1)
-        jk = int(vals.argmax())
-        if vals.flat[jk] > best:
-            best = int(vals.flat[jk])
+        v = vals[:n - i]
+        np.add(E[i], E[i:], out=v)
+        v -= E[i, i:, None]
+        jk = int(v.argmax())
+        if v.flat[jk] > best:
+            best = int(v.flat[jk])
             j, k = divmod(jk, n)
             at = (i, i + j, k)
     return best, at
+
+
+def _scan_dtype(top0: int, topd: int):
+    """dtype of the fused scan table for distance tables with the given
+    largest entries: a triple value is a sum of three entries of E."""
+    return _int_dtype(3 * ((2 * topd + 1) * top0 + topd))
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 if the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError, AttributeError):
+        return 0
+
+
+def _check_memory(ball_trie: _PrefixTrie, image_trie: _PrefixTrie):
+    """Raise MemoryLimitError if the arrays of one defect computation would
+    not fit in physical memory.  Entries are bounded by word lengths: a
+    distance is at most the sum of two lengths."""
+    n = len(ball_trie.ends)
+    need, tops = 0, []
+    for trie in (ball_trie, image_trie):
+        longest = int(trie.depth.max(initial=0))
+        size = np.dtype(_int_dtype(4 * longest)).itemsize
+        tops.append(2 * longest)
+        widest = int(np.bincount(trie.depth).max())
+        # the table, the incidence, and the level rows: parent, child, gather
+        need += n * n * size + trie.hyperplanes * n + widest * n * (2 * size + 1)
+    need += 2 * n * n * np.dtype(_scan_dtype(*tops)).itemsize    # E and its row buffer
+    have = _physical_memory()
+    if have and need > have:
+        raise MemoryLimitError(
+            "a defect scan over %d ball elements needs about %.1f GiB, more than "
+            "the %.1f GiB of physical memory" % (n, need / 2**30, have / 2**30))
 
 
 def cmp_defect(phi, radius: int, cap: int = None) -> DefectReport:
@@ -112,8 +209,9 @@ def cmp_defect(phi, radius: int, cap: int = None) -> DefectReport:
         graph, images_map = phi
     ball = ball_codes(graph, radius, cap)
     images = [D.apply_images(graph, images_map, w).codes for w in ball]
-    # p = x is between x and y with value 0, so every row has a witness
-    best, (i, j, k) = _scan(_distance_table(graph, ball), _distance_table(graph, images))
+    tries = _prefix_trie(graph, ball), _prefix_trie(graph, images)
+    _check_memory(*tries)
+    best, (i, j, k) = _scan(*map(_distance_table, tries))
     return DefectReport(
         radius,
         best // 2,

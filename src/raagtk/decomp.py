@@ -24,6 +24,7 @@ from .words import (
     Hyperplane,
     NormalForm,
     _nf,
+    cyclic_reduce_codes,
     hyperplane_at,
     inv_codes,
     normal_codes,
@@ -146,7 +147,8 @@ def is_decent(graph: DefGraph, word) -> DecencyReport:
                 sub = _nf(graph, normal_codes(graph, codes[i:j]))
                 if not sub:
                     continue
-                if iv in set(k >> 1 for k in _core_codes(graph, sub)):
+                _, core = cyclic_reduce_codes(graph, sub.codes)
+                if any(k >> 1 == iv for k in core):
                     found = (i, j)
                     break
             if found:
@@ -156,13 +158,6 @@ def is_decent(graph: DefGraph, word) -> DecencyReport:
         else:
             missing.append(v)
     return DecencyReport(not missing, witnesses, tuple(missing))
-
-
-def _core_codes(graph, nf_elem):
-    from .words import cyclic_reduce_codes
-
-    _, core = cyclic_reduce_codes(graph, nf_elem.codes)
-    return core
 
 
 def pair_is_decent(pair: HyperplanePair) -> DecencyReport:

@@ -82,3 +82,11 @@ class BallCapExceededError(RaagError):
 
 class PreconditionError(RaagError):
     code = "precondition_failed"
+
+
+class MemoryLimitError(RaagError):
+    code = "memory_limit"
+
+
+class InvalidSettingError(RaagError):
+    code = "invalid_setting"

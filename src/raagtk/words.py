@@ -19,6 +19,7 @@ from .errors import (
     ArityMismatchError,
     BallCapExceededError,
     GraphMismatchError,
+    InvalidSettingError,
     TransverseHyperplanesError,
     WordSyntaxError,
 )
@@ -550,10 +551,19 @@ def subalgebra_closure(points, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
 # ---------------------------------------------------------------------------
 
 def ball_cap() -> int:
-    try:
-        return int(os.environ.get("RAAGTK_BALL_CAP", ""))
-    except ValueError:
+    """The enumeration cap: RAAGTK_BALL_CAP if set and not empty, else
+    200000.  A value that is not an integer >= 1 is an error."""
+    text = os.environ.get("RAAGTK_BALL_CAP", "")
+    if not text:
         return 200_000
+    try:
+        cap = int(text)
+    except ValueError:
+        pass
+    else:
+        if cap >= 1:
+            return cap
+    raise InvalidSettingError("RAAGTK_BALL_CAP must be an integer >= 1, got %r" % text)
 
 
 def ball_codes(graph: DefGraph, radius: int, cap: int = None) -> list:

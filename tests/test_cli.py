@@ -214,3 +214,40 @@ def test_default_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.delenv("RAAGTK_JOBS")
     assert selftest.default_jobs() == 2
     assert selftest.default_jobs(8) == 2
+
+
+def test_bad_ball_cap_is_domain_error(graph_files, capsys, monkeypatch):
+    monkeypatch.setenv("RAAGTK_BALL_CAP", "1e3")
+    code, doc = run_json(capsys, "cmp", "defect", "--graph", graph_files["z2"],
+                         "--dls", "twist v=b z=a", "--radius", "2")
+    assert code == 1 and doc["error"] == "invalid_setting"
+    assert "RAAGTK_BALL_CAP" in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cmp", "defect", "--radius", "0"],
+    ["cmp", "certify", "--radii", "2,0"],
+    ["cmp", "certify", "--radii", "2,x"],
+])
+def test_cmp_radius_below_one_is_usage_error(graph_files, argv):
+    assert main([*argv, "--graph", graph_files["z2"], "--dls", "twist v=b z=a"]) == 2
+
+
+@pytest.mark.parametrize("criteria", ["0", "12", "x", "6,", ""])
+def test_selftest_bad_criteria_is_usage_error(monkeypatch, criteria):
+    def no_criteria(**kw):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(selftest, "run_all", no_criteria)
+    assert main(["selftest", "--criteria", criteria]) == 2
+
+
+def test_json_mode_prints_one_document(graph_files, capsys):
+    code, doc = run_json(capsys, "graph", "dump", "--graph", graph_files["path"])
+    assert code == 0 and doc["graph"] == "vertices: a b c\nedge: a b\nedge: b c\n"
+    code, doc = run_json(capsys, "selftest", "--criteria", "6")
+    assert code == 0 and doc["passed"]
+    assert [c["number"] for c in doc["criteria"]] == [6]
+    code, doc = run_json(capsys, "subgroup", "intersect", "--graph", graph_files["z2"],
+                         "--subgroup", "support=a")
+    assert code == 1 and doc["error"] == "word_syntax"

@@ -1,20 +1,28 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
+from raagtk import cmp as C
+from raagtk.cli import main
 from raagtk.cmp import (
     CMP_BY_THM,
     NOT_CMP_SUSPECTED,
     UNDECIDED,
     _distance_table,
+    _prefix_trie,
+    _scan,
+    _scan_dtype,
     cmp_certify,
     cmp_defect,
 )
+from raagtk.errors import MemoryLimitError
 from raagtk.dls import apply, apply_images, build_partial_conjugation, build_transvection
 from raagtk.graph import DefGraph
 from raagtk.selftest import CATALOG, catalog_graph, random_dls
 from raagtk.words import (
+    _nf,
     ball_codes,
     dist,
     identity,
@@ -146,7 +154,7 @@ def test_defect_image_distances_above_255():
 
 
 def _assert_table_matches_reduction(graph, words):
-    table = _distance_table(graph, words)
+    table = _distance_table(_prefix_trie(graph, words))
     # the scan adds two entries of a table
     assert 2 * int(table.max(initial=0)) <= np.iinfo(table.dtype).max
     for i, u in enumerate(words):
@@ -215,3 +223,109 @@ def test_defect_pinned_to_seed(kind, radius):
     rep = cmp_defect(_defect_maps()[kind], radius)
     assert (rep.defect, rep.ball_size) == (defect, ball_size)
     assert tuple(str(w) for w in rep.witness) == witness
+
+
+def _reference_scan(d0, dd):
+    """The defect scan as a plain triple loop over lists: the least (i, j, k),
+    j >= i, with k between i and j that maximises the image Gromov sum."""
+    n = len(d0)
+    best, at = -1, None
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                if d0[i][k] + d0[k][j] == d0[i][j]:
+                    v = dd[i][k] + dd[k][j] - dd[i][j]
+                    if v > best:
+                        best, at = v, (i, j, k)
+    return best, at
+
+
+@pytest.mark.parametrize("gi", range(len(CATALOG)), ids=[c[0] for c in CATALOG])
+def test_scan_matches_reference(gi):
+    graph = catalog_graph(gi)
+    rng = random.Random(1000 + gi)
+    radius = 3 if len(ball_codes(graph, 3)) <= 100 else 2
+    ball = ball_codes(graph, radius)
+    k = rand_nf(rng, graph, rng.randrange(1, 4))
+    maps = [{v: multiply(multiply(k, normalize(graph, v)), k.inv()) for v in graph.vertices}]
+    maps += [phi.generator_images for phi in (random_dls(rng, graph) for _ in range(2))
+             if phi is not None]
+    points = [_nf(graph, w) for w in ball]
+    d0 = [[dist(x, y) for y in points] for x in points]
+    for images in maps:
+        image = [apply_images(graph, images, w) for w in ball]
+        dd = [[dist(x, y) for y in image] for x in image]
+        got = _scan(_distance_table(_prefix_trie(graph, ball)),
+                    _distance_table(_prefix_trie(graph, [w.codes for w in image])))
+        assert got == _reference_scan(d0, dd)
+
+
+def test_fused_scan_in_int32(monkeypatch):
+    # a -> c^80 a at R = 4: the fused scan values pass int16
+    dtypes = []
+
+    def scan(D0, DD):
+        dtypes.append(_scan_dtype(int(D0.max()), int(DD.max())))
+        return _scan(D0, DD)
+
+    monkeypatch.setattr(C, "_scan", scan)
+    free = DefGraph(["a", "c"])
+    rep = cmp_defect(build_transvection(free, "a", normalize(free, _power("c", 80))), 4)
+    assert dtypes == [np.int32]
+    # the seed implementation's report
+    assert (rep.defect, rep.ball_size) == (80, 161)
+    assert tuple(str(w) for w in rep.witness) == ("1", "a^-1 c^-1 a", "a^-1 c^-1")
+
+
+def _path_trie(m):
+    """The prefix trie of the words 1 and a^m in Z: one path of m nodes, each
+    crossing its own hyperplane."""
+    return C._PrefixTrie(parent=np.arange(-1, m), column=np.arange(-1, m),
+                         depth=np.arange(m + 1), ends=np.array([0, m]),
+                         crossings=(np.arange(m), np.ones(m, dtype=np.intp)),
+                         hyperplanes=m)
+
+
+def test_distance_table_dtype_follows_twice_the_largest_entry():
+    graph = catalog_graph(0)    # Z
+    ball = ball_codes(graph, 5)
+    assert np.array_equal(_distance_table(_path_trie(5)),
+                          _distance_table(_prefix_trie(graph, [ball[0], ball[-1]])))
+    for m, dtype in ((16383, np.int16), (16384, np.int32)):
+        table = _distance_table(_path_trie(m))
+        assert table.dtype == dtype
+        assert table.tolist() == [[0, m], [m, 0]]
+
+
+def _fold():
+    free = DefGraph(["a", "c"])
+    return build_transvection(free, "a", normalize(free, "c"))
+
+
+def test_memory_check_before_tables(monkeypatch):
+    def no_table(trie):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(C, "_distance_table", no_table)
+    monkeypatch.setattr(C, "_physical_memory", lambda: 10 ** 6)
+    # fold R = 5: two 485 x 485 int16 tables and the scan buffers pass 1 MB
+    with pytest.raises(MemoryLimitError):
+        cmp_defect(_fold(), 5)
+    monkeypatch.setattr(C, "_physical_memory", lambda: 0)     # unknown: no check
+    with pytest.raises(AssertionError):
+        cmp_defect(_fold(), 5)
+
+
+def test_memory_check_passes_small_balls(monkeypatch):
+    monkeypatch.setattr(C, "_physical_memory", lambda: 10 ** 6)
+    assert cmp_defect(_fold(), 2).defect == 1
+
+
+def test_memory_limit_is_cli_domain_error(monkeypatch, tmp_path, capsys):
+    graph = tmp_path / "free2.graph"
+    graph.write_text("vertices: a c\n")
+    monkeypatch.setattr(C, "_physical_memory", lambda: 10 ** 6)
+    code = main(["cmp", "defect", "--graph", str(graph), "--dls", "fold v=a z=c",
+                 "--radius", "5", "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "memory_limit"
