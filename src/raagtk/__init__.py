@@ -14,7 +14,6 @@ from .words import (
     ClosureResult,
     CyclicDecomposition,
     Hyperplane,
-    Letter,
     NormalForm,
     Word,
     ball,

@@ -101,39 +101,25 @@ def _parse_dls(graph, text) -> D.DlsAutomorphism:
     raise WordSyntaxError("unknown dls literal head %r" % head)
 
 
-def _dls_from_args(graph, args) -> D.DlsAutomorphism:
-    if getattr(args, "dls", None):
-        return _parse_dls(graph, args.dls)
-    if getattr(args, "amalgam", None):
-        return _parse_dls(graph, "pconj " + args.amalgam + " z=" + (args.z or "1"))
-    if getattr(args, "vertex", None):
-        return D.build_transvection(graph, args.vertex, _nf(graph, args.z or "1"))
-    raise WordSyntaxError("no automorphism specified (use --dls, or --vertex/--z)")
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_graph(args):
-    graph = _load_graph(args.graph)
+def cmd_graph(args, graph):
     if args.action == "dump":
         if args.json:
             return _emit(args, {"graph": graph.dump()}, "")
         sys.stdout.write(graph.dump())
         return 0
-    return 2
 
 
-def cmd_normalize(args):
-    graph = _load_graph(args.graph)
+def cmd_normalize(args, graph):
     nf = _nf(graph, args.word[0])
     return _emit(args, {"input": args.word[0], "normal_form": str(nf),
                         "length": len(nf)}, str(nf))
 
 
-def cmd_multiply(args):
-    graph = _load_graph(args.graph)
+def cmd_multiply(args, graph):
     if len(args.word) != 2:
         raise WordSyntaxError("multiply needs exactly two --word arguments")
     g = _nf(graph, args.word[0])
@@ -143,8 +129,7 @@ def cmd_multiply(args):
                         "length": len(r)}, str(r))
 
 
-def cmd_median(args):
-    graph = _load_graph(args.graph)
+def cmd_median(args, graph):
     if len(args.word) != 3:
         raise WordSyntaxError("median needs exactly three --word arguments")
     m = W.median(*[_nf(graph, w) for w in args.word])
@@ -152,8 +137,7 @@ def cmd_median(args):
                         "length": len(m)}, str(m))
 
 
-def cmd_closure(args):
-    graph = _load_graph(args.graph)
+def cmd_closure(args, graph):
     pts = []
     for t in args.tuple:
         pts.append(tuple(_nf(graph, part) for part in t.split(",")))
@@ -166,8 +150,7 @@ def cmd_closure(args):
     )
 
 
-def cmd_element(args):
-    graph = _load_graph(args.graph)
+def cmd_element(args, graph):
     g = _nf(graph, args.word)
     if args.action == "gamma":
         gm = E.gamma(g)
@@ -197,11 +180,9 @@ def cmd_element(args):
             % (cf.conjugator, ", ".join(str(r) for r in cf.cyclic_roots),
                cf.parabolic_support),
         )
-    return 2
 
 
-def cmd_tree(args):
-    graph = _load_graph(args.graph)
+def cmd_tree(args, graph):
     v = args.vertex
     if args.action == "dist":
         if len(args.word) < 2:
@@ -234,11 +215,9 @@ def cmd_tree(args):
              "size": len(elems), "elements": elems},
             "%d elements within radius %d" % (len(elems), res.radius),
         )
-    return 2
 
 
-def cmd_subgroup(args):
-    graph = _load_graph(args.graph)
+def cmd_subgroup(args, graph):
     sf = _parse_subgroup(graph, args.subgroup)
     if args.action == "validate":
         rep = S.validate(sf)
@@ -262,12 +241,10 @@ def cmd_subgroup(args):
             },
             res.describe(),
         )
-    return 2
 
 
-def cmd_dls(args):
-    graph = _load_graph(args.graph)
-    phi = _dls_from_args(graph, args)
+def cmd_dls(args, graph):
+    phi = _parse_dls(graph, args.dls)
     if args.action == "build":
         images = {v: str(phi.generator_images[v]) for v in graph.vertices}
         return _emit(
@@ -293,12 +270,10 @@ def cmd_dls(args):
              "outer_powers": rep.outer_powers},
             rep.certificate or "no certificate",
         )
-    return 2
 
 
-def cmd_cmp(args):
-    graph = _load_graph(args.graph)
-    phi = _dls_from_args(graph, args)
+def cmd_cmp(args, graph):
+    phi = _parse_dls(graph, args.dls)
     if args.action == "defect":
         rep = C.cmp_defect(phi, args.radius)
         d = rep.as_dict()
@@ -307,11 +282,9 @@ def cmd_cmp(args):
     if args.action == "certify":
         rep = C.cmp_certify(phi, probe_radii=args.radii or (2, 3, 4, 5))
         return _emit(args, rep.as_dict(), rep.verdict)
-    return 2
 
 
-def cmd_decomp(args):
-    graph = _load_graph(args.graph)
+def cmd_decomp(args, graph):
     if args.action == "good":
         w = _nf(graph, args.word)
         dec = DC.decompose_good(graph, w)
@@ -358,10 +331,9 @@ def cmd_decomp(args):
             },
             "%s%s" % (cls.case, " g=%s" % cls.element if cls.element else ""),
         )
-    return 2
 
 
-def cmd_selftest(args):
+def cmd_selftest(args, graph):
     only = set(args.criteria) if args.criteria else None
     # in JSON mode the per-criterion lines become the one document
     results = ST.run_all(seed=args.seed, jobs=args.jobs, only=only,
@@ -400,39 +372,35 @@ def build_parser():
         prog="raagtk",
         description="Exact computations in right-angled Artin groups.",
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed for any sampling")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, graph=True, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true")
+        if graph:
+            p.add_argument("--graph", required=True)
         return p
 
     p = add("graph", cmd_graph, help="graph file operations")
     p.add_argument("action", choices=["dump"])
-    p.add_argument("--graph", required=True)
 
     for name, fn in (("normalize", cmd_normalize), ("multiply", cmd_multiply),
                      ("median", cmd_median)):
         p = add(name, fn)
-        p.add_argument("--graph", required=True)
         p.add_argument("--word", action="append", required=True)
 
     p = add("closure", cmd_closure, help="median subalgebra closure")
-    p.add_argument("--graph", required=True)
     p.add_argument("--tuple", action="append", required=True,
                    help="comma-separated words, one tuple per flag")
     p.add_argument("--cap", type=int, default=W.DEFAULT_CLOSURE_CAP)
 
     p = add("element", cmd_element)
     p.add_argument("action", choices=["gamma", "li", "root", "centralizer"])
-    p.add_argument("--graph", required=True)
     p.add_argument("--word", required=True)
 
     p = add("tree", cmd_tree)
     p.add_argument("action", choices=["dist", "length", "stab", "almost-stab"])
-    p.add_argument("--graph", required=True)
     p.add_argument("--vertex", required=True)
     p.add_argument("--word", action="append", default=[])
     p.add_argument("--start", default="1")
@@ -442,7 +410,6 @@ def build_parser():
 
     p = add("subgroup", cmd_subgroup)
     p.add_argument("action", choices=["validate", "member", "intersect"])
-    p.add_argument("--graph", required=True)
     p.add_argument("--subgroup", required=True,
                    help="conj=W roots=W1,W2 support=a,b (words with . for spaces)")
     p.add_argument("--subgroup2")
@@ -451,37 +418,28 @@ def build_parser():
 
     p = add("dls", cmd_dls)
     p.add_argument("action", choices=["build", "apply", "certify"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--dls", help='e.g. "twist v=b z=a" or "pconj A=a,b B=b,c C=b z=a"')
-    p.add_argument("--vertex")
-    p.add_argument("--z")
-    p.add_argument("--amalgam")
+    p.add_argument("--dls", required=True,
+                   help='e.g. "twist v=b z=a" or "pconj A=a,b B=b,c C=b z=a"')
     p.add_argument("--word", default="1")
     p.add_argument("--probes")
     p.add_argument("--max-power", type=int, default=8)
 
     p = add("cmp", cmd_cmp)
     p.add_argument("action", choices=["defect", "certify"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--dls")
-    p.add_argument("--vertex")
-    p.add_argument("--z")
-    p.add_argument("--amalgam")
+    p.add_argument("--dls", required=True)
     p.add_argument("--radius", type=_positive_int, default=3)
     p.add_argument("--radii", type=_positive_ints, help="comma-separated, e.g. 2,3,4")
 
     p = add("decomp", cmd_decomp)
     p.add_argument("action", choices=["good", "chain", "classify"])
-    p.add_argument("--graph", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--tree-vertex", default=None)
     p.add_argument("--label", default=None)
 
-    p = add("selftest", cmd_selftest, help="run the acceptance suite")
+    p = add("selftest", cmd_selftest, graph=False, help="run the acceptance suite")
     p.add_argument("--criteria", type=_criteria, help="comma-separated subset, e.g. 1,2,6")
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="workers for the criterion 1-2 pools (at most the cpu count)")
-    p.set_defaults(seed=0)
     p.add_argument("--seed", type=int, default=0)
 
     return ap
@@ -494,7 +452,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        graph = _load_graph(args.graph) if "graph" in args else None
+        return args.fn(args, graph)
     except RaagError as e:
         if getattr(args, "json", False):
             print(json.dumps({"schema": SCHEMA, "error": e.code, "message": str(e)},

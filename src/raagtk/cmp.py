@@ -21,7 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BallCapExceededError, InvalidSplittingError, MemoryLimitError
+from .errors import (
+    BallCapExceededError,
+    InvalidSplittingError,
+    MemoryLimitError,
+    OutOfRangeError,
+)
 from .words import _nf, ball_codes, hyperplane_at
 from . import dls as D
 from .elements import gamma, is_label_irreducible
@@ -201,7 +206,7 @@ def cmp_defect(phi, radius: int, cap: int = None) -> DefectReport:
     The witness is the lexicographically least maximizing triple in ball
     order."""
     if radius < 1:
-        raise ValueError("radius must be >= 1")
+        raise OutOfRangeError("radius must be >= 1")
     if isinstance(phi, D.DlsAutomorphism):
         graph = phi.graph
         images_map = phi.generator_images

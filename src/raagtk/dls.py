@@ -12,6 +12,7 @@ from .errors import (
     GraphMismatchError,
     InvalidSplittingError,
     NotInCentralizerError,
+    PreconditionError,
 )
 from .graph import DefGraph
 from .words import (
@@ -209,7 +210,7 @@ def verify_automorphism(phi, inverse_images: dict = None, graph: DefGraph = None
     else:
         images = phi
         if graph is None:
-            raise ValueError("graph required for raw image maps")
+            raise PreconditionError("graph required for raw image maps")
     for i, j in sorted(graph.edges):
         u = images[graph.vertices[i]].codes
         w = images[graph.vertices[j]].codes
@@ -251,7 +252,7 @@ def outer_order_certificate(
     certifies that power outer; a strictly increasing trace over the whole
     range is flagged as the certificate."""
     if not probes:
-        raise ValueError("probes must be nonempty")
+        raise PreconditionError("probes must be nonempty")
     graph = phi.graph
     traces = {}
     outer_powers = {}

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import IdentityElementError, InvalidSubgroupError
+from .errors import IdentityElementError, InvalidSubgroupError, OutOfRangeError
 from .graph import VertexSet
 from .words import (
     NormalForm,
@@ -138,21 +138,31 @@ def _component_matches(comp: NormalForm, roots, support_mask) -> bool:
     return False
 
 
-def membership_centralizer(cf: CentralizerForm, h: NormalForm) -> bool:
-    """Decide h in Z(g) from the structured form: conjugate by x^-1, split
-    into label-irreducible components, and match each against the root powers
-    or the parabolic support."""
+def in_structured_product(x: NormalForm, roots, support_mask, h: NormalForm) -> bool:
+    """Decide h in x * (<roots> x A_Delta) * x^-1, Delta = support_mask:
+    conjugate by x^-1, accept a conjugate supported in Delta, and otherwise
+    split it into label-irreducible components and match each against the
+    root powers or Delta."""
     graph = h.graph
+    hc = normal_codes(graph, inv_codes(x.codes) + h.codes + x.codes)
+    if not (vertex_mask(hc) & ~support_mask):
+        return True
+    # the components multiply to hc, so without roots they cannot all lie in Delta
+    if not roots:
+        return False
+    return all(
+        _component_matches(comp, roots, support_mask)
+        for comp in li_components(_nf(graph, hc)).components
+    )
+
+
+def membership_centralizer(cf: CentralizerForm, h: NormalForm) -> bool:
+    """Decide h in Z(g) from the structured form (see in_structured_product)."""
     if not isinstance(cf, CentralizerForm):
         raise InvalidSubgroupError("malformed centralizer form")
-    x = cf.conjugator
-    hc = _nf(graph, normal_codes(graph, inv_codes(x.codes) + h.codes + x.codes))
-    if not hc:
-        return True
-    for comp in li_components(hc).components:
-        if not _component_matches(comp, cf.cyclic_roots, cf.parabolic_support.mask):
-            return False
-    return True
+    return in_structured_product(
+        cf.conjugator, cf.cyclic_roots, cf.parabolic_support.mask, h
+    )
 
 
 def increasing_labels_search(
@@ -163,7 +173,7 @@ def increasing_labels_search(
     {g, g^-1, h, h^-1}.  None signals budget exhaustion, never nonexistence.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise OutOfRangeError("budget must be >= 1")
     graph = g.graph
     target = gamma(g).mask | gamma(h).mask
     gens = [g, g.inv(), h, h.inv()]

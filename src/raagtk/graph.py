@@ -13,6 +13,26 @@ from __future__ import annotations
 from .errors import EmptySetError, GraphFormatError, UnknownVertexError
 
 
+def components(mask: int, nbrs) -> list:
+    """Connected components of the subgraph induced on the bitmask `mask`,
+    where nbrs[i] is a bitmask containing i's neighbours.  Components are
+    bitmasks, in increasing order of their least vertex."""
+    out = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbrs[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        out.append(comp)
+        mask &= ~comp
+    return out
+
+
 class DefGraph:
     __slots__ = ("vertices", "edges", "_index", "adj", "block", "full", "_hash")
 
@@ -130,33 +150,14 @@ class DefGraph:
     def join_decomposition(self, names) -> list:
         """Maximal join factors of the induced subgraph on a nonempty subset.
 
-        Computed as connected components of the complement graph, returned in
-        graph order of their least vertex.
+        Computed as connected components of the complement graph (block[i]
+        is i's closed neighbourhood there), in graph order of their least
+        vertex.
         """
         sub = self.vset(names)
         if not sub:
             raise EmptySetError("join decomposition of the empty set")
-        idxs = [self.index(v) for v in sub]
-        remaining = set(idxs)
-        factors = []
-        while remaining:
-            seed = min(remaining)
-            comp = {seed}
-            stack = [seed]
-            remaining.discard(seed)
-            while stack:
-                i = stack.pop()
-                nonadj = [j for j in remaining if not (self.adj[i] >> j & 1)]
-                for j in nonadj:
-                    remaining.discard(j)
-                    comp.add(j)
-                    stack.append(j)
-            mask = 0
-            for i in comp:
-                mask |= 1 << i
-            factors.append(VertexSet(self, mask))
-        factors.sort(key=lambda f: f.min_index())
-        return factors
+        return [VertexSet(self, m) for m in components(sub.mask, self.block)]
 
     # -- file format -------------------------------------------------------
     #

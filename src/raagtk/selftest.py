@@ -17,12 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import DefGraph
+from .errors import RaagError
+from .graph import DefGraph, components
 from .words import (
     NormalForm,
     _nf,
     ball_codes,
     cyclic_reduce,
+    env_count,
     identity,
     inv_codes,
     median_codes,
@@ -62,15 +64,19 @@ CATALOG = [
 
 
 def default_jobs(jobs=None) -> int:
-    """Worker count for the criterion 1-2 pools: `jobs`, else RAAGTK_JOBS,
-    else 2, clamped to [1, cpu count]."""
-    cpus = os.cpu_count() or 1
+    """Worker count for the criterion 1-2 pools: `jobs`, else RAAGTK_JOBS
+    (see words.env_count), else 2, clamped to [1, cpu count]."""
     if jobs is None:
-        try:
-            jobs = int(os.environ.get("RAAGTK_JOBS", ""))
-        except ValueError:
-            jobs = 2
-    return max(1, min(jobs, cpus))
+        jobs = env_count("RAAGTK_JOBS", 2)
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
+def _map(fn, tasks, jobs):
+    """[fn(t) for t in tasks], on a pool of `jobs` workers when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def catalog_graph(idx) -> DefGraph:
@@ -143,14 +149,9 @@ def _c1_task(args):
 
 def criterion_1(seed=0, jobs=None) -> CriterionResult:
     t0 = time.time()
-    jobs = default_jobs(jobs)
     tasks = [(gi, k) for gi in range(len(CATALOG)) for k in range(7)]
     tasks.sort(key=lambda t: -(2 * len(CATALOG[t[0]][1])) ** t[1])
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_c1_task, tasks))
-    else:
-        results = [_c1_task(t) for t in tasks]
+    results = _map(_c1_task, tasks, default_jobs(jobs))
     total = sum(r[0] for r in results)
     bad = sum(r[1] for r in results)
     examples = [r[2] for r in results if r[2]]
@@ -219,11 +220,11 @@ def _c2_prepare(gi):
 
 
 def _c2_task(args):
-    gi, i0, i1 = args
+    gi, first, stride = args
     graph, big, n, T, index = _c2_prepare(gi)
     bad = 0
     checked = 0
-    for i in range(i0, i1):
+    for i in range(first, n, stride):
         Bi = T[i]
         for j in range(i, n):
             row = Bi[j]
@@ -243,29 +244,15 @@ def _c2_task(args):
 
 def criterion_2(seed=0, jobs=None) -> CriterionResult:
     t0 = time.time()
-    jobs = default_jobs(jobs)
     name_to_idx = {name: k for k, (name, _, _) in enumerate(CATALOG)}
     tasks = []
     for name in C2_GRAPHS:
         gi = name_to_idx[name]
         n = len(ball_codes(catalog_graph(gi), C2_RADIUS))
+        # the work of row i falls as i grows; strided rows share it evenly
         nchunks = max(1, min(8, n // 40))
-        bounds = [0]
-        total = n * (n + 1) / 2.0
-        acc = 0.0
-        for i in range(n):
-            acc += n - i
-            if acc >= total * len(bounds) / nchunks and len(bounds) < nchunks:
-                bounds.append(i + 1)
-        bounds.append(n)
-        for k in range(len(bounds) - 1):
-            if bounds[k] < bounds[k + 1]:
-                tasks.append((gi, bounds[k], bounds[k + 1]))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_c2_task, tasks))
-    else:
-        results = [_c2_task(t) for t in tasks]
+        tasks.extend((gi, r, nchunks) for r in range(nchunks))
+    results = _map(_c2_task, tasks, default_jobs(jobs))
     checked = sum(r[0] for r in results)
     bad = sum(r[1] for r in results)
     dt = time.time() - t0
@@ -483,7 +470,7 @@ def criterion_9(seed=0, jobs=None) -> CriterionResult:
             end = w
         try:
             beta = T.arc(graph, v, identity(graph), end)
-        except Exception:
+        except RaagError:
             continue
         if beta.length < max((4 * r + 2) * delta, 2 * delta + 1):
             continue
@@ -509,75 +496,48 @@ def criterion_9(seed=0, jobs=None) -> CriterionResult:
 # criterion 10: automorphism soundness fuzz
 # ---------------------------------------------------------------------------
 
+def _random_word_in(rng, graph, allowed, max_len):
+    """A random nontrivial element written with fewer than `max_len` letters
+    of the vertices in the bitmask `allowed`, or None."""
+    letters = [2 * i + s for i in range(len(graph)) if allowed >> i & 1 for s in (0, 1)]
+    if not letters:
+        return None
+    z = _nf(graph, normal_codes(
+        graph, tuple(rng.choice(letters) for _ in range(rng.randrange(1, max_len)))
+    ))
+    return z or None
+
+
 def random_dls(rng, graph) -> D.DlsAutomorphism:
     for _ in range(40):
         if rng.random() < 0.5:
             v = rng.choice(graph.vertices)
-            allowed = D.transvection_centralizer_mask(graph, v)
-            letters = [
-                2 * i + s
-                for i in range(len(graph))
-                if allowed >> i & 1
-                for s in (0, 1)
-            ]
-            if not letters:
-                continue
-            z = _nf(graph, normal_codes(
-                graph, tuple(rng.choice(letters) for _ in range(rng.randrange(1, 5)))
-            ))
-            if not z:
+            z = _random_word_in(rng, graph, D.transvection_centralizer_mask(graph, v), 5)
+            if z is None:
                 continue
             return D.build_transvection(graph, v, z)
         else:
-            n = len(graph)
-            cmask = rng.randrange(1 << n)
-            rest = [i for i in range(n) if not cmask >> i & 1]
-            if len(rest) < 2:
-                continue
-            comps = []
-            remaining = set(rest)
-            while remaining:
-                seedv = min(remaining)
-                comp = {seedv}
-                stack = [seedv]
-                remaining.discard(seedv)
-                while stack:
-                    i = stack.pop()
-                    for j in list(remaining):
-                        if graph.adj[i] >> j & 1:
-                            remaining.discard(j)
-                            comp.add(j)
-                            stack.append(j)
-                comps.append(comp)
+            cmask = rng.randrange(1 << len(graph))
+            comps = components(graph.full & ~cmask, graph.adj)
             if len(comps) < 2:
                 continue
             rng.shuffle(comps)
             cut = rng.randrange(1, len(comps))
             amask = cmask
             for comp in comps[:cut]:
-                for i in comp:
-                    amask |= 1 << i
+                amask |= comp
             bmask = cmask
             for comp in comps[cut:]:
-                for i in comp:
-                    bmask |= 1 << i
+                bmask |= comp
             da = graph.vset_mask(amask)
             db = graph.vset_mask(bmask)
             dc = graph.vset_mask(cmask)
-            allowed = da.mask & graph.perp_closed(dc).mask
-            letters = [
-                2 * i + s for i in range(n) if allowed >> i & 1 for s in (0, 1)
-            ]
-            if not letters:
-                continue
-            z = _nf(graph, normal_codes(
-                graph, tuple(rng.choice(letters) for _ in range(rng.randrange(1, 4)))
-            ))
-            if not z:
+            z = _random_word_in(rng, graph, amask & graph.perp_closed(dc).mask, 4)
+            if z is None:
                 continue
             try:
                 return D.build_partial_conjugation(graph, da, db, dc, z)
-            except Exception:
+            except RaagError:
                 continue
     return None
 
@@ -729,6 +689,8 @@ CRITERIA = [
 
 
 def run_all(seed=0, jobs=None, only=None, out=print):
+    # a bad RAAGTK_JOBS fails here, before any criterion runs
+    jobs = default_jobs(jobs)
     results = []
     for k, fn in enumerate(CRITERIA, start=1):
         if only and k not in only:

@@ -22,12 +22,7 @@ from .words import (
     normal_codes,
     vertex_mask,
 )
-from .elements import (
-    _component_matches,
-    is_label_irreducible,
-    li_components,
-    primitive_root,
-)
+from .elements import in_structured_product, is_label_irreducible, primitive_root
 
 PARABOLIC = "parabolic"
 SEMI_PARABOLIC = "semi_parabolic"
@@ -108,22 +103,11 @@ def validate(sf: SubgroupForm) -> ValidationReport:
 
 
 def member(sf: SubgroupForm, h: NormalForm) -> bool:
-    """Decide membership by conjugating back, splitting into label-irreducible
-    components, and matching each against root powers or the support."""
+    """Decide membership of h in a valid form (see in_structured_product)."""
     rep = validate(sf)
     if not rep.ok:
         raise InvalidSubgroupError("invalid subgroup form: %s" % (rep.failures[0],))
-    graph = sf.graph
-    x = sf.conjugator
-    hc = _nf(graph, normal_codes(graph, inv_codes(x.codes) + h.codes + x.codes))
-    if not hc:
-        return True
-    if sf.kind == PARABOLIC:
-        return not (vertex_mask(hc.codes) & ~sf.support.mask)
-    for comp in li_components(hc).components:
-        if not _component_matches(comp, sf.abelian_roots, sf.support.mask):
-            return False
-    return True
+    return in_structured_product(sf.conjugator, sf.abelian_roots, sf.support.mask, h)
 
 
 def subgroup_equal_on_ball(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> bool:

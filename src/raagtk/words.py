@@ -13,7 +13,7 @@ the lexicographically least reduced word, and its prefixes are again canonical.
 from __future__ import annotations
 
 import os
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatchError,
@@ -26,25 +26,9 @@ from .errors import (
 from .graph import DefGraph
 
 
-class Letter(NamedTuple):
-    vertex: str
-    sign: int
-
-
 # ---------------------------------------------------------------------------
 # integer-code kernels
 # ---------------------------------------------------------------------------
-
-def code_of(graph: DefGraph, letter: Letter) -> int:
-    i = graph.index(letter.vertex)
-    if letter.sign not in (1, -1):
-        raise WordSyntaxError("sign must be +-1")
-    return 2 * i + (1 if letter.sign > 0 else 0)
-
-
-def letter_of(graph: DefGraph, code: int) -> Letter:
-    return Letter(graph.vertices[code >> 1], 1 if code & 1 else -1)
-
 
 def reduce_codes(adj, codes):
     """Left-to-right stack reduction; output is a reduced word (list)."""
@@ -187,14 +171,9 @@ class Word:
 
     __slots__ = ("graph", "codes")
 
-    def __init__(self, graph: DefGraph, letters: Iterable[Letter]):
+    def __init__(self, graph: DefGraph, codes):
         self.graph = graph
-        self.codes = tuple(
-            c if isinstance(c, int) else code_of(graph, c) for c in letters
-        )
-
-    def letters(self):
-        return tuple(letter_of(self.graph, c) for c in self.codes)
+        self.codes = tuple(codes)
 
     def __len__(self):
         return len(self.codes)
@@ -206,21 +185,16 @@ class Word:
 class NormalForm:
     """Canonical reduced representative of a group element.
 
-    Instances should be produced by normalize()/multiply()/..., never built
-    from raw letters directly.
+    `codes` must already be canonical: instances should be produced by
+    normalize()/multiply()/..., never built from raw letters directly.
     """
 
     __slots__ = ("graph", "codes", "_hash")
 
-    def __init__(self, graph: DefGraph, codes: tuple, _trusted=False):
-        if not _trusted:
-            codes = normal_codes(graph, codes)
+    def __init__(self, graph: DefGraph, codes: tuple):
         self.graph = graph
         self.codes = codes
         self._hash = hash(codes)
-
-    def letters(self):
-        return tuple(letter_of(self.graph, c) for c in self.codes)
 
     def __len__(self):
         return len(self.codes)
@@ -242,7 +216,7 @@ class NormalForm:
         return multiply(self, other)
 
     def inv(self) -> "NormalForm":
-        return NormalForm(self.graph, inv_codes(self.codes), _trusted=True)
+        return NormalForm(self.graph, inv_codes(self.codes))
 
     def __pow__(self, n: int) -> "NormalForm":
         if n < 0:
@@ -271,7 +245,7 @@ class NormalForm:
 
 
 def _nf(graph, codes) -> NormalForm:
-    return NormalForm(graph, tuple(codes), _trusted=True)
+    return NormalForm(graph, tuple(codes))
 
 
 class CyclicDecomposition(NamedTuple):
@@ -352,9 +326,7 @@ def parse_word(graph: DefGraph, text: str) -> Word:
         i = graph.index(name)
         c = 2 * i + (1 if power > 0 else 0)
         codes.extend([c] * abs(power))
-    w = Word(graph, ())
-    w.codes = tuple(codes)
-    return w
+    return Word(graph, codes)
 
 
 def format_codes(graph: DefGraph, codes) -> str:
@@ -381,16 +353,9 @@ def _coerce_codes(graph, w):
 # group operations
 # ---------------------------------------------------------------------------
 
-def normalize(graph_or_word, word=None) -> NormalForm:
+def normalize(graph: DefGraph, word) -> NormalForm:
     """Canonical reduced representative of a word's group element."""
-    if word is None:
-        w = graph_or_word
-        graph = w.graph
-    else:
-        graph = graph_or_word
-        w = word
-    codes = _coerce_codes(graph, w)
-    return _nf(graph, normal_codes(graph, codes))
+    return _nf(graph, normal_codes(graph, _coerce_codes(graph, word)))
 
 
 def multiply(g: NormalForm, h: NormalForm) -> NormalForm:
@@ -550,20 +515,25 @@ def subalgebra_closure(points, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
 # balls, intervals, trace machinery
 # ---------------------------------------------------------------------------
 
-def ball_cap() -> int:
-    """The enumeration cap: RAAGTK_BALL_CAP if set and not empty, else
-    200000.  A value that is not an integer >= 1 is an error."""
-    text = os.environ.get("RAAGTK_BALL_CAP", "")
+def env_count(name: str, default: int) -> int:
+    """The environment variable `name` if set and not empty, else `default`.
+    A value that is not an integer >= 1 is an error."""
+    text = os.environ.get(name, "")
     if not text:
-        return 200_000
+        return default
     try:
-        cap = int(text)
+        value = int(text)
     except ValueError:
         pass
     else:
-        if cap >= 1:
-            return cap
-    raise InvalidSettingError("RAAGTK_BALL_CAP must be an integer >= 1, got %r" % text)
+        if value >= 1:
+            return value
+    raise InvalidSettingError("%s must be an integer >= 1, got %r" % (name, text))
+
+
+def ball_cap() -> int:
+    """The enumeration cap: RAAGTK_BALL_CAP, else 200000 (see env_count)."""
+    return env_count("RAAGTK_BALL_CAP", 200_000)
 
 
 def ball_codes(graph: DefGraph, radius: int, cap: int = None) -> list:
@@ -596,35 +566,13 @@ def ball(graph: DefGraph, radius: int, cap: int = None) -> list:
     return [_nf(graph, c) for c in ball_codes(graph, radius, cap)]
 
 
-def interval_codes(graph: DefGraph, x, y, max_len: int = None):
-    """Distinct vertices on geodesics from x to y (prefix closure of the
-    trace x^-1 y), as canonical codes.  Optionally only those of length
-    <= max_len."""
-    adj, block = graph.adj, graph.block
-    z = tuple(reduce_codes(adj, inv_codes(x) + tuple(y)))
-    frontier = {(): z}
-    seen_q = {()}
-    out = []
-    while frontier:
-        nxt = {}
-        for q, rem in frontier.items():
-            p = normal_codes(graph, tuple(x) + q)
-            if max_len is None or len(p) <= max_len:
-                out.append(p)
-            for c in first_code_set(block, rem):
-                q2 = normal_codes(graph, q + (c,))
-                if q2 not in seen_q:
-                    seen_q.add(q2)
-                    nxt[q2] = tuple(strip_first_code(block, rem, c))
-        frontier = nxt
-    return out
-
-
-def prefix_codes(graph: DefGraph, codes, length: int):
-    """Distinct prefixes of the trace `codes` having the given length."""
+def _trace_levels(graph: DefGraph, codes):
+    """Level by level, {prefix: remaining trace} for the distinct prefixes of
+    the trace `codes`; level k holds the prefixes of length k."""
     block = graph.block
     frontier = {(): tuple(codes)}
-    for _ in range(length):
+    while frontier:
+        yield frontier
         nxt = {}
         for q, rem in frontier.items():
             for c in first_code_set(block, rem):
@@ -632,7 +580,29 @@ def prefix_codes(graph: DefGraph, codes, length: int):
                 if q2 not in nxt:
                     nxt[q2] = tuple(strip_first_code(block, rem, c))
         frontier = nxt
-    return list(frontier.keys())
+
+
+def interval_codes(graph: DefGraph, x, y, max_len: int = None):
+    """Distinct vertices on geodesics from x to y (prefix closure of the
+    trace x^-1 y), as canonical codes.  Optionally only those of length
+    <= max_len."""
+    z = reduce_codes(graph.adj, inv_codes(x) + tuple(y))
+    out = []
+    for frontier in _trace_levels(graph, z):
+        for q in frontier:
+            p = normal_codes(graph, tuple(x) + q)
+            if max_len is None or len(p) <= max_len:
+                out.append(p)
+    return out
+
+
+def prefix_codes(graph: DefGraph, codes, length: int):
+    """Distinct prefixes of the trace `codes` having the given length."""
+    # return at level `length`, before the walker builds a deeper one
+    for depth, frontier in enumerate(_trace_levels(graph, codes)):
+        if depth == length:
+            return list(frontier)
+    return []
 
 
 def reach_masks(graph: DefGraph, codes):

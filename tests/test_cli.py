@@ -4,6 +4,7 @@ import pytest
 
 from raagtk import selftest
 from raagtk.cli import main
+from raagtk.errors import InvalidSettingError
 
 
 @pytest.fixture
@@ -90,7 +91,7 @@ def test_cmp_certify_cli(graph_files, capsys):
 
 def test_dls_build_apply_certify(graph_files, capsys):
     code, doc = run_json(capsys, "dls", "build", "--graph", graph_files["z2"],
-                         "--vertex", "b", "--z", "a")
+                         "--dls", "twist v=b z=a")
     assert code == 0 and doc["kind"] == "twist" and doc["verified"]
     code, out = run(capsys, "dls", "apply", "--graph", graph_files["z2"],
                     "--dls", "twist v=b z=a", "--word", "b")
@@ -207,13 +208,46 @@ def test_selftest_jobs_below_one_is_usage_error(monkeypatch):
 
 def test_default_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(selftest.os, "cpu_count", lambda: 2)
-    for env, want in (("0", 1), ("-5", 1), ("1", 1), ("2", 2), ("3", 2), ("64", 2),
-                      ("many", 2)):
+    for env, want in (("1", 1), ("2", 2), ("3", 2), ("64", 2), ("", 2)):
         monkeypatch.setenv("RAAGTK_JOBS", env)
         assert selftest.default_jobs() == want
     monkeypatch.delenv("RAAGTK_JOBS")
     assert selftest.default_jobs() == 2
     assert selftest.default_jobs(8) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "many"])
+def test_bad_jobs_env_is_invalid_setting(monkeypatch, capsys, value):
+    def no_criterion(**kw):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(selftest, "CRITERIA", [no_criterion] * len(selftest.CRITERIA))
+    monkeypatch.setenv("RAAGTK_JOBS", value)
+    with pytest.raises(InvalidSettingError, match="RAAGTK_JOBS"):
+        selftest.default_jobs()
+    code, doc = run_json(capsys, "selftest", "--criteria", "6")
+    assert code == 1 and doc["error"] == "invalid_setting"
+    assert "RAAGTK_JOBS" in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dls", "build", "--vertex", "b", "--z", "a"],
+    ["dls", "build", "--dls", "twist v=b z=a", "--vertex", "b"],
+    ["dls", "apply", "--word", "b"],
+    ["cmp", "defect", "--vertex", "b", "--z", "a"],
+    ["cmp", "defect", "--amalgam", "A=a B=b C="],
+    ["cmp", "certify"],
+])
+def test_dls_literal_is_the_only_automorphism_syntax(graph_files, argv):
+    assert main([*argv, "--graph", graph_files["z2"]]) == 2
+
+
+def test_top_level_seed_is_usage_error(monkeypatch):
+    def no_criteria(**kw):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(selftest, "run_all", no_criteria)
+    assert main(["--seed", "1", "selftest", "--criteria", "6"]) == 2
 
 
 def test_bad_ball_cap_is_domain_error(graph_files, capsys, monkeypatch):

@@ -124,13 +124,8 @@ def argvs(draw):
             argv += ["--probes", ";".join(w() for _ in range(draw(st.integers(1, 2))))]
     elif cmd == "cmp":
         argv[1:1] = [choice("defect", "certify")]
-        flag = draw(st.sampled_from(["--dls", "--vertex", "--amalgam", "none"]))
-        if flag == "--dls":
+        if draw(st.integers(0, 3)):
             argv += ["--dls", dls()]
-        elif flag == "--vertex":
-            argv += ["--vertex", vertex(), "--z", w()]
-        elif flag == "--amalgam":
-            argv += ["--amalgam", "A=%s B=%s C=" % (vertex(), vertex()), "--z", w()]
         argv += ["--radius", radius(),
                  "--radii", ",".join(radius() for _ in range(draw(st.integers(1, 3))))]
     elif cmd == "decomp":

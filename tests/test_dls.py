@@ -15,9 +15,16 @@ from raagtk.dls import (
     outer_order_certificate,
     verify_automorphism,
 )
-from raagtk.errors import InvalidSplittingError, NotInCentralizerError
+from raagtk.cmp import cmp_defect
+from raagtk.elements import increasing_labels_search
+from raagtk.errors import (
+    InvalidSplittingError,
+    NotInCentralizerError,
+    OutOfRangeError,
+    PreconditionError,
+)
 from raagtk.graph import DefGraph
-from raagtk.selftest import random_dls
+from raagtk.selftest import CATALOG, catalog_graph, random_dls
 from raagtk.words import identity, multiply, normalize
 
 from conftest import rand_nf
@@ -179,3 +186,57 @@ def test_outer_order_fold():
     rep = outer_order_certificate(phi, [normalize(free, "a")], 8)
     assert rep.certificate == "NOT_INNER_UP_TO(8)"
     assert rep.traces["a"] == list(range(1, 10))
+
+
+# the first 20 maps that random_dls draws for seed 2024 (graphs drawn as in
+# criterion 10), copied from the output of the code before its component
+# loop became graph.components
+RANDOM_DLS_2024 = [
+    ("diamond", "mixed_transvection[z=b d; c->b d c]"),
+    ("2K2", "twist[z=a^-1; b->a^-1 b]"),
+    ("paw", "twist[z=c^-1; b->b c^-1]"),
+    ("E4", "fold[z=c^-1 a b; d->c^-1 a b d]"),
+    ("e1", "twist[z=a; b->a b]"),
+    ("K4", "twist[z=b^-1; d->b^-1 d]"),
+    ("e1", "fold[z=a a b^-1; d->a a b^-1 d]"),
+    ("diamond", "mixed_transvection[z=b d d; c->b d d c]"),
+    ("K3", "twist[z=b^-1; a->a b^-1]"),
+    ("K3", "twist[z=b c^-1; a->a b c^-1]"),
+    ("E4", "partial_conjugation[z=d^-1; b->d^-1 b d]"),
+    ("P3+1", "twist[z=b^-1 b^-1; a->a b^-1 b^-1]"),
+    ("K4", "twist[z=d^-1; b->b d^-1]"),
+    ("K3", "twist[z=b^-1; a->a b^-1]"),
+    ("K3", "twist[z=a; b->a b]"),
+    ("K2", "twist[z=a; b->a b]"),
+    ("K3+1", "twist[z=c^-1; a->a c^-1]"),
+    ("E2", "partial_conjugation[z=b; a->b a b^-1]"),
+    ("P4", "partial_conjugation[z=c^-1; a->c^-1 a c]"),
+    ("star", "twist[z=a^-1; b->a^-1 b]"),
+]
+
+
+def test_random_dls_draws_pinned():
+    rng = random.Random(2024)
+    got = []
+    while len(got) < len(RANDOM_DLS_2024):
+        gi = rng.randrange(1, len(CATALOG))
+        phi = random_dls(rng, catalog_graph(gi))
+        if phi is not None:
+            got.append((CATALOG[gi][0], phi.describe()))
+    assert got == RANDOM_DLS_2024
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda z2: cmp_defect(build_transvection(z2, "b", normalize(z2, "a")), 0),
+     OutOfRangeError),
+    (lambda z2: outer_order_certificate(
+        build_transvection(z2, "b", normalize(z2, "a")), [], 4), PreconditionError),
+    (lambda z2: increasing_labels_search(normalize(z2, "a"), normalize(z2, "b"), 0),
+     OutOfRangeError),
+    (lambda z2: verify_automorphism({"a": normalize(z2, "a"), "b": normalize(z2, "b")}),
+     PreconditionError),
+], ids=["cmp_defect_radius_0", "certificate_without_probes",
+        "search_budget_0", "raw_map_without_graph"])
+def test_domain_errors_are_raag_errors(z2, call, error):
+    with pytest.raises(error):
+        call(z2)

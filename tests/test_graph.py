@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from raagtk.errors import EmptySetError, GraphFormatError, UnknownVertexError
-from raagtk.graph import DefGraph
+from raagtk.graph import DefGraph, components
 from raagtk.selftest import CATALOG, catalog_graph
 
 
@@ -61,6 +61,33 @@ def test_join_decomposition_square():
 def test_join_decomposition_empty_error(path3):
     with pytest.raises(EmptySetError):
         path3.join_decomposition([])
+
+
+def _bfs_components(mask, nbrs):
+    """Reference: connected components by a plain breadth-first search over
+    vertex indices, sorted by least vertex."""
+    left = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while left:
+        comp = {left[0]}
+        queue = [left[0]]
+        while queue:
+            i = queue.pop(0)
+            for j in left:
+                if j not in comp and j != i and nbrs[i] >> j & 1:
+                    comp.add(j)
+                    queue.append(j)
+        left = [i for i in left if i not in comp]
+        out.append(sum(1 << i for i in comp))
+    return out
+
+
+def test_components_match_bfs_on_every_subset():
+    for gi in range(len(CATALOG)):
+        g = catalog_graph(gi)
+        for mask in range(g.full + 1):
+            for nbrs in (g.adj, g.block):
+                assert components(mask, nbrs) == _bfs_components(mask, nbrs), (gi, mask)
 
 
 def test_join_factors_pairwise_joined_and_irreducible():

@@ -107,6 +107,27 @@ def test_member_agrees_with_generator_closure():
                 assert len(hc) > 0
 
 
+def test_member_of_centralizer_form_matches_membership_centralizer():
+    from raagtk.elements import centralizer, membership_centralizer
+    from raagtk.selftest import CATALOG, catalog_graph
+
+    rng = random.Random(53)
+    for gi in range(1, len(CATALOG)):
+        graph = catalog_graph(gi)
+        ball = [_nf(graph, codes) for codes in ball_codes(graph, 3)]
+        for _ in range(3):
+            g = rand_nf(rng, graph, rng.randrange(1, 6))
+            if not g:
+                continue
+            x = rand_nf(rng, graph, 2)
+            cf = centralizer(multiply(multiply(x, g), invert(x)))
+            sf = semi_parabolic(graph, cf.cyclic_roots, cf.parabolic_support,
+                                cf.conjugator)
+            assert validate(sf).ok
+            for h in ball:
+                assert membership_centralizer(cf, h) == member(sf, h), (gi, cf, h)
+
+
 def test_intersect_idempotent(path3):
     sf = parabolic(path3, ["a", "b"])
     r = intersect(sf, sf, 4)
