@@ -12,6 +12,7 @@ from .errors import (
     GraphMismatchError,
     InvalidSplittingError,
     NotInCentralizerError,
+    OutOfRangeError,
     PreconditionError,
 )
 from .graph import DefGraph
@@ -253,6 +254,8 @@ def outer_order_certificate(
     range is flagged as the certificate."""
     if not probes:
         raise PreconditionError("probes must be nonempty")
+    if max_power < 1:
+        raise OutOfRangeError("max_power must be >= 1")
     graph = phi.graph
     traces = {}
     outer_powers = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidSubgroupError, PreconditionError, RadiusTooSmallError
+from .errors import InvalidSubgroupError, OutOfRangeError, PreconditionError, RadiusTooSmallError
 from .graph import DefGraph, VertexSet
 from .words import (
     NormalForm,
@@ -19,6 +19,7 @@ from .words import (
     cyclic_reduce_codes,
     identity,
     inv_codes,
+    meet_codes,
     normal_codes,
     vertex_mask,
 )
@@ -120,32 +121,14 @@ def subgroup_equal_on_ball(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) ->
 
 
 def _common_conjugator(graph, gens):
-    """Strip a maximal common wrapping letter-by-letter: while every generator
-    is c * k * c^-1 (reduced), pull c out."""
-    from .words import first_positions, last_positions
-
+    """The greatest common prefix x of every generator and its inverse, and
+    each generator g as k with g = x k x^-1 (reduced)."""
     block = graph.block
-    gens = [list(g) for g in gens]
-    x = []
-    while gens and all(len(g) >= 2 for g in gens):
-        candidates = None
-        for g in gens:
-            firsts = {c for _, c in first_positions(block, g)}
-            lasts = {c for _, c in last_positions(block, g)}
-            here = {c for c in firsts if (c ^ 1) in lasts}
-            candidates = here if candidates is None else candidates & here
-            if not candidates:
-                break
-        if not candidates:
-            break
-        c = min(candidates)
-        x.append(c)
-        nxt = []
-        for g in gens:
-            w = normal_codes(graph, (c ^ 1,) + tuple(g) + (c,))
-            nxt.append(list(w))
-        gens = nxt
-    return tuple(x), [tuple(g) for g in gens]
+    x = gens[0]
+    for g in gens:
+        x = meet_codes(block, meet_codes(block, x, g), inv_codes(g))
+    xi = inv_codes(x)
+    return x, [normal_codes(graph, xi + g + x) for g in gens]
 
 
 def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm:
@@ -155,6 +138,8 @@ def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm
     a structured form.  Raises RadiusTooSmallError when the ball does not
     witness a coherent generating set (checked by revalidation and a ball
     agreement test)."""
+    if radius < 1:
+        raise OutOfRangeError("radius must be >= 1")
     graph = sf1.graph
     if graph != sf2.graph:
         raise PreconditionError("subgroups on different graphs")
@@ -180,7 +165,6 @@ def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm
             continue
         kept.append(h)
         frontier = list(span)
-        span = set(span)
         gens = []
         for k in kept:
             gens.append(k.codes)
@@ -199,16 +183,8 @@ def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm
         result = parabolic(graph, ())
     else:
         xc, stripped = _common_conjugator(graph, [k.codes for k in kept])
-        singles = set()
-        longer = []
-        for codes in stripped:
-            if len(codes) == 1:
-                singles.add(codes[0] >> 1)
-            else:
-                longer.append(codes)
-        single_mask = 0
-        for iv in singles:
-            single_mask |= 1 << iv
+        single_mask = vertex_mask(codes[0] for codes in stripped if len(codes) == 1)
+        longer = [codes for codes in stripped if len(codes) != 1]
         # centre vertices of the candidate support move into the abelian
         # roots, so the parabolic part has trivial centre
         centre = graph.perp_closed(graph.vset_mask(single_mask)).mask & single_mask

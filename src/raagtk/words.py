@@ -8,6 +8,10 @@ canonical letter order (graph order on vertices, sign -1 before +1).
 The canonical form of an element is the greedy one: among all reduced words in
 the shuffle class, repeatedly emit the least available first letter.  This is
 the lexicographically least reduced word, and its prefixes are again canonical.
+`normal_codes` builds it by insertion: a new letter c scans back to the last
+letter it cannot commute past.  If that is c^-1 it cancels; it blocks nothing
+after it, so it is last in its trace, and deleting a last letter keeps a word
+greedy.  Otherwise c goes in before the first later letter greater than c.
 """
 
 from __future__ import annotations
@@ -55,42 +59,28 @@ def reduce_codes(adj, codes):
     return out
 
 
-def canonical_codes(block, reduced):
-    """Greedy least-available-first-letter form of a reduced word."""
-    rem = list(reduced)
-    out = []
-    while rem:
-        blocked = 0
-        best = -1
-        bi = -1
-        for i, c in enumerate(rem):
-            if not (blocked >> (c >> 1)) & 1 and (best < 0 or c < best):
-                best = c
-                bi = i
-            blocked |= block[c >> 1]
-        out.append(best)
-        del rem[bi]
-    return tuple(out)
-
-
 def normal_codes(graph: DefGraph, codes) -> tuple:
-    return canonical_codes(graph.block, reduce_codes(graph.adj, codes))
+    """Canonical form of a word, built by insertion in one left-to-right
+    pass (see the module docstring)."""
+    block = graph.block
+    out = []
+    for c in codes:
+        bm = block[c >> 1]
+        k = len(out) - 1
+        while k >= 0 and not (bm >> (out[k] >> 1)) & 1:
+            k -= 1
+        if k >= 0 and out[k] == c ^ 1:
+            del out[k]
+            continue
+        k += 1
+        while k < len(out) and out[k] < c:
+            k += 1
+        out.insert(k, c)
+    return tuple(out)
 
 
 def inv_codes(codes):
     return tuple(c ^ 1 for c in reversed(codes))
-
-
-def first_positions(block, codes):
-    """(position, code) pairs of letters that shuffle to the front."""
-    blocked = 0
-    out = []
-    for i, c in enumerate(codes):
-        v = c >> 1
-        if not (blocked >> v) & 1:
-            out.append((i, c))
-        blocked |= block[v]
-    return out
 
 
 def first_code_set(block, codes):
@@ -101,20 +91,6 @@ def first_code_set(block, codes):
         if not (blocked >> v) & 1:
             out.add(c)
         blocked |= block[v]
-    return out
-
-
-def last_positions(block, codes):
-    """(position, code) pairs of letters that shuffle to the end."""
-    blocked = 0
-    out = []
-    for i in range(len(codes) - 1, -1, -1):
-        c = codes[i]
-        v = c >> 1
-        if not (blocked >> v) & 1:
-            out.append((i, c))
-        blocked |= block[v]
-    out.reverse()
     return out
 
 
@@ -129,6 +105,38 @@ def strip_first_code(block, codes, code):
     raise ValueError("letter not available as a first letter")
 
 
+def meet_codes(block, u, v):
+    """Greatest common prefix of the reduced words u and v in the trace prefix
+    order, peeled one least common first letter at a time; that letter is the
+    least first letter of the meet, so the result comes out canonical."""
+    full = (1 << len(block)) - 1
+    u = list(u)
+    v = list(v)
+    out = []
+    while True:
+        firsts = {}
+        blocked = 0
+        for i, c in enumerate(u):
+            if not (blocked >> (c >> 1)) & 1:
+                firsts[c] = i
+            blocked |= block[c >> 1]
+            if blocked == full:
+                break
+        best = bj = -1
+        blocked = 0
+        for j, c in enumerate(v):
+            if not (blocked >> (c >> 1)) & 1 and c in firsts and (best < 0 or c < best):
+                best, bj = c, j
+            blocked |= block[c >> 1]
+            if blocked == full:
+                break
+        if best < 0:
+            return tuple(out)
+        out.append(best)
+        del u[firsts[best]]
+        del v[bj]
+
+
 def vertex_mask(codes):
     m = 0
     for c in codes:
@@ -141,25 +149,22 @@ def count_vertex(codes, iv):
 
 
 def strip_suffix_in(graph: DefGraph, codes, allowed_mask):
-    """Gate of the identity in the coset g*A_allowed: repeatedly delete last
-    letters whose vertex lies in allowed_mask, then canonicalize.
-
-    The result is the unique minimal-length coset representative.
-    """
-    w = list(codes)
+    """Gate of the identity in the coset g*A_allowed (its unique minimal-length
+    representative) for canonical `codes`, as all four callers pass:
+    hyperplane_at, translate_hyperplane, trees.tree_vertex and
+    trees.translate_vertex.  One right-to-left pass drops each letter over
+    allowed_mask that commutes with every letter kept after it; a dropped
+    letter is last in its trace, so the kept letters stay canonical."""
     block = graph.block
-    changed = True
-    while changed and w:
-        changed = False
-        blocked = 0
-        for i in range(len(w) - 1, -1, -1):
-            v = w[i] >> 1
-            if not (blocked >> v) & 1 and (allowed_mask >> v) & 1:
-                del w[i]
-                changed = True
-                break
-            blocked |= block[v]
-    return canonical_codes(block, w)
+    kept = []
+    blocked = 0
+    for c in reversed(codes):
+        v = c >> 1
+        if (allowed_mask >> v) & 1 and not (blocked >> v) & 1:
+            continue
+        kept.append(c)
+        blocked |= block[v]
+    return tuple(reversed(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +290,8 @@ class Hyperplane:
 
 
 def hyperplane_at(graph: DefGraph, base_codes, code) -> Hyperplane:
-    """Hyperplane dual to the edge read by `code` at the vertex `base_codes`."""
+    """Hyperplane dual to the edge read by `code` at the vertex `base_codes`,
+    which must be canonical."""
     iv = code >> 1
     if code & 1:
         b = base_codes
@@ -379,33 +385,10 @@ def conjugate(g: NormalForm, by: NormalForm) -> NormalForm:
 
 
 def cyclic_reduce_codes(graph: DefGraph, codes):
-    """Split canonical `codes` as x a x^-1 with `a` of minimal conjugacy length."""
-    block = graph.block
-    x = []
-    w = list(codes)
-    while True:
-        firsts = first_positions(block, w)
-        lasts = last_positions(block, w)
-        last_by_code = {}
-        for pos, c in lasts:
-            last_by_code[c] = pos
-        choice = None
-        for pos, c in firsts:
-            j = last_by_code.get(c ^ 1)
-            if j is not None and j != pos:
-                if choice is None or c < choice[1]:
-                    choice = (pos, c, j)
-        if choice is None:
-            break
-        pos, c, j = choice
-        x.append(c)
-        if pos < j:
-            del w[j]
-            del w[pos]
-        else:
-            del w[pos]
-            del w[j]
-    return canonical_codes(block, x), canonical_codes(block, w)
+    """Split reduced `codes` g as x a x^-1 with `a` of minimal conjugacy
+    length: x is the meet of g and g^-1."""
+    x = meet_codes(graph.block, codes, inv_codes(codes))
+    return x, normal_codes(graph, inv_codes(x) + tuple(codes) + x)
 
 
 def cyclic_reduce(g: NormalForm) -> CyclicDecomposition:
@@ -425,23 +408,11 @@ def geodesic_hyperplanes(g: NormalForm) -> list:
 
 
 def median_codes(graph: DefGraph, x, y, z):
-    adj, block = graph.adj, graph.block
-    u = reduce_codes(adj, inv_codes(x) + tuple(y))
-    v = reduce_codes(adj, inv_codes(x) + tuple(z))
-    taken = list(x)
-    while True:
-        fu = first_code_set(block, u)
-        if not fu:
-            break
-        fv = first_code_set(block, v)
-        common = fu & fv
-        if not common:
-            break
-        c = min(common)
-        taken.append(c)
-        u = strip_first_code(block, u, c)
-        v = strip_first_code(block, v, c)
-    return canonical_codes(block, reduce_codes(adj, taken))
+    adj = graph.adj
+    xi = inv_codes(x)
+    m = meet_codes(graph.block, reduce_codes(adj, xi + tuple(y)),
+                   reduce_codes(adj, xi + tuple(z)))
+    return normal_codes(graph, tuple(x) + m)
 
 
 def median(x: NormalForm, y: NormalForm, z: NormalForm) -> NormalForm:
@@ -493,7 +464,6 @@ def subalgebra_closure(points, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
             return ClosureResult(pts, True, cap)
         new = []
         n = len(pts)
-        fresh_set = set(fresh)
         for a in fresh:
             for i in range(n):
                 b = pts[i]

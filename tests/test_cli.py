@@ -267,6 +267,19 @@ def test_cmp_radius_below_one_is_usage_error(graph_files, argv):
     assert main([*argv, "--graph", graph_files["z2"], "--dls", "twist v=b z=a"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["dls", "certify", "--dls", "twist v=b z=a", "--max-power", "0"],
+    ["dls", "certify", "--dls", "twist v=b z=a", "--max-power", "-1"],
+    ["subgroup", "intersect", "--subgroup", "support=a", "--subgroup2", "support=a",
+     "--radius", "0"],
+    ["subgroup", "intersect", "--subgroup", "support=a", "--subgroup2", "support=a",
+     "--radius", "-2"],
+])
+def test_vacuous_range_is_out_of_range(graph_files, capsys, argv):
+    code, doc = run_json(capsys, *argv, "--graph", graph_files["z2"])
+    assert code == 1 and doc["error"] == "out_of_range"
+
+
 @pytest.mark.parametrize("criteria", ["0", "12", "x", "6,", ""])
 def test_selftest_bad_criteria_is_usage_error(monkeypatch, criteria):
     def no_criteria(**kw):

@@ -231,11 +231,18 @@ def test_random_dls_draws_pinned():
      OutOfRangeError),
     (lambda z2: outer_order_certificate(
         build_transvection(z2, "b", normalize(z2, "a")), [], 4), PreconditionError),
+    (lambda z2: outer_order_certificate(
+        build_transvection(z2, "b", normalize(z2, "a")), [normalize(z2, "a")], 0),
+     OutOfRangeError),
+    (lambda z2: outer_order_certificate(
+        build_transvection(z2, "b", normalize(z2, "a")), [normalize(z2, "a")], -1),
+     OutOfRangeError),
     (lambda z2: increasing_labels_search(normalize(z2, "a"), normalize(z2, "b"), 0),
      OutOfRangeError),
     (lambda z2: verify_automorphism({"a": normalize(z2, "a"), "b": normalize(z2, "b")}),
      PreconditionError),
 ], ids=["cmp_defect_radius_0", "certificate_without_probes",
+        "certificate_max_power_0", "certificate_max_power_-1",
         "search_budget_0", "raw_map_without_graph"])
 def test_domain_errors_are_raag_errors(z2, call, error):
     with pytest.raises(error):

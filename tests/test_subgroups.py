@@ -3,7 +3,7 @@ import random
 import pytest
 
 from raagtk import oracles as O
-from raagtk.errors import PreconditionError, RadiusTooSmallError
+from raagtk.errors import OutOfRangeError, PreconditionError, RadiusTooSmallError
 from raagtk.subgroups import (
     intersect,
     member,
@@ -140,6 +140,14 @@ def test_intersect_cyclics_trivial(z2):
     r = intersect(za, zb, 4)
     for codes in ball_codes(z2, 3):
         assert member(r, _nf(z2, codes)) == (not codes)
+
+
+@pytest.mark.parametrize("radius", [0, -2])
+def test_intersect_radius_below_one_is_out_of_range(z2, radius):
+    # a ball of radius 0 holds only the identity, so nothing would be checked
+    sf = parabolic(z2, ["a"])
+    with pytest.raises(OutOfRangeError):
+        intersect(sf, sf, radius)
 
 
 def test_intersect_visual_parabolics(path3):

@@ -14,6 +14,7 @@ from raagtk.words import (
     geodesic_hyperplanes,
     identity,
     interval_codes,
+    inv_codes,
     invert,
     median,
     multiply,
@@ -394,3 +395,135 @@ def test_ball_cap_env(free2, monkeypatch):
         ball_codes(free2, 3)
     monkeypatch.setenv("RAAGTK_BALL_CAP", "")
     assert len(ball_codes(free2, 3)) == 53
+
+
+# -- word kernels against their definitions -------------------------------------
+
+def greedy_codes(block, reduced):
+    """The definition of the canonical form: repeatedly emit the least letter
+    that shuffles to the front of the remaining reduced word."""
+    rem = list(reduced)
+    out = []
+    while rem:
+        blocked = 0
+        best = -1
+        bi = -1
+        for i, c in enumerate(rem):
+            if not (blocked >> (c >> 1)) & 1 and (best < 0 or c < best):
+                best = c
+                bi = i
+            blocked |= block[c >> 1]
+        out.append(best)
+        del rem[bi]
+    return tuple(out)
+
+
+def _kernel_graphs():
+    from raagtk.graph import DefGraph
+    from raagtk.selftest import catalog_graph
+
+    rng = random.Random(8)
+    verts = ["v%d" % i for i in range(8)]
+    edges = [(verts[i], verts[j]) for i in range(8) for j in range(i + 1, 8)
+             if rng.random() < 0.4]
+    # listed six times, so that about a quarter of the drawn words use it
+    return [catalog_graph(gi) for gi in range(1, 18)] + [DefGraph(verts, edges)] * 6
+
+
+def _long_words(seed, count):
+    """(graph, canonical word of 100-300 letters); every other word is a
+    conjugate x k x^-1, so cyclic reduction and meets have work to do."""
+    graphs = _kernel_graphs()
+    rng = random.Random(seed)
+    for t in range(count):
+        graph = rng.choice(graphs)
+        w = rand_nf(rng, graph, rng.randrange(100, 301)).codes
+        if t % 2:
+            x = w[: rng.randrange(len(w) // 2)]
+            w = normal_codes(graph, x + w[len(x):] + inv_codes(x))
+        yield graph, w
+
+
+def test_normal_codes_is_greedy_form_short_exhaustive():
+    import itertools
+
+    from raagtk.selftest import catalog_graph
+    from raagtk.words import reduce_codes
+
+    for gi in range(18):
+        graph = catalog_graph(gi)
+        for n in range(5):
+            for w in itertools.product(range(2 * len(graph)), repeat=n):
+                assert normal_codes(graph, w) == greedy_codes(
+                    graph.block, reduce_codes(graph.adj, w))
+
+
+def test_normal_codes_is_greedy_form_long():
+    from raagtk.words import reduce_codes
+
+    graphs = _kernel_graphs()
+    rng = random.Random(41)
+    for _ in range(300):
+        graph = rng.choice(graphs)
+        w = tuple(rng.randrange(2 * len(graph)) for _ in range(rng.randrange(100, 301)))
+        assert normal_codes(graph, w) == greedy_codes(
+            graph.block, reduce_codes(graph.adj, w))
+
+
+def test_meet_codes_is_greatest_common_prefix():
+    from raagtk.words import first_code_set, meet_codes
+
+    rng = random.Random(43)
+    for graph, w in _long_words(43, 120):
+        p = w[: rng.randrange(len(w))]
+        u = normal_codes(graph, p + rand_nf(rng, graph, rng.randrange(0, 40)).codes)
+        v = normal_codes(graph, p + rand_nf(rng, graph, rng.randrange(0, 40)).codes)
+        m = meet_codes(graph.block, u, v)
+        assert normal_codes(graph, m) == m
+        ru = normal_codes(graph, inv_codes(m) + u)
+        rv = normal_codes(graph, inv_codes(m) + v)
+        assert len(ru) == len(u) - len(m) and len(rv) == len(v) - len(m)
+        assert not first_code_set(graph.block, ru) & first_code_set(graph.block, rv)
+
+
+def test_strip_suffix_in_is_coset_gate():
+    from raagtk.words import first_code_set, strip_suffix_in, vertex_mask
+
+    for graph, w in _long_words(47, 60):
+        for iv in range(len(graph)):
+            for mask in (graph.link_mask(iv), graph.full & ~(1 << iv)):
+                gate = strip_suffix_in(graph, w, mask)
+                assert normal_codes(graph, gate) == gate
+                assert not vertex_mask(normal_codes(graph, inv_codes(gate) + w)) & ~mask
+                lasts = first_code_set(graph.block, inv_codes(gate))
+                assert not vertex_mask(lasts) & mask
+
+
+def test_cyclic_reduce_codes_long():
+    from raagtk.words import cyclic_reduce_codes
+
+    for graph, g in _long_words(53, 80):
+        x, core = cyclic_reduce_codes(graph, g)
+        assert normal_codes(graph, x) == x
+        assert len(g) == 2 * len(x) + len(core)
+        assert len(normal_codes(graph, core + core)) == 2 * len(core)
+        assert normal_codes(graph, x + core + inv_codes(x)) == g
+
+
+def test_common_conjugator_recomposes_generators():
+    from raagtk.subgroups import _common_conjugator
+
+    graphs = _kernel_graphs()
+    rng = random.Random(59)
+    for _ in range(300):
+        graph = rng.choice(graphs)
+        x = rand_nf(rng, graph, rng.randrange(0, 12)).codes
+        ks = [rand_nf(rng, graph, rng.randrange(1, 8)).codes for _ in range(rng.randrange(1, 4))]
+        gens = [normal_codes(graph, x + k + inv_codes(x)) for k in ks if k]
+        if not gens:
+            continue
+        x2, stripped = _common_conjugator(graph, gens)
+        assert len(stripped) == len(gens)
+        for g, k in zip(gens, stripped):
+            assert normal_codes(graph, x2 + k + inv_codes(x2)) == g
+            assert len(g) == 2 * len(x2) + len(k)
