@@ -3,16 +3,19 @@
 Every subcommand reads the defining graph from a file, takes words in the
 `a b^-1` syntax, and prints either a human-readable line or (with --json)
 exactly one JSON document carrying "schema": 1.  Exit codes: 0 success,
-1 domain error, 2 usage error.
+1 domain error, 2 usage error.  Running out of memory is the domain error
+"memory_limit", and a stdout closed by its reader ends the run quietly with
+exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .errors import RaagError, WordSyntaxError
+from .errors import MemoryLimitError, RaagError, WordSyntaxError
 from .graph import DefGraph
 from . import cmp as C
 from . import decomp as DC
@@ -445,6 +448,19 @@ def build_parser():
     return ap
 
 
+def _run(args):
+    """The handler's exit code, or the RaagError that ends it."""
+    try:
+        graph = _load_graph(args.graph) if "graph" in args else None
+        return args.fn(args, graph)
+    except RaagError as e:
+        return e
+    except MemoryError:
+        pass
+    # reported outside the handler, once the frames that hold the data are gone
+    return MemoryLimitError("out of memory")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -452,14 +468,20 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        graph = _load_graph(args.graph) if "graph" in args else None
-        return args.fn(args, graph)
-    except RaagError as e:
-        if getattr(args, "json", False):
-            print(json.dumps({"schema": SCHEMA, "error": e.code, "message": str(e)},
-                             sort_keys=True))
-        else:
-            print("error: %s" % e, file=sys.stderr)
+        code = _run(args)
+        if isinstance(code, RaagError):
+            if getattr(args, "json", False):
+                print(json.dumps({"schema": SCHEMA, "error": code.code,
+                                  "message": str(code)}, sort_keys=True))
+            else:
+                print("error: %s" % code, file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 quietly, and point stdout at
+        # devnull so that the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -16,7 +16,6 @@ it is exact integer numpy code.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     MemoryLimitError,
     OutOfRangeError,
 )
-from .words import _nf, ball_codes, hyperplane_at
+from .words import _nf, _physical_memory, ball_codes, hyperplane_at
 from . import dls as D
 from .elements import gamma, is_label_irreducible
 
@@ -168,14 +167,6 @@ def _scan_dtype(top0: int, topd: int):
     """dtype of the fused scan table for distance tables with the given
     largest entries: a triple value is a sum of three entries of E."""
     return _int_dtype(3 * ((2 * topd + 1) * top0 + topd))
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory, or 0 if the platform does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (ValueError, OSError, AttributeError):
-        return 0
 
 
 def _check_memory(ball_trie: _PrefixTrie, image_trie: _PrefixTrie):

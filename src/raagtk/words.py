@@ -12,10 +12,67 @@ the lexicographically least reduced word, and its prefixes are again canonical.
 letter it cannot commute past.  If that is c^-1 it cancels; it blocks nothing
 after it, so it is last in its trace, and deleting a last letter keeps a word
 greedy.  Otherwise c goes in before the first later letter greater than c.
+
+Ball by canonical extension.  For canonical w, w + (c,) is canonical iff the
+insertion above appends c: scanning back from the end, c passes only letters
+it commutes with that are less than c, and the first letter it cannot pass is
+not c^-1.  Every element of length r + 1 then arises exactly once, from its
+canonical prefix of length r.  The letters allowed after w d follow from
+those allowed after w: a letter that does not commute with d is allowed
+unless it is d^-1, and one that does is allowed iff it is greater than d and
+allowed after w.  `ball_codes` keeps that set as a bitmask over codes, so it
+never normalizes a candidate; taking a level in sorted order and its letters
+in ascending order yields the (length, codes) order without a sort.
+
+Meets.  The prefix order on elements (p <= g iff |p| + |p^-1 g| = |g|) is the
+prefix order of traces: the prefixes of a reduced word u are the ideals of
+its positions under "earlier and not commuting".  Occurrences of one vertex
+never commute, so the k-th w of a common prefix is the k-th w of u and of v.
+`_meet_masks` finds the greatest common prefix u ^ v in one pass over u: u's
+position i, the k-th letter over its vertex w, is in it iff
+
+  (1) every earlier u letter that does not commute with it is in it,
+  (2) v's k-th letter over w is the same letter, and
+  (3) every earlier v letter that does not commute with w is in it.
+
+Processing u in order is exact.  The matched set is an ideal of u by (1) and
+of v by (3), and two matched letters that do not commute come in the same
+order in both words: if the later one in u came first in v, (3) would have
+refused it, because its v predecessor is matched only later in u.  So the
+matched letters spell one trace, a common prefix.  Conversely, by induction
+along u, every letter of the greatest common prefix passes (1)-(3), because
+its predecessors in either word precede it in the prefix itself.
+
+Condition (3) needs no search.  When (1) and (2) hold at u's i and v's j,
+every vertex x that does not commute with w occurs in v before j at least
+as often as in u before i: each such x before i is matched, and its v copy
+precedes j, since otherwise (3) would have refused it.  So (3) holds iff the
+counts of those x before j in v equal those before i in u.  A position's key
+is its letter and those counts, packed into one integer; the index of v maps
+keys to positions, and u's i matches iff its key is in it.  The index is
+filled lazily, only as far into v as a lookup needs: when u's i is looked
+up, every v letter that does not commute with w and matches a u letter
+before i is indexed already (those u letters are matched, by (1)), so the
+next such v letter not yet indexed is the only candidate left.  Once the
+letters refused by (1) block every vertex, the scan of u stops.
+
+Median.  Rooted at 1, the median of x, y, z is (x ^ y) v (y ^ z) v (z ^ x),
+the median-semilattice identity (Bandelt-Hedlikova, "Median algebras",
+Discrete Math. 45, 1983).  Let A = x ^ y, B = x ^ z, C = y ^ z and
+g = x ^ y ^ z.  Two prefixes of one word whose meet is g have commuting
+complements: were a letter of one complement earlier than a letter of the
+other that it does not commute with, the ideal holding the later letter
+would hold it too, putting it in g.  A, B lie below x, A, C below y and
+B, C below z, so g^-1 A, g^-1 B and g^-1 C pairwise commute and
+m = g (g^-1 A)(g^-1 B)(g^-1 C).  On positions: A and B are ideals of x with
+A ^ B = g, so x read on A u B spells A v B, and y read on C minus A spells
+g^-1 C.  `median_codes` returns the normal form of their
+concatenation; it builds neither x^-1 y nor x^-1 z.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import NamedTuple
 
@@ -24,6 +81,7 @@ from .errors import (
     BallCapExceededError,
     GraphMismatchError,
     InvalidSettingError,
+    MemoryLimitError,
     TransverseHyperplanesError,
     WordSyntaxError,
 )
@@ -105,36 +163,91 @@ def strip_first_code(block, codes, code):
     raise ValueError("letter not available as a first letter")
 
 
+# Letter counts per vertex, packed into one integer: vertex w's count sits in
+# the 64-bit field at bit 64 * (w + 1), which no word can overflow, and the
+# low 64 bits are free to hold a letter code.
+_FIELD = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _count_fields(block):
+    """(full, unit, dep) for the graph with these block masks: adding unit[w]
+    counts one more w, and dep[w] masks the counts of the vertices in
+    block[w]."""
+    ones = (1 << _FIELD) - 1
+    unit = tuple(1 << (_FIELD * (w + 1)) for w in range(len(block)))
+    dep = tuple(sum(ones * unit[x] for x in range(len(block)) if (bm >> x) & 1)
+                for bm in block)
+    return (1 << len(block)) - 1, unit, dep
+
+
+def _prefix_index(v):
+    """Lazy index of a reduced word v for `_meet_masks`: [v, keys, scanned,
+    count], where keys maps the key of each of v's first `scanned` positions
+    (its letter | the packed counts of the letters before it that do not
+    commute with it) to the position, and count is the packed count of
+    v[:scanned].  One index serves several meets."""
+    return [v, {}, 0, 0]
+
+
+def _meet_masks(fields, block, u, index):
+    """Positions of the greatest common prefix of the reduced words u and
+    v = index[0], as bitmasks over u and over v, in one pass over u (see
+    "Meets" in the module docstring)."""
+    full, unit, dep = fields
+    v, at, j, pv = index
+    nv = len(v)
+    mu = mv = blocked = pu = 0
+    for i, c in enumerate(u):
+        w = c >> 1
+        if not (blocked >> w) & 1:
+            key = (pu & dep[w]) | c
+            jv = at.get(key)
+            if jv is None and j < nv:
+                # index v through its next letter that does not commute
+                # with w: the only one left that can match
+                bw = block[w]
+                while j < nv:
+                    d = v[j]
+                    x = d >> 1
+                    at[(pv & dep[x]) | d] = j
+                    pv += unit[x]
+                    j += 1
+                    if (bw >> x) & 1:
+                        break
+                jv = at.get(key)
+            if jv is not None:
+                mu |= 1 << i
+                mv |= 1 << jv
+                pu += unit[w]
+                continue
+        blocked |= block[w]
+        if blocked == full:
+            break
+        pu += unit[w]
+    index[2:] = j, pv
+    return mu, mv
+
+
+def _read(codes, mask):
+    """The letters of `codes` at the positions in `mask`, in order."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(codes[i])
+        mask >>= 1
+        i += 1
+    return out
+
+
 def meet_codes(block, u, v):
     """Greatest common prefix of the reduced words u and v in the trace prefix
-    order, peeled one least common first letter at a time; that letter is the
-    least first letter of the meet, so the result comes out canonical."""
-    full = (1 << len(block)) - 1
-    u = list(u)
-    v = list(v)
-    out = []
-    while True:
-        firsts = {}
-        blocked = 0
-        for i, c in enumerate(u):
-            if not (blocked >> (c >> 1)) & 1:
-                firsts[c] = i
-            blocked |= block[c >> 1]
-            if blocked == full:
-                break
-        best = bj = -1
-        blocked = 0
-        for j, c in enumerate(v):
-            if not (blocked >> (c >> 1)) & 1 and c in firsts and (best < 0 or c < best):
-                best, bj = c, j
-            blocked |= block[c >> 1]
-            if blocked == full:
-                break
-        if best < 0:
-            return tuple(out)
-        out.append(best)
-        del u[firsts[best]]
-        del v[bj]
+    order: u read on the positions `_meet_masks` finds.  An ideal of a
+    canonical word, read in order, is canonical, so the meet is canonical
+    when u is."""
+    mu, _ = _meet_masks(_count_fields(block), block, u, _prefix_index(v))
+    return tuple(_read(u, mu))
 
 
 def vertex_mask(codes):
@@ -312,10 +425,25 @@ def translate_hyperplane(g: NormalForm, h: Hyperplane) -> Hyperplane:
 # parsing / formatting
 # ---------------------------------------------------------------------------
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 if the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError, AttributeError):
+        return 0
+
+
+# bytes one letter takes on its way to a normal form: a slot in the parsed
+# list, in the Word's tuple, and in the normal form's list and tuple
+LETTER_BYTES = 32
+
+
 def parse_word(graph: DefGraph, text: str) -> Word:
     """Whitespace-separated letters `a` / `a^-1` (or `a^k`); `1` is the
-    empty word."""
+    empty word.  A word whose exponents would expand it past physical memory
+    raises MemoryLimitError before it is expanded."""
     codes = []
+    counts = []
     for tok in text.split():
         if tok == "1":
             continue
@@ -330,8 +458,19 @@ def parse_word(graph: DefGraph, text: str) -> Word:
             except ValueError:
                 raise WordSyntaxError("bad exponent in %r" % tok) from None
         i = graph.index(name)
-        c = 2 * i + (1 if power > 0 else 0)
-        codes.extend([c] * abs(power))
+        codes.append(2 * i + (1 if power > 0 else 0))
+        counts.append(abs(power))
+    if counts.count(1) < len(counts):
+        letters = sum(counts)
+        have = _physical_memory()
+        if have and letters * LETTER_BYTES > have:
+            raise MemoryLimitError(
+                "a word of %d letters needs about %.1f GiB, more than the %.1f GiB "
+                "of physical memory" % (letters, letters * LETTER_BYTES / 2**30, have / 2**30))
+        expanded = []
+        for c, k in zip(codes, counts):
+            expanded.extend([c] * k)
+        codes = expanded
     return Word(graph, codes)
 
 
@@ -385,9 +524,11 @@ def conjugate(g: NormalForm, by: NormalForm) -> NormalForm:
 
 
 def cyclic_reduce_codes(graph: DefGraph, codes):
-    """Split reduced `codes` g as x a x^-1 with `a` of minimal conjugacy
-    length: x is the meet of g and g^-1."""
+    """Split canonical `codes` g as x a x^-1 with `a` of minimal conjugacy
+    length: x is the meet of g and g^-1, and a = g when x is empty."""
     x = meet_codes(graph.block, codes, inv_codes(codes))
+    if not x:
+        return x, tuple(codes)
     return x, normal_codes(graph, inv_codes(x) + tuple(codes) + x)
 
 
@@ -408,11 +549,16 @@ def geodesic_hyperplanes(g: NormalForm) -> list:
 
 
 def median_codes(graph: DefGraph, x, y, z):
-    adj = graph.adj
-    xi = inv_codes(x)
-    m = meet_codes(graph.block, reduce_codes(adj, xi + tuple(y)),
-                   reduce_codes(adj, xi + tuple(z)))
-    return normal_codes(graph, tuple(x) + m)
+    """Median of canonical x, y, z from the meets A = x ^ y, B = x ^ z and
+    C = y ^ z: the normal form of x read on A u B followed by y read on C
+    minus A (see "Median" in the module docstring)."""
+    block = graph.block
+    fields = _count_fields(block)
+    z_index = _prefix_index(z)
+    ax, ay = _meet_masks(fields, block, x, _prefix_index(y))
+    bx, _ = _meet_masks(fields, block, x, z_index)
+    cy, _ = _meet_masks(fields, block, y, z_index)
+    return normal_codes(graph, _read(x, ax | bx) + _read(y, cy & ~ay))
 
 
 def median(x: NormalForm, y: NormalForm, z: NormalForm) -> NormalForm:
@@ -507,28 +653,36 @@ def ball_cap() -> int:
 
 
 def ball_codes(graph: DefGraph, radius: int, cap: int = None) -> list:
-    """All canonical forms of length <= radius, sorted by (length, codes)."""
+    """All canonical forms of length <= radius, sorted by (length, codes),
+    by canonical extension (see the module docstring)."""
     if cap is None:
         cap = ball_cap()
-    seen = {()}
-    levels = [[()]]
     ncodes = 2 * len(graph)
-    for r in range(radius):
-        nxt = set()
-        for w in levels[r]:
-            for c in range(ncodes):
-                nf = normal_codes(graph, w + (c,))
-                if len(nf) == r + 1 and nf not in seen:
-                    nxt.add(nf)
-        if len(seen) + len(nxt) > cap:
-            raise BallCapExceededError(
-                "ball of radius %d exceeds cap %d" % (radius, cap)
-            )
-        seen.update(nxt)
-        levels.append(sorted(nxt))
-    out = []
-    for lv in levels:
-        out.extend(lv)
+    # Letters as bitmasks over codes.  After w d, the letters allowed are
+    # after[d], those that do not commute with d except d^-1, and those
+    # allowed after w that pass d: through[d] holds the letters greater than
+    # d that commute with it.
+    dependent = [sum(3 << (2 * x) for x in range(len(graph))
+                     if (graph.block[d >> 1] >> x) & 1) for d in range(ncodes)]
+    after = [dependent[d] & ~(1 << (d ^ 1)) for d in range(ncodes)]
+    through = [~dependent[d] & ~((2 << d) - 1) for d in range(ncodes)]
+    spelled = {}        # allowed-letter mask -> its letters, ascending
+    out = [()]
+    level = [((), (1 << ncodes) - 1)]
+    for _ in range(radius):
+        nxt = []
+        for w, allowed in level:
+            letters = spelled.get(allowed)
+            if letters is None:
+                letters = spelled[allowed] = [c for c in range(ncodes) if (allowed >> c) & 1]
+            for c in letters:
+                nxt.append((w + (c,), after[c] | (allowed & through[c])))
+            if len(out) + len(nxt) > cap:
+                raise BallCapExceededError(
+                    "ball of radius %d exceeds cap %d" % (radius, cap)
+                )
+        out.extend(w for w, _ in nxt)
+        level = nxt
     return out
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import raagtk
 from raagtk import selftest
 from raagtk.cli import main
 from raagtk.errors import InvalidSettingError
@@ -298,3 +302,55 @@ def test_json_mode_prints_one_document(graph_files, capsys):
     code, doc = run_json(capsys, "subgroup", "intersect", "--graph", graph_files["z2"],
                          "--subgroup", "support=a")
     assert code == 1 and doc["error"] == "word_syntax"
+
+
+def test_huge_exponent_is_memory_limit(graph_files, capsys):
+    # refused before the word is expanded
+    code, doc = run_json(capsys, "normalize", "--graph", graph_files["z2"],
+                         "--word", "a^%d" % 10 ** 30)
+    assert code == 1 and doc["error"] == "memory_limit"
+
+
+def _child(args, **kw):
+    """Run a Python child that imports this checkout's raagtk."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(raagtk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kw)
+
+
+def test_closed_stdout_is_quiet_exit(graph_files):
+    r, w = os.pipe()
+    os.close(r)         # no reader: every write to the pipe fails
+    try:
+        proc = _child(["-m", "raagtk.cli", "normalize", "--graph", graph_files["z2"],
+                       "--word", " ".join(["a b"] * 9), "--json"],
+                      stdout=w, stderr=subprocess.PIPE)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_memory_error_is_memory_limit(graph_files):
+    # the child caps its address space at what it uses plus 64 MiB, turns the
+    # word-size check off, and asks for a 20M-letter word (160 MB per list):
+    # the first large allocation fails, and nothing large is ever held
+    script = """
+import resource, sys
+from raagtk import words
+from raagtk.cli import main
+words._physical_memory = lambda: 0
+with open("/proc/self/statm") as f:
+    used = int(f.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = used + 64 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))
+sys.exit(main(["normalize", "--graph", sys.argv[1], "--word", "a^20000000", "--json"]))
+"""
+    proc = _child(["-c", script, graph_files["z2"]], capture_output=True)
+    assert proc.returncode == 1, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc == {"error": "memory_limit", "message": "out of memory", "schema": 1}

@@ -358,6 +358,23 @@ def test_closure_pairs_arity(z2):
         subalgebra_closure([(one,), (one, a)])
 
 
+def test_parse_word_refuses_words_past_physical_memory(z2, monkeypatch):
+    from raagtk import words as W
+    from raagtk.errors import MemoryLimitError
+
+    # checked before expansion: no machine holds 10^30 letters
+    with pytest.raises(MemoryLimitError, match="physical memory"):
+        parse_word(z2, "a^%d" % 10 ** 30)
+    # the exponents of all tokens count together
+    limit = 40_000 * W.LETTER_BYTES - 1
+    monkeypatch.setattr(W, "_physical_memory", lambda: limit)
+    assert len(parse_word(z2, "a^20000")) == 20_000
+    with pytest.raises(MemoryLimitError):
+        parse_word(z2, "a^20000 b^-20000")
+    monkeypatch.setattr(W, "_physical_memory", lambda: 0)     # unknown: no check
+    assert len(parse_word(z2, "a^20000 b^-20000")) == 40_000
+
+
 # -- balls / intervals -------------------------------------------------------------
 
 def test_ball_sizes_plane(z2):
@@ -527,3 +544,134 @@ def test_common_conjugator_recomposes_generators():
         for g, k in zip(gens, stripped):
             assert normal_codes(graph, x2 + k + inv_codes(x2)) == g
             assert len(g) == 2 * len(x2) + len(k)
+
+
+# -- kernels pinned to their earlier definitions ----------------------------------
+
+def peel_meet_codes(block, u, v):
+    """The earlier meet: peel the least common first letter of u and v until
+    there is none; that letter is the least first letter of the meet."""
+    u, v = list(u), list(v)
+    out = []
+    while True:
+        firsts = {}
+        blocked = 0
+        for i, c in enumerate(u):
+            if not (blocked >> (c >> 1)) & 1:
+                firsts.setdefault(c, i)
+            blocked |= block[c >> 1]
+        best = bj = -1
+        blocked = 0
+        for j, c in enumerate(v):
+            if not (blocked >> (c >> 1)) & 1 and c in firsts and (best < 0 or c < best):
+                best, bj = c, j
+            blocked |= block[c >> 1]
+        if best < 0:
+            return tuple(out)
+        out.append(best)
+        del u[firsts[best]]
+        del v[bj]
+
+
+def walk_median_codes(graph, x, y, z):
+    """The earlier median: x times the meet of the reduced words x^-1 y and
+    x^-1 z."""
+    from raagtk.words import reduce_codes
+
+    xi = inv_codes(x)
+    m = peel_meet_codes(graph.block, reduce_codes(graph.adj, xi + tuple(y)),
+                        reduce_codes(graph.adj, xi + tuple(z)))
+    return normal_codes(graph, tuple(x) + m)
+
+
+def enumerated_ball_codes(graph, radius, cap):
+    """The earlier ball: normalize every one-letter extension, drop repeats
+    and sort each level."""
+    from raagtk.errors import BallCapExceededError
+
+    seen = {()}
+    levels = [[()]]
+    for r in range(radius):
+        nxt = set()
+        for w in levels[r]:
+            for c in range(2 * len(graph)):
+                nf = normal_codes(graph, w + (c,))
+                if len(nf) == r + 1 and nf not in seen:
+                    nxt.add(nf)
+        if len(seen) + len(nxt) > cap:
+            raise BallCapExceededError("ball of radius %d exceeds cap %d" % (radius, cap))
+        seen.update(nxt)
+        levels.append(sorted(nxt))
+    return [w for lv in levels for w in lv]
+
+
+def test_median_matches_walk_on_ball_triples():
+    from raagtk.selftest import CATALOG, catalog_graph
+    from raagtk.words import median_codes
+
+    rng = random.Random(61)
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        pts = ball_codes(graph, 3)
+        for _ in range(2000):
+            x, y, z = (rng.choice(pts) for _ in range(3))
+            assert median_codes(graph, x, y, z) == walk_median_codes(graph, x, y, z)
+
+
+def test_median_matches_walk_on_long_triples():
+    from raagtk.graph import DefGraph
+    from raagtk.words import median_codes
+
+    rng = random.Random(67)
+    graphs = [DefGraph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")]),
+              DefGraph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
+                                       ("e", "a")])]
+    for _ in range(4):
+        verts = ["v%d" % i for i in range(8)]
+        graphs.append(DefGraph(verts, rng.sample(
+            [(verts[i], verts[j]) for i in range(8) for j in range(i + 1, 8)], 9)))
+    for t in range(300):
+        graph = rng.choice(graphs)
+
+        def word(lo, hi):
+            return rand_nf(rng, graph, rng.randrange(lo, hi)).codes
+
+        if t % 3 == 0:
+            x, y, z = word(30, 241), word(30, 241), word(30, 241)
+        else:
+            # shared prefixes, so that all three meets are long
+            p, q = word(0, 120), word(0, 60)
+            x = normal_codes(graph, p + word(15, 121))
+            y = normal_codes(graph, p + q + word(15, 121))
+            z = normal_codes(graph, (p + q if t % 2 else p) + word(15, 121))
+        assert median_codes(graph, x, y, z) == walk_median_codes(graph, x, y, z)
+
+
+def test_ball_matches_enumeration():
+    from raagtk.errors import BallCapExceededError
+    from raagtk.selftest import CATALOG, catalog_graph
+
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        for radius in range(5):
+            expected = enumerated_ball_codes(graph, radius, 200_000)
+            assert ball_codes(graph, radius) == expected
+            if radius:
+                cap = len(expected) - 1
+                with pytest.raises(BallCapExceededError) as new:
+                    ball_codes(graph, radius, cap)
+                with pytest.raises(BallCapExceededError) as old:
+                    enumerated_ball_codes(graph, radius, cap)
+                assert str(new.value) == str(old.value)
+
+
+def test_meet_codes_matches_peel_meet():
+    from raagtk.words import meet_codes
+
+    rng = random.Random(43)
+    for graph, w in _long_words(43, 120):
+        p = w[: rng.randrange(len(w))]
+        u = normal_codes(graph, p + rand_nf(rng, graph, rng.randrange(0, 40)).codes)
+        v = normal_codes(graph, p + rand_nf(rng, graph, rng.randrange(0, 40)).codes)
+        for a, b in ((u, v), (v, u), (w, inv_codes(w)), (u, inv_codes(u))):
+            assert meet_codes(graph.block, a, b) == peel_meet_codes(graph.block, a, b)
