@@ -36,10 +36,10 @@ position i, the k-th letter over its vertex w, is in it iff
   (3) every earlier v letter that does not commute with w is in it.
 
 Processing u in order is exact.  The matched set is an ideal of u by (1) and
-of v by (3), and two matched letters that do not commute come in the same
-order in both words: if the later one in u came first in v, (3) would have
-refused it, because its v predecessor is matched only later in u.  So the
-matched letters spell one trace, a common prefix.  Conversely, by induction
+of v by (3), and two matched letters a, b that do not commute come in the
+same order in both words: were a before b in u but after b in v, (3) would
+have refused a, whose v predecessor b is matched only after a is processed.
+So the matched letters spell one trace, a common prefix.  Conversely, by induction
 along u, every letter of the greatest common prefix passes (1)-(3), because
 its predecessors in either word precede it in the prefix itself.
 
