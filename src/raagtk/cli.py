@@ -283,7 +283,7 @@ def cmd_cmp(args, graph):
         return _emit(args, d, "defect %d at radius %d (witness x=%s y=%s p=%s)"
                      % (rep.defect, rep.radius, *[str(t) for t in rep.witness]))
     if args.action == "certify":
-        rep = C.cmp_certify(phi, probe_radii=args.radii or (2, 3, 4, 5))
+        rep = C.cmp_certify(phi)
         return _emit(args, rep.as_dict(), rep.verdict)
 
 
@@ -431,7 +431,6 @@ def build_parser():
     p.add_argument("action", choices=["defect", "certify"])
     p.add_argument("--dls", required=True)
     p.add_argument("--radius", type=_positive_int, default=3)
-    p.add_argument("--radii", type=_positive_ints, help="comma-separated, e.g. 2,3,4")
 
     p = add("decomp", cmd_decomp)
     p.add_argument("action", choices=["good", "chain", "classify"])

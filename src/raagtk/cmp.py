@@ -1,5 +1,5 @@
-"""Finite-radius median-defect measurement for automorphisms, and the
-rule-based certification of coarse-median preservation.
+"""Finite-radius median-defect measurement for automorphisms, and the exact
+certification of coarse-median preservation.
 
 The defect of a map F at radius R is the largest distance from F(p) to the
 median of (F(p), F(x), F(y)) over ball triples with p between x and y.  In a
@@ -21,14 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BallCapExceededError,
     InvalidSplittingError,
     MemoryLimitError,
     OutOfRangeError,
+    RaagError,
 )
-from .words import _nf, _physical_memory, ball_codes, hyperplane_at
+from .words import (NormalForm, _nf, _physical_memory, ball_codes, dist, hyperplane_at,
+                    identity, median, normalize)
 from . import dls as D
-from .elements import gamma, is_label_irreducible
 
 
 class DefectReport(NamedTuple):
@@ -221,71 +221,66 @@ def cmp_defect(phi, radius: int, cap: int = None) -> DefectReport:
 # ---------------------------------------------------------------------------
 
 CMP_BY_THM = "CMP_by_Thm"
-NOT_CMP_SUSPECTED = "NOT_CMP_suspected"
-UNDECIDED = "UNDECIDED"
+NOT_CMP_BY_FAMILY = "NOT_CMP_by_family"
+
+
+class Family(NamedTuple):
+    """Triples on which a transvection v -> z v with twist part z_c != 1 (see
+    dls.twist_split) moves medians unboundedly: x = z_c^-k, y = v^-k, p = 1.
+
+    x^-1 y = z_c^k v^-k is reduced (disjoint supports), so p lies between x
+    and y.  F fixes x, and since z_c commutes with v and z_f,
+    F(y) = (v^-1 z^-1)^k = z_c^-k (v^-1 z_f^-1)^k with no cancellation: z_c
+    has no letter in common with v or z_f, C is a clique so |z_c^k| = k|z_c|,
+    and no letter of z_f commutes with v.  So z_c^-k is a prefix of F(y) and
+    median(F(p), F(x), F(y)) = F(x) ^ F(y) = z_c^-k, at distance k|z_c| from
+    F(p).  x and y lie in the ball of radius R once k|z_c| <= R, hence
+    defect(R) >= |z_c| * floor(R / |z_c|)."""
+    vertex: str
+    z_c: NormalForm
+
+    def bound(self, radius: int) -> int:
+        return len(self.z_c) * (radius // len(self.z_c))
+
+    def as_dict(self):
+        return {"vertex": self.vertex, "z_c": str(self.z_c), "z_c_length": len(self.z_c)}
 
 
 class CertifyReport(NamedTuple):
     verdict: str
     trace: tuple            # rule evaluation lines
-    defects: tuple          # (radius, defect) pairs when probing was used
+    family: Family          # None for CMP_by_Thm
 
     def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "trace": list(self.trace),
-            "defects": [list(t) for t in self.defects],
-        }
+        return {"verdict": self.verdict, "trace": list(self.trace),
+                "family": None if self.family is None else self.family.as_dict()}
 
 
-def cmp_certify(phi: D.DlsAutomorphism, probe_radii=(2, 3, 4, 5)) -> CertifyReport:
-    """Classify via the splitting rules: folds and partial conjugations are
-    certified outright; twists are certified only if the twist element is
-    label-irreducible and its centralizer visually misses the splitting
-    vertex.  For the one-vertex splittings used here the splitting vertex
-    always commutes with the twist element, so twists fall through to
-    finite-radius defect probing; growth is reported as suspicion, never as
-    proof."""
+def cmp_certify(phi: D.DlsAutomorphism) -> CertifyReport:
+    """Exact verdict from the twist part z_c of the splitting data.  Partial
+    conjugations, folds (z_c = 1) and z = 1 are coarse-median preserving by
+    the splitting rule.  Every other transvection has z_c != 1, and its Family
+    is checked with direct median and distance calls at k = 1, 2, 3."""
     if not isinstance(phi, D.DlsAutomorphism):
         raise InvalidSplittingError("certification needs a splitting-built automorphism")
-    trace = []
     if phi.kind in (D.FOLD, D.PARTIAL_CONJUGATION):
-        trace.append("rule(1): %s from a visual splitting: certified" % phi.kind)
-        return CertifyReport(CMP_BY_THM, tuple(trace), ())
-    graph = phi.graph
-    z = phi.twist_element
-    if not z:
-        trace.append("identity twist element: certified")
-        return CertifyReport(CMP_BY_THM, tuple(trace), ())
-    v = phi.splitting.vertex
-    li = is_label_irreducible(z)
-    trace.append("rule(2): z label-irreducible: %s" % li)
-    if li:
-        gz = gamma(z)
-        zperp = graph.perp(gz)
-        visual = v not in gz and v not in zperp
-        trace.append(
-            "rule(2): centralizer support %s + %s misses splitting vertex %s: %s"
-            % (gz, zperp, v, visual)
-        )
-        if visual:
-            return CertifyReport(CMP_BY_THM, tuple(trace), ())
-        trace.append("rule(2) inconclusive for visual data (conjugates unchecked)")
-    defects = []
-    for r in probe_radii:
-        try:
-            rep = cmp_defect(phi, r)
-        except BallCapExceededError:
-            trace.append("probe stopped: ball cap exceeded at radius %d" % r)
-            break
-        defects.append((r, rep.defect))
-    if len(defects) >= 2 and all(
-        defects[k][1] < defects[k + 1][1] for k in range(len(defects) - 1)
-    ):
-        trace.append(
-            "defect grows over radii %s: suspected not coarse-median preserving"
-            % ([d[0] for d in defects],)
-        )
-        return CertifyReport(NOT_CMP_SUSPECTED, tuple(trace), tuple(defects))
-    trace.append("no growth detected; unbounded defect cannot be excluded")
-    return CertifyReport(UNDECIDED, tuple(trace), tuple(defects))
+        line = "rule(1): %s from a visual splitting: certified" % phi.kind
+        return CertifyReport(CMP_BY_THM, (line,), None)
+    if not phi.twist_element:
+        return CertifyReport(CMP_BY_THM, ("identity twist element: certified",), None)
+    graph, v = phi.graph, phi.splitting.vertex
+    z_c, _ = D.twist_split(graph, v, phi.twist_element)    # not 1: phi is no fold
+    p = identity(graph)
+    fp = D.apply(phi, p)
+    for k in (1, 2, 3):
+        x, y = z_c ** -k, normalize(graph, v) ** -k
+        fx, fy = D.apply(phi, x), D.apply(phi, y)
+        if median(x, y, p) != p or dist(fp, median(fp, fx, fy)) != k * len(z_c):
+            raise RaagError("family audit failed for %s at k = %d" % (phi.describe(), k))
+    trace = (
+        "twist part z_c = %s of z = %s at %s: not coarse-median preserving"
+        % (z_c, phi.twist_element, v),
+        "family x = z_c^-k, y = %s^-k, p = 1: defect(R) >= %d*floor(R/%d), "
+        "audited at k = 1, 2, 3" % (v, len(z_c), len(z_c)),
+    )
+    return CertifyReport(NOT_CMP_BY_FAMILY, trace, Family(v, z_c))

@@ -78,12 +78,31 @@ def transvection_centralizer_mask(graph: DefGraph, v: str) -> int:
     return mask & ~(1 << iv)
 
 
+def twist_split(graph: DefGraph, v: str, z: NormalForm):
+    """(z_c, z_f) with z = z_c z_f, for z supported in the transvection
+    centralizer mask at v: z_c is the letters of z in the centre
+    C = lk v & (lk v)^perp, z_f the rest.
+
+    C is a clique that commutes with v, and every other allowed vertex is
+    adjacent to all of lk v, so the allowed subgroup is A_C x A_rest and the
+    split is unique.  The transvection is a twist iff z_f = 1, a fold iff
+    z_c = 1, mixed otherwise."""
+    lk = graph.link(v)
+    centre = lk.mask & graph.perp_closed(lk).mask
+    parts = ([], [])
+    for c in z.codes:
+        parts[(centre >> (c >> 1)) & 1].append(c)
+    zf, zc = (_nf(graph, normal_codes(graph, p)) for p in parts)
+    return zc, zf
+
+
 def build_transvection(graph: DefGraph, v: str, z: NormalForm) -> DlsAutomorphism:
     """v -> z v, other generators fixed.  Requires z to centralize the edge
     group of the splitting at v, i.e. supp(z) inside (lk v)_closed-perp - v.
 
-    The kind records where z sits: a twist when z is central in the edge
-    group, a fold when the core of z avoids lk v entirely, mixed otherwise.
+    The kind records where z sits (see twist_split): a twist when z lies in
+    the centre of the edge group, a fold when it has no letter there, mixed
+    otherwise.
     """
     if z.graph != graph:
         raise GraphMismatchError("z belongs to a different graph")
@@ -98,15 +117,8 @@ def build_transvection(graph: DefGraph, v: str, z: NormalForm) -> DlsAutomorphis
             "z uses %r which does not centralize the edge group%s"
             % (bad, " (fails to commute with %r)" % offending[0] if offending else "")
         )
-    lk_mask = graph.link_mask(iv)
-    centre_mask = lk_mask & graph.perp_closed(graph.link(v)).mask
-    _, zcore = cyclic_reduce_codes(graph, z.codes)
-    if not (zmask & ~centre_mask):
-        kind = TWIST
-    elif not (vertex_mask(zcore) & lk_mask):
-        kind = FOLD
-    else:
-        kind = MIXED
+    zc, zf = twist_split(graph, v, z)
+    kind = TWIST if not zf else FOLD if not zc else MIXED
     images = _identity_images(graph)
     images[v] = _nf(graph, normal_codes(graph, z.codes + (2 * iv + 1,)))
     return DlsAutomorphism(graph, SplittingData.hnn(graph, v), z, kind, images)

@@ -628,7 +628,7 @@ def subalgebra_closure(points, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
 
 
 # ---------------------------------------------------------------------------
-# balls, intervals, trace machinery
+# balls and trace machinery
 # ---------------------------------------------------------------------------
 
 def env_count(name: str, default: int) -> int:
@@ -690,13 +690,12 @@ def ball(graph: DefGraph, radius: int, cap: int = None) -> list:
     return [_nf(graph, c) for c in ball_codes(graph, radius, cap)]
 
 
-def _trace_levels(graph: DefGraph, codes):
-    """Level by level, {prefix: remaining trace} for the distinct prefixes of
-    the trace `codes`; level k holds the prefixes of length k."""
+def prefix_codes(graph: DefGraph, codes, length: int):
+    """Distinct prefixes of the trace `codes` having the given length, grown
+    level by level as {prefix: remaining trace}."""
     block = graph.block
     frontier = {(): tuple(codes)}
-    while frontier:
-        yield frontier
+    for _ in range(length):
         nxt = {}
         for q, rem in frontier.items():
             for c in first_code_set(block, rem):
@@ -704,29 +703,7 @@ def _trace_levels(graph: DefGraph, codes):
                 if q2 not in nxt:
                     nxt[q2] = tuple(strip_first_code(block, rem, c))
         frontier = nxt
-
-
-def interval_codes(graph: DefGraph, x, y, max_len: int = None):
-    """Distinct vertices on geodesics from x to y (prefix closure of the
-    trace x^-1 y), as canonical codes.  Optionally only those of length
-    <= max_len."""
-    z = reduce_codes(graph.adj, inv_codes(x) + tuple(y))
-    out = []
-    for frontier in _trace_levels(graph, z):
-        for q in frontier:
-            p = normal_codes(graph, tuple(x) + q)
-            if max_len is None or len(p) <= max_len:
-                out.append(p)
-    return out
-
-
-def prefix_codes(graph: DefGraph, codes, length: int):
-    """Distinct prefixes of the trace `codes` having the given length."""
-    # return at level `length`, before the walker builds a deeper one
-    for depth, frontier in enumerate(_trace_levels(graph, codes)):
-        if depth == length:
-            return list(frontier)
-    return []
+    return list(frontier)
 
 
 def reach_masks(graph: DefGraph, codes):

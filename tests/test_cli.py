@@ -90,7 +90,15 @@ def test_cmp_defect_cli(graph_files, capsys):
 def test_cmp_certify_cli(graph_files, capsys):
     code, doc = run_json(capsys, "cmp", "certify", "--graph", graph_files["free"],
                          "--dls", "fold v=a z=c")
-    assert code == 0 and doc["verdict"] == "CMP_by_Thm"
+    assert code == 0 and doc["verdict"] == "CMP_by_Thm" and doc["family"] is None
+
+
+def test_cmp_certify_plane_twist_json(graph_files, capsys):
+    code, doc = run_json(capsys, "cmp", "certify", "--graph", graph_files["z2"],
+                         "--dls", "twist v=b z=a")
+    assert code == 0 and doc["verdict"] == "NOT_CMP_by_family"
+    assert doc["family"] == {"vertex": "b", "z_c": "a", "z_c_length": 1}
+    assert set(doc) == {"schema", "verdict", "trace", "family"}
 
 
 def test_dls_build_apply_certify(graph_files, capsys):
@@ -264,8 +272,6 @@ def test_bad_ball_cap_is_domain_error(graph_files, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["cmp", "defect", "--radius", "0"],
-    ["cmp", "certify", "--radii", "2,0"],
-    ["cmp", "certify", "--radii", "2,x"],
 ])
 def test_cmp_radius_below_one_is_usage_error(graph_files, argv):
     assert main([*argv, "--graph", graph_files["z2"], "--dls", "twist v=b z=a"]) == 2

@@ -126,8 +126,7 @@ def argvs(draw):
         argv[1:1] = [choice("defect", "certify")]
         if draw(st.integers(0, 3)):
             argv += ["--dls", dls()]
-        argv += ["--radius", radius(),
-                 "--radii", ",".join(radius() for _ in range(draw(st.integers(1, 3))))]
+        argv += ["--radius", radius()]
     elif cmd == "decomp":
         argv[1:1] = [choice("good", "chain", "classify")]
         argv += ["--word", w(), "--tree-vertex", vertex(), "--label", vertex()]

@@ -8,8 +8,7 @@ from raagtk import cmp as C
 from raagtk.cli import main
 from raagtk.cmp import (
     CMP_BY_THM,
-    NOT_CMP_SUSPECTED,
-    UNDECIDED,
+    NOT_CMP_BY_FAMILY,
     _distance_table,
     _prefix_trie,
     _scan,
@@ -17,8 +16,16 @@ from raagtk.cmp import (
     cmp_certify,
     cmp_defect,
 )
-from raagtk.errors import MemoryLimitError
-from raagtk.dls import apply, apply_images, build_partial_conjugation, build_transvection
+from raagtk.errors import MemoryLimitError, RaagError
+from raagtk.dls import (
+    FOLD,
+    PARTIAL_CONJUGATION,
+    apply,
+    apply_images,
+    build_partial_conjugation,
+    build_transvection,
+    twist_split,
+)
 from raagtk.graph import DefGraph
 from raagtk.selftest import CATALOG, catalog_graph, random_dls
 from raagtk.words import (
@@ -107,20 +114,76 @@ def test_certify_fold_and_pconj(path3):
     assert cmp_certify(pc).verdict == CMP_BY_THM
 
 
-def test_certify_plane_twist_suspected(z2):
-    tw = build_transvection(z2, "b", normalize(z2, "a"))
-    rep = cmp_certify(tw, probe_radii=(2, 3, 4))
-    assert rep.verdict == NOT_CMP_SUSPECTED
-    assert [d for _, d in rep.defects] == [2, 3, 4]
+_PLANE = DefGraph(["a", "b"], [("a", "b")])
+_PATH = DefGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+_STAR = DefGraph(["a", "b", "c"], [("a", "b"), ("a", "c")])     # centre a
+
+# (graph, v, z, the family's (vertex, z_c)); every verdict is NOT_CMP_by_family
+FAMILY_CASES = {
+    "plane_twist": (_PLANE, "b", "a", ("b", "a")),
+    "path_twist_ba": (_PATH, "a", "b", ("a", "b")),
+    "path_twist_b2a": (_PATH, "a", "b b", ("a", "b b")),
+    "star_mixed": (_STAR, "b", "a c", ("b", "a")),
+    "K4_twist": (catalog_graph(17), "d", "a b^-1 c", ("d", "a b^-1 c")),
+}
 
 
-def test_certify_path_twist_probes(path3):
-    # twist at an end vertex of the path: rule hypotheses fail on visual
-    # data, so the verdict comes from defect probing and is never upgraded
-    tw = build_transvection(path3, "a", normalize(path3, "b"))
-    rep = cmp_certify(tw, probe_radii=(2, 3))
-    assert rep.verdict in (NOT_CMP_SUSPECTED, UNDECIDED)
-    assert any("rule(2)" in line for line in rep.trace)
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_certify_twist_part_is_exact_not_cmp(case):
+    graph, v, z, (vertex, z_c) = FAMILY_CASES[case]
+    phi = build_transvection(graph, v, normalize(graph, z))
+    rep = cmp_certify(phi)
+    assert rep.verdict == NOT_CMP_BY_FAMILY
+    assert (rep.family.vertex, str(rep.family.z_c)) == (vertex, z_c)
+    assert rep.as_dict()["family"] == {
+        "vertex": vertex, "z_c": z_c, "z_c_length": len(rep.family.z_c)}
+    # the bound is a lower bound on the measured defect, and it grows
+    bounds = [rep.family.bound(r) for r in (1, 2, 3, 4)]
+    assert bounds[-1] > bounds[0]
+    for r, b in zip((1, 2, 3, 4), bounds):
+        assert cmp_defect(phi, r).defect >= b
+
+
+def test_certify_identity_twist_has_no_family(path3):
+    rep = cmp_certify(build_transvection(path3, "b", identity(path3)))
+    assert (rep.verdict, rep.family) == (CMP_BY_THM, None)
+    assert rep.as_dict()["family"] is None
+
+
+def test_certify_audit_failure_is_raag_error(monkeypatch):
+    graph, v, z, _ = FAMILY_CASES["star_mixed"]
+    phi = build_transvection(graph, v, normalize(graph, z))
+    monkeypatch.setattr(C, "dist", lambda g, h: -1)
+    with pytest.raises(RaagError, match="family audit failed"):
+        cmp_certify(phi)
+
+
+def test_certify_family_bounds_defect_on_random_transvections():
+    # every CATALOG graph has at most 4 vertices
+    rng = random.Random(2207)
+    families = 0
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        drawn = 0
+        for _ in range(200):
+            phi = random_dls(rng, graph)
+            if phi is None:
+                break
+            if phi.kind == PARTIAL_CONJUGATION:
+                continue
+            drawn += 1
+            z_c, _ = twist_split(graph, phi.splitting.vertex, phi.twist_element)
+            rep = cmp_certify(phi)
+            assert (rep.family is None) == (phi.kind == FOLD)
+            assert (rep.verdict == CMP_BY_THM) == (not z_c)
+            if z_c:
+                families += 1
+                assert rep.family.z_c == z_c
+                for r in (1, 2, 3):
+                    assert cmp_defect(phi, r).defect >= len(z_c) * (r // len(z_c))
+            if drawn == 4:
+                break
+    assert families >= 20
 
 
 def test_certified_maps_have_plateauing_defect(path3):

@@ -166,6 +166,40 @@ def test_trichotomy_exclusive():
         assert not (is_twist and is_fold)
 
 
+def _core_kind(graph, v, z):
+    """The kind rule build_transvection used before twist_split: a twist when
+    z lies in the centre of lk v, a fold when the cyclic core of z avoids
+    lk v, mixed otherwise."""
+    from raagtk.words import cyclic_reduce_codes, vertex_mask
+
+    lk_mask = graph.link_mask(graph.index(v))
+    centre_mask = lk_mask & graph.perp_closed(graph.link(v)).mask
+    _, zcore = cyclic_reduce_codes(graph, z.codes)
+    if not (vertex_mask(z.codes) & ~centre_mask):
+        return TWIST
+    if not (vertex_mask(zcore) & lk_mask):
+        return FOLD
+    return MIXED
+
+
+@pytest.mark.parametrize("gi", range(len(CATALOG)), ids=[c[0] for c in CATALOG])
+def test_kind_from_twist_split_matches_core_rule(gi):
+    from raagtk.dls import transvection_centralizer_mask, twist_split
+    from raagtk.selftest import _random_word_in
+
+    graph = catalog_graph(gi)
+    rng = random.Random(300 + gi)
+    for v in graph.vertices:
+        allowed = transvection_centralizer_mask(graph, v)
+        for _ in range(25):
+            z = _random_word_in(rng, graph, allowed, 7) or identity(graph)
+            phi = build_transvection(graph, v, z)
+            assert phi.kind == _core_kind(graph, v, z), (v, str(z))
+            z_c, z_f = twist_split(graph, v, z)
+            assert multiply(z_c, z_f) == z == multiply(z_f, z_c)
+            assert len(z_c) + len(z_f) == len(z)
+
+
 def test_outer_order_identity_has_no_certificate(z2):
     phi = build_transvection(z2, "b", identity(z2))
     rep = outer_order_certificate(phi, [normalize(z2, "b")], 6)

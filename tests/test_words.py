@@ -13,7 +13,6 @@ from raagtk.words import (
     format_codes,
     geodesic_hyperplanes,
     identity,
-    interval_codes,
     inv_codes,
     invert,
     median,
@@ -375,16 +374,11 @@ def test_parse_word_refuses_words_past_physical_memory(z2, monkeypatch):
     assert len(parse_word(z2, "a^20000 b^-20000")) == 40_000
 
 
-# -- balls / intervals -------------------------------------------------------------
+# -- balls -------------------------------------------------------------------------
 
 def test_ball_sizes_plane(z2):
     assert len(ball_codes(z2, 1)) == 5
     assert len(ball_codes(z2, 2)) == 13
-
-
-def test_interval_is_grid(z2):
-    pts = interval_codes(z2, (), normalize(z2, "a a b b").codes)
-    assert len(pts) == 9
 
 
 def test_ball_cap(free2):
