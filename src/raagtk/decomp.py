@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .errors import (
     DegenerateArcError,
-    NotDecentError,
     PreconditionError,
     UnreducedWordError,
 )
@@ -24,7 +23,6 @@ from .words import (
     Hyperplane,
     NormalForm,
     _nf,
-    cyclic_reduce_codes,
     hyperplane_at,
     inv_codes,
     normal_codes,
@@ -131,33 +129,22 @@ def is_decent(graph: DefGraph, word) -> DecencyReport:
     """A geodesic is decent (single-orbit case) iff every label it crosses
     appears in the axis support of the difference of two of its vertices:
     for each label v there are prefix positions i < j with v in
-    Gamma(subword(i, j))."""
+    Gamma(subword(i, j)).
+
+    Every reduced word is decent, and the first such (i, j) in the order
+    (i, then j) is (0, k_v + 1), where k_v is the position of the first
+    v-letter.  Shorter prefixes hold no v-letter.  The prefix of length
+    k_v + 1 holds exactly one; it is reduced, and cyclic reduction removes
+    letters in pairs over one vertex, so its core keeps an odd number of
+    v-letters and v is in its Gamma."""
     codes = word.codes if hasattr(word, "codes") else tuple(word)
     if len(reduce_codes(graph.adj, codes)) != len(codes):
         raise UnreducedWordError("word is not reduced")
-    n = len(codes)
-    labels = [graph.vertices[i] for i in graph.vset_mask(vertex_mask(codes)).indices()]
-    witnesses = {}
-    missing = []
-    for v in labels:
-        iv = graph.index(v)
-        found = None
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                sub = _nf(graph, normal_codes(graph, codes[i:j]))
-                if not sub:
-                    continue
-                _, core = cyclic_reduce_codes(graph, sub.codes)
-                if any(k >> 1 == iv for k in core):
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found:
-            witnesses[v] = found
-        else:
-            missing.append(v)
-    return DecencyReport(not missing, witnesses, tuple(missing))
+    first = {}
+    for k, c in enumerate(codes):
+        first.setdefault(c >> 1, k)
+    witnesses = {graph.vertices[iv]: (0, first[iv] + 1) for iv in sorted(first)}
+    return DecencyReport(True, witnesses, ())
 
 
 def pair_is_decent(pair: HyperplanePair) -> DecencyReport:
@@ -243,13 +230,13 @@ class ChainReport(NamedTuple):
     arc_length: int
 
 
-def decompose_chain(beta: T.TreeArc, q: int = 1) -> ChainReport:
+def decompose_chain(beta: T.TreeArc) -> ChainReport:
     """Alternating decomposition mu_0 nu_1 mu_1 ... nu_s mu_s of a tree arc:
-    nu pieces are sub-arcs of tree length > 2q whose first and last edges
-    form a decent pair of walls; mu pieces are what remains.  Candidate nu
-    spans are scanned longest-first and accepted greedily when disjoint."""
-    if q != 1:
-        raise PreconditionError("only the single-orbit executor is implemented")
+    nu pieces are disjoint sub-arcs of tree length > 2 whose first and last
+    edges form a decent pair of walls, chosen longest-first; mu pieces are
+    what remains.  Every pair is decent (see is_decent), so the longest
+    span wins: the whole arc, from its first to its last edge, when it has
+    at least three edges.  Every other span overlaps it."""
     graph = beta.graph
     iv = graph.index(beta.label)
     word = beta.word()
@@ -257,43 +244,22 @@ def decompose_chain(beta: T.TreeArc, q: int = 1) -> ChainReport:
     m = len(vpos)
     if m == 0:
         raise DegenerateArcError("arc crosses no edge")
-    start = beta.start.rep_nf()
+    if m < 3:
+        pieces = (ChainPiece("mu", (0, m - 1), m, None, None),)
+    else:
+        pair = pair_from_word(graph, word, vpos[0], vpos[-1], base=beta.start.rep_nf())
+        empty = ChainPiece("mu", (), 0, None, None)
+        nu = ChainPiece("nu", (0, m - 1), m, pair, pair_is_decent(pair))
+        pieces = (empty, nu, empty)
 
-    candidates = []
-    for i in range(m):
-        for j in range(i + 2, m):
-            candidates.append((j - i, i, j))
-    candidates.sort(key=lambda t: (-t[0], t[1]))
-
-    taken = []
-    used = [False] * m
-    for span, i, j in candidates:
-        if any(used[k] for k in range(i, j + 1)):
-            continue
-        pair = pair_from_word(graph, word, vpos[i], vpos[j], base=start)
-        rep = pair_is_decent(pair)
-        if rep.decent:
-            taken.append((i, j, pair, rep))
-            for k in range(i, j + 1):
-                used[k] = True
-    taken.sort()
-
-    pieces = []
-    cursor = 0
-    for i, j, pair, rep in taken:
-        pieces.append(ChainPiece("mu", (cursor, i - 1) if i > cursor else (), i - cursor, None, None))
-        pieces.append(ChainPiece("nu", (i, j), j - i + 1, pair, rep))
-        cursor = j + 1
-    pieces.append(ChainPiece("mu", (cursor, m - 1) if cursor < m else (), m - cursor, None, None))
-
-    const = chain_constant(q, len(graph))
-    s = len(taken)
+    const = chain_constant(1, len(graph))
+    s = sum(p.kind == "nu" for p in pieces)
     bounds_ok = (
         s <= const
         and all(p.length <= const for p in pieces if p.kind == "mu")
-        and all(p.length > 2 * q for p in pieces if p.kind == "nu")
+        and all(p.length > 2 for p in pieces if p.kind == "nu")
     )
-    return ChainReport(tuple(pieces), s, const, bounds_ok, m)
+    return ChainReport(pieces, s, const, bounds_ok, m)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +278,13 @@ class PairClassification(NamedTuple):
     axis_stats: dict
 
 
-def classify_decent_pair(pair: HyperplanePair, q: int = 1) -> PairClassification:
+def classify_decent_pair(pair: HyperplanePair) -> PairClassification:
     """Wall-pair stabilizers are conjugates of the visual subgroup on
     Delta^perp; the double centralizer is read off by star-perp calculus.
-    Either it equals the stabilizer, or (for a decent pair) it is the
-    centralizer of a single generator whose axis carries the whole span."""
+    Either it equals the stabilizer, or (every pair being decent, see
+    is_decent) it is the centralizer of a single generator whose axis
+    carries the whole span."""
     graph = pair.graph
-    rep = pair_is_decent(pair)
-    if not rep.decent:
-        raise NotDecentError("pair is not decent (missing %s)" % (rep.missing,))
     inv = delta_invariants(pair)
     sigma = graph.perp(inv.delta)
     stab = S.parabolic(graph, sigma, pair.base)
@@ -350,7 +314,7 @@ def classify_decent_pair(pair: HyperplanePair, q: int = 1) -> PairClassification
         "walls": total,
         "skewered": total,
         "exceptions": 0,
-        "exception_bound": 2 * q,
+        "exception_bound": 2,
         "translation_length": 1,
     }
     return PairClassification(CYCLIC_CASE, stab, g, zz, stats)

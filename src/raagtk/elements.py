@@ -3,6 +3,7 @@ primitive roots, commutation, and structured centralizers."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 from .errors import IdentityElementError, InvalidSubgroupError, OutOfRangeError
@@ -15,7 +16,6 @@ from .words import (
     inv_codes,
     multiply,
     normal_codes,
-    prefix_codes,
     vertex_mask,
 )
 
@@ -65,34 +65,38 @@ def is_label_irreducible(g: NormalForm) -> bool:
 def primitive_root(g: NormalForm):
     """Write g = root**n with n maximal; the root is not a proper power.
 
-    If g = r**n with r cyclically reduced, the points 1, r, ..., r**n are
-    collinear, so r appears among the prefixes of the cyclic core of length
-    |core|/n.  Candidate exponents must divide every per-vertex letter count
-    of the core; candidates are verified by multiplication.
+    Let g = x core x^-1 with the core cyclically reduced.  If core = r**n,
+    then r is cyclically reduced and |r**n| = n|r|, so the points 1, r, ...,
+    r**n are collinear and r is a prefix of the core that takes count_v / n
+    of the core's count_v letters over each vertex v; every n has to divide
+    every count.  Occurrences of one vertex never commute, so a prefix of a
+    reduced word is fixed by how many letters it takes over each vertex:
+    r can only be the core read on the first count_v / n occurrences of each
+    v.  That one candidate per n is verified by multiplication, largest n
+    first, and the root of g is x r x^-1.
     """
     if not g:
         raise IdentityElementError("identity has no primitive root")
     graph = g.graph
     xc, core = cyclic_reduce_codes(graph, g.codes)
-    m = len(core)
     counts = {}
     for c in core:
         counts[c >> 1] = counts.get(c >> 1, 0) + 1
-    gcd = 0
-    for k in counts.values():
-        while k:
-            gcd, k = k, gcd % k
     core_nf = _nf(graph, core)
+    gcd = math.gcd(*counts.values())
     for n in range(gcd, 1, -1):
-        if m % n:
+        if gcd % n:
             continue
-        if any(k % n for k in counts.values()):
-            continue
-        for pref in prefix_codes(graph, core, m // n):
-            cand = _nf(graph, pref)
-            if cand ** n == core_nf:
-                root = _nf(graph, normal_codes(graph, xc + pref + inv_codes(xc)))
-                return root, n
+        left = {v: k // n for v, k in counts.items()}
+        pref = []
+        for c in core:
+            if left[c >> 1]:
+                left[c >> 1] -= 1
+                pref.append(c)
+        cand = _nf(graph, normal_codes(graph, pref))
+        if cand ** n == core_nf:
+            root = _nf(graph, normal_codes(graph, xc + cand.codes + inv_codes(xc)))
+            return root, n
     return g, 1
 
 

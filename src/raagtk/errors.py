@@ -68,10 +68,6 @@ class TransverseHyperplanesError(RaagError):
     code = "transverse_hyperplanes"
 
 
-class NotDecentError(RaagError):
-    code = "not_decent"
-
-
 class UnreducedWordError(RaagError):
     code = "unreduced_word"
 

@@ -116,9 +116,6 @@ class DefGraph:
     def vset_mask(self, mask) -> "VertexSet":
         return VertexSet(self, mask & self.full)
 
-    def full_set(self) -> "VertexSet":
-        return VertexSet(self, self.full)
-
     def link(self, v) -> "VertexSet":
         return VertexSet(self, self.adj[self.index(v)])
 
@@ -128,9 +125,6 @@ class DefGraph:
 
     def link_mask(self, iv) -> int:
         return self.adj[iv]
-
-    def star_mask(self, iv) -> int:
-        return self.adj[iv] | (1 << iv)
 
     def perp(self, names) -> "VertexSet":
         """Common link: intersection of lk v over the subset (all vertices if empty)."""
@@ -219,11 +213,6 @@ class VertexSet:
 
     def indices(self):
         return tuple(i for i in range(len(self.graph)) if self.mask >> i & 1)
-
-    def min_index(self):
-        if not self.mask:
-            return len(self.graph)
-        return (self.mask & -self.mask).bit_length() - 1
 
     def __iter__(self):
         return iter(self.names())

@@ -30,6 +30,7 @@ from .words import (
     median_codes,
     multiply,
     normal_codes,
+    translate_hyperplane,
 )
 from . import cmp as C
 from . import decomp as DC
@@ -619,8 +620,6 @@ def criterion_11(seed=0, jobs=None) -> CriterionResult:
         ball = ball_cache[key]
 
         # stabilizer of both walls, found directly by acting on them
-        from .words import translate_hyperplane
-
         stab = set()
         for h in ball:
             if (

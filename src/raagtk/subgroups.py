@@ -111,15 +111,6 @@ def member(sf: SubgroupForm, h: NormalForm) -> bool:
     return in_structured_product(sf.conjugator, sf.abelian_roots, sf.support.mask, h)
 
 
-def subgroup_equal_on_ball(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> bool:
-    graph = sf1.graph
-    for codes in ball_codes(graph, radius):
-        h = _nf(graph, codes)
-        if member(sf1, h) != member(sf2, h):
-            return False
-    return True
-
-
 def _common_conjugator(graph, gens):
     """The greatest common prefix x of every generator and its inverse, and
     each generator g as k with g = x k x^-1 (reduced)."""

@@ -141,28 +141,6 @@ def inv_codes(codes):
     return tuple(c ^ 1 for c in reversed(codes))
 
 
-def first_code_set(block, codes):
-    blocked = 0
-    out = set()
-    for c in codes:
-        v = c >> 1
-        if not (blocked >> v) & 1:
-            out.add(c)
-        blocked |= block[v]
-    return out
-
-
-def strip_first_code(block, codes, code):
-    """Remove the available occurrence of `code` from the front of the class."""
-    blocked = 0
-    for i, c in enumerate(codes):
-        v = c >> 1
-        if c == code and not (blocked >> v) & 1:
-            return codes[:i] + codes[i + 1:]
-        blocked |= block[v]
-    raise ValueError("letter not available as a first letter")
-
-
 # Letter counts per vertex, packed into one integer: vertex w's count sits in
 # the 64-bit field at bit 64 * (w + 1), which no word can overflow, and the
 # low 64 bits are free to hold a letter code.
@@ -688,22 +666,6 @@ def ball_codes(graph: DefGraph, radius: int, cap: int = None) -> list:
 
 def ball(graph: DefGraph, radius: int, cap: int = None) -> list:
     return [_nf(graph, c) for c in ball_codes(graph, radius, cap)]
-
-
-def prefix_codes(graph: DefGraph, codes, length: int):
-    """Distinct prefixes of the trace `codes` having the given length, grown
-    level by level as {prefix: remaining trace}."""
-    block = graph.block
-    frontier = {(): tuple(codes)}
-    for _ in range(length):
-        nxt = {}
-        for q, rem in frontier.items():
-            for c in first_code_set(block, rem):
-                q2 = normal_codes(graph, q + (c,))
-                if q2 not in nxt:
-                    nxt[q2] = tuple(strip_first_code(block, rem, c))
-        frontier = nxt
-    return list(frontier)
 
 
 def reach_masks(graph: DefGraph, codes):

@@ -36,6 +36,18 @@ def rand_nf(rng, graph, length) -> NormalForm:
     return _nf(graph, normal_codes(graph, codes))
 
 
+def first_code_set(block, codes):
+    """The letters that can come first in the trace of `codes`."""
+    blocked = 0
+    out = set()
+    for c in codes:
+        v = c >> 1
+        if not (blocked >> v) & 1:
+            out.add(c)
+        blocked |= block[v]
+    return out
+
+
 # hypothesis strategies ------------------------------------------------------
 
 graph_indices = st.integers(min_value=0, max_value=len(CATALOG) - 1)

@@ -7,6 +7,9 @@ from raagtk.decomp import (
     CYCLIC_CASE,
     EDGE,
     GOOD,
+    ChainPiece,
+    ChainReport,
+    DecencyReport,
     chain_constant,
     classify_decent_pair,
     decompose_chain,
@@ -20,7 +23,15 @@ from raagtk.decomp import (
 from raagtk.errors import TransverseHyperplanesError, UnreducedWordError
 from raagtk.graph import DefGraph
 from raagtk.trees import arc
-from raagtk.words import identity, multiply, normalize
+from raagtk.words import (
+    _nf,
+    cyclic_reduce_codes,
+    identity,
+    multiply,
+    normal_codes,
+    normalize,
+    vertex_mask,
+)
 
 from conftest import rand_nf
 
@@ -224,3 +235,105 @@ def test_classify_requires_decent(free2):
     # via a pair whose between word fails the witness scan: none exist for
     # the vertex-transitive action, so assert the report is decent
     assert pair_is_decent(pair).decent
+
+
+def _scanned_decency(graph, codes):
+    """Reference for is_decent: for each label, the first prefix positions
+    (i, j), in the order (i, then j), with the label in the axis support of
+    the subword."""
+    labels = [graph.vertices[i] for i in graph.vset_mask(vertex_mask(codes)).indices()]
+    witnesses = {}
+    missing = []
+    for v in labels:
+        iv = graph.index(v)
+        found = None
+        for i in range(len(codes)):
+            for j in range(i + 1, len(codes) + 1):
+                sub = normal_codes(graph, codes[i:j])
+                if sub and any(k >> 1 == iv for k in cyclic_reduce_codes(graph, sub)[1]):
+                    found = (i, j)
+                    break
+            if found:
+                break
+        if found:
+            witnesses[v] = found
+        else:
+            missing.append(v)
+    return DecencyReport(not missing, witnesses, tuple(missing))
+
+
+def _greedy_chain(beta):
+    """Reference for decompose_chain: candidate nu spans of at least three
+    edges, longest first, accepted when disjoint from those taken and
+    decent by _scanned_decency."""
+    graph = beta.graph
+    iv = graph.index(beta.label)
+    word = beta.word()
+    vpos = [k for k, c in enumerate(word) if c >> 1 == iv]
+    m = len(vpos)
+    start = beta.start.rep_nf()
+    candidates = sorted(
+        ((j - i, i, j) for i in range(m) for j in range(i + 2, m)),
+        key=lambda t: (-t[0], t[1]),
+    )
+    taken = []
+    used = [False] * m
+    for _, i, j in candidates:
+        if any(used[i:j + 1]):
+            continue
+        pair = pair_from_word(graph, word, vpos[i], vpos[j], base=start)
+        rep = _scanned_decency(graph, pair.between)
+        if rep.decent:
+            taken.append((i, j, pair, rep))
+            used[i:j + 1] = [True] * (j + 1 - i)
+    taken.sort()
+    pieces = []
+    cursor = 0
+    for i, j, pair, rep in taken:
+        pieces.append(ChainPiece("mu", (cursor, i - 1) if i > cursor else (), i - cursor, None, None))
+        pieces.append(ChainPiece("nu", (i, j), j - i + 1, pair, rep))
+        cursor = j + 1
+    pieces.append(ChainPiece("mu", (cursor, m - 1) if cursor < m else (), m - cursor, None, None))
+    const = chain_constant(1, len(graph))
+    bounds_ok = (
+        len(taken) <= const
+        and all(p.length <= const for p in pieces if p.kind == "mu")
+        and all(p.length > 2 for p in pieces if p.kind == "nu")
+    )
+    return ChainReport(tuple(pieces), len(taken), const, bounds_ok, m)
+
+
+def _reference_graphs(rng):
+    from raagtk.selftest import CATALOG, _random_graph5, catalog_graph
+
+    return [catalog_graph(gi) for gi in range(len(CATALOG))] + [
+        _random_graph5(rng) for _ in range(8)
+    ]
+
+
+def test_decency_matches_scan():
+    rng = random.Random(61)
+    for graph in _reference_graphs(rng):
+        for _ in range(60):
+            w = rand_nf(rng, graph, rng.randrange(0, 10))
+            assert is_decent(graph, w) == _scanned_decency(graph, w.codes)
+
+
+def test_chain_matches_greedy_loop():
+    rng = random.Random(67)
+    for graph in _reference_graphs(rng):
+        made = 0
+        while made < 30:
+            iv = rng.randrange(len(graph))
+            # every other letter is more likely the label's, so most arcs
+            # have three edges or more
+            vc = 2 * iv + rng.randrange(2)
+            codes = [vc if rng.random() < 0.4 else rng.randrange(2 * len(graph))
+                     for _ in range(rng.randrange(1, 12))]
+            w = _nf(graph, normal_codes(graph, codes))
+            if not any(c >> 1 == iv for c in w.codes):
+                continue
+            made += 1
+            start = rand_nf(rng, graph, rng.randrange(0, 4))
+            beta = arc(graph, graph.vertices[iv], start, multiply(start, w))
+            assert decompose_chain(beta) == _greedy_chain(beta)

@@ -14,17 +14,20 @@ from raagtk.elements import (
     primitive_root,
 )
 from raagtk.errors import IdentityElementError
+from raagtk.graph import DefGraph
 from raagtk.words import (
     _nf,
     ball_codes,
+    cyclic_reduce,
     identity,
+    inv_codes,
     invert,
     multiply,
     normal_codes,
     normalize,
 )
 
-from conftest import graph_and_word, rand_nf
+from conftest import first_code_set, graph_and_word, rand_nf
 
 
 # -- gamma ---------------------------------------------------------------------
@@ -169,6 +172,79 @@ def test_root_against_bounded_search():
         else:
             _, m = primitive_root(root)
             assert m == 1
+
+
+def _enumerated_root(g):
+    """Reference for primitive_root: every trace prefix of the core of
+    length |core|/n, tried in turn, for n from the gcd of the per-vertex
+    letter counts down to 2."""
+    graph = g.graph
+    block = graph.block
+    xc, core = cyclic_reduce(g)
+    core = core.codes
+    m = len(core)
+    counts = {}
+    for c in core:
+        counts[c >> 1] = counts.get(c >> 1, 0) + 1
+    gcd = 0
+    for k in counts.values():
+        while k:
+            gcd, k = k, gcd % k
+    core_nf = _nf(graph, core)
+    for n in range(gcd, 1, -1):
+        if m % n or any(k % n for k in counts.values()):
+            continue
+        frontier = {(): core}
+        for _ in range(m // n):
+            nxt = {}
+            for q, rem in frontier.items():
+                for c in first_code_set(block, rem):
+                    q2 = normal_codes(graph, q + (c,))
+                    if q2 not in nxt:
+                        blocked = 0
+                        for i, d in enumerate(rem):
+                            if d == c and not (blocked >> (d >> 1)) & 1:
+                                nxt[q2] = rem[:i] + rem[i + 1:]
+                                break
+                            blocked |= block[d >> 1]
+            frontier = nxt
+        for pref in frontier:
+            cand = _nf(graph, pref)
+            if cand ** n == core_nf:
+                return _nf(graph, normal_codes(graph, xc.codes + pref + inv_codes(xc.codes))), n
+    return g, 1
+
+
+def _seeded_graph(rng, size):
+    verts = ["v%d" % i for i in range(size)]
+    edges = [(verts[i], verts[j]) for i in range(size) for j in range(i + 1, size)
+             if rng.random() < 0.5]
+    return DefGraph(verts, edges)
+
+
+def test_root_matches_prefix_enumeration():
+    from raagtk.selftest import CATALOG, catalog_graph
+
+    rng = random.Random(29)
+    graphs = [catalog_graph(gi) for gi in range(len(CATALOG))]
+    graphs += [_seeded_graph(rng, 5) for _ in range(3)]
+    graphs += [_seeded_graph(rng, 8) for _ in range(3)]
+    for graph in graphs:
+        done = 0
+        while done < 30:
+            b = rand_nf(rng, graph, rng.randrange(1, 5))
+            if not b:
+                continue
+            done += 1
+            x = rand_nf(rng, graph, rng.randrange(0, 4))
+            g = multiply(multiply(x, b ** rng.choice((1, 2, 3, 4, 6))), invert(x))
+            assert primitive_root(g) == _enumerated_root(g)
+
+
+def test_root_of_long_power_in_complete_graph():
+    k8 = DefGraph("abcdefgh", [(u, v) for u in "abcdefgh" for v in "abcdefgh" if u < v])
+    root, n = primitive_root(normalize(k8, "a b c d e f g h") ** 4)
+    assert root == normalize(k8, "a b c d e f g h") and n == 4
 
 
 # -- commutation ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from raagtk.subgroups import (
     parabolic,
     parabolic_direction_check,
     semi_parabolic,
-    subgroup_equal_on_ball,
     validate,
 )
 from raagtk.words import (
@@ -24,6 +23,15 @@ from raagtk.words import (
 )
 
 from conftest import rand_nf
+
+
+def subgroup_equal_on_ball(sf1, sf2, radius):
+    graph = sf1.graph
+    for codes in ball_codes(graph, radius):
+        h = _nf(graph, codes)
+        if member(sf1, h) != member(sf2, h):
+            return False
+    return True
 
 
 def test_validate_parabolic(path3):

@@ -23,7 +23,7 @@ from raagtk.words import (
     subalgebra_closure,
 )
 
-from conftest import graph_and_word, graph_and_words, rand_nf
+from conftest import first_code_set, graph_and_word, graph_and_words, rand_nf
 
 
 # -- parsing / formatting -----------------------------------------------------
@@ -482,7 +482,7 @@ def test_normal_codes_is_greedy_form_long():
 
 
 def test_meet_codes_is_greatest_common_prefix():
-    from raagtk.words import first_code_set, meet_codes
+    from raagtk.words import meet_codes
 
     rng = random.Random(43)
     for graph, w in _long_words(43, 120):
@@ -498,7 +498,7 @@ def test_meet_codes_is_greatest_common_prefix():
 
 
 def test_strip_suffix_in_is_coset_gate():
-    from raagtk.words import first_code_set, strip_suffix_in, vertex_mask
+    from raagtk.words import strip_suffix_in, vertex_mask
 
     for graph, w in _long_words(47, 60):
         for iv in range(len(graph)):
