@@ -9,9 +9,13 @@ d(x,p) + d(p,y) = d(x,y), so the whole scan reduces to two pairwise distance
 tables: one for the ball, one for its image.  Both count hyperplanes: the
 distance between two vertices of the cube complex is the number of
 hyperplanes separating them.  The tables are grown along the prefix trie of
-the words, one depth level at a time, and the scan reads one fused table in
-which "between" and "how far from the median" are a single integer.  All of
-it is exact integer numpy code.
+the words, one depth level at a time.  The ball is prefix-closed, since every
+prefix of a canonical word is canonical, so it is its own trie, and one walk
+of it also grows the images: the image of a word continues the normal form
+of its parent's image by the image of its last letter.  The images get a
+trie of their own.  The scan reads one fused table in which "between" and
+"how far from the median" are a single integer, a block of rows at a time.
+All of it is exact integer numpy code.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .errors import (
     OutOfRangeError,
     RaagError,
 )
-from .words import (NormalForm, _nf, _physical_memory, ball_codes, dist, hyperplane_at,
-                    identity, median, normalize)
+from .words import (NormalForm, _nf, _physical_memory, ball_codes, dist, identity,
+                    inv_codes, median, normal_codes, normalize, strip_suffix_in)
 from . import dls as D
 
 
@@ -66,34 +70,76 @@ class _PrefixTrie(NamedTuple):
     hyperplanes: int
 
 
+def _trie(parent, column, depth, ends, hyperplanes) -> _PrefixTrie:
+    """A _PrefixTrie from its node lists.  H(w) is the column of every node
+    on the path from w's node up to the root, so the crossings are read off
+    the parent pointers one depth at a time, every word at once."""
+    parent, column = np.array(parent, dtype=np.intp), np.array(column, dtype=np.intp)
+    ends = np.array(ends, dtype=np.intp)
+    node, owner = ends, np.arange(len(ends))
+    hits, owners = [], []
+    while len(node):
+        below = node != 0
+        node, owner = node[below], owner[below]
+        hits.append(column[node])
+        owners.append(owner)
+        node = parent[node]
+    return _PrefixTrie(parent, column, np.array(depth), ends,
+                       (np.concatenate(hits), np.concatenate(owners)), hyperplanes)
+
+
+def _gate(graph, word, k):
+    """Key of the hyperplane dual to the edge from word[:k] to word[:k+1] of
+    a canonical word: its vertex and, as in words.hyperplane_at, the gate of
+    its coset.  A letter with the even (inverse) code is read backwards from
+    the canonical prefix word[:k+1], which needs no normal form."""
+    c = word[k]
+    v = c >> 1
+    return v, strip_suffix_in(graph, word[:k + 1 - (c & 1)], graph.link_mask(v))
+
+
 def _prefix_trie(graph, words) -> _PrefixTrie:
     """Walk every word through its prefix trie, resolving the hyperplane of
     each new prefix once."""
-    column = {}     # hyperplane (label, rep) -> id
+    column = {}     # gate key -> hyperplane id
     step = {}       # (node, code) -> node of the prefix extended by code
-    parent, col, depth = [0], [0], [0]
-    ends, hits, owners = [], [], []
-    for i, w in enumerate(words):
+    parent, col, depth, ends = [0], [0], [0], []
+    for w in words:
         node = 0
         for k, c in enumerate(w):
             nxt = step.get((node, c))
             if nxt is None:
-                # a letter with the even (inverse) code is read backwards from
-                # the canonical prefix w[:k+1], which needs no normal form
-                h = (hyperplane_at(graph, w[:k], c) if c & 1
-                     else hyperplane_at(graph, w[:k + 1], c | 1))
                 nxt = step[node, c] = len(parent)
                 parent.append(node)
-                col.append(column.setdefault((h.label, h.rep), len(column)))
+                col.append(column.setdefault(_gate(graph, w, k), len(column)))
                 depth.append(k + 1)
             node = nxt
-            hits.append(col[node])
-        owners.extend([i] * len(w))
         ends.append(node)
-    return _PrefixTrie(np.array(parent), np.array(col), np.array(depth),
-                       np.array(ends, dtype=np.intp),
-                       (np.array(hits, dtype=np.intp), np.array(owners, dtype=np.intp)),
-                       len(column))
+    return _trie(parent, col, depth, ends, len(column))
+
+
+def _ball_trie(graph, ball, images_map):
+    """The prefix trie of a ball and the images of its words, from one walk
+    of the ball.  Every prefix of a canonical word is canonical and
+    ball_codes lists shorter words first, so the ball is its own trie: node i
+    is ball[i], and its parent is the node of ball[i][:-1].  The image of a
+    word is its parent's image times the image of its last letter, and the
+    parent's image is canonical, so its normal form continues the insertion
+    from there."""
+    letters = {}
+    for iv, v in enumerate(graph.vertices):
+        img = images_map[v].codes
+        letters[2 * iv + 1], letters[2 * iv] = img, inv_codes(img)
+    node = {w: i for i, w in enumerate(ball)}
+    column = {}
+    parent, col, images = [0], [0], [()]
+    for w in ball[1:]:
+        up = node[w[:-1]]
+        parent.append(up)
+        col.append(column.setdefault(_gate(graph, w, len(w) - 1), len(column)))
+        images.append(normal_codes(graph, letters[w[-1]], images[up]))
+    trie = _trie(parent, col, [len(w) for w in ball], range(len(ball)), len(column))
+    return trie, images
 
 
 def _distance_table(trie: _PrefixTrie):
@@ -132,6 +178,15 @@ def _distance_table(trie: _PrefixTrie):
     return shared.astype(_int_dtype(2 * int(shared.max(initial=0))), copy=False)
 
 
+# entries in one block of the scan, which holds _block_rows(n) rows of n*n
+# entries: from n = 257 on, a block is one row
+_SCAN_BLOCK = 1 << 16
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _SCAN_BLOCK // (n * n))
+
+
 def _scan(D0, DD):
     """Least (i, j, k), j >= i, maximising DD[i, k] + DD[k, j] - DD[i, j] over k
     between i and j (D0[i, k] + D0[k, j] == D0[i, j]), with that maximum.
@@ -141,7 +196,16 @@ def _scan(D0, DD):
     the triangle inequality) and below 0 for any other triple (its D0 excess
     is at least 1, which costs c, more than any DD value gains).  (i, i, i)
     is between with value 0, so a row's first maximum is its least witness.
-    Rows go in ascending i, so a later row only replaces the witness with a
+
+    Rows go in blocks of _block_rows(n): rows i0 <= i < i1, each over the
+    columns j >= i0.  A cell (i, j, k) with j < i is no triple of the scan,
+    but E is symmetric, so it holds the value of its mirror (j, i, k), a
+    triple of the scan in the same block: i0 <= j < i puts row j in the
+    block and column i in its range.  The mirror comes first in the block's
+    flat (row, column, k) order, so the block's first flat maximum is never
+    such a cell, and on the scan's own cells that order is the order of
+    (i, j, k): the first flat maximum is the block's least witness.  Blocks
+    go in ascending i0, so a later block only replaces the witness with a
     strictly larger value."""
     n = len(D0)
     top0, topd = int(D0.max(initial=0)), int(DD.max(initial=0))
@@ -149,17 +213,21 @@ def _scan(D0, DD):
     E = D0.astype(_scan_dtype(top0, topd))
     E *= -c
     E += DD
-    vals = np.empty_like(E)
+    rows = _block_rows(n)
+    vals = np.empty(rows * n * n, dtype=E.dtype)
+    tops, sides = E[:, None], E[:, :, None]
     best, at = -1, None
-    for i in range(n):
-        v = vals[:n - i]
-        np.add(E[i], E[i:], out=v)
-        v -= E[i, i:, None]
-        jk = int(v.argmax())
-        if v.flat[jk] > best:
-            best = int(v.flat[jk])
+    for i0 in range(0, n, rows):
+        top, m = tops[i0:i0 + rows], n - i0
+        v = vals[:len(top) * m * n].reshape(-1, m, n)
+        np.add(top, E[i0:], out=v)
+        v -= sides[i0:i0 + rows, i0:]
+        ijk = int(v.argmax())
+        if vals[ijk] > best:
+            best = int(vals[ijk])
+            i, jk = divmod(ijk, m * n)
             j, k = divmod(jk, n)
-            at = (i, i + j, k)
+            at = (i0 + i, i0 + j, k)
     return best, at
 
 
@@ -167,6 +235,12 @@ def _scan_dtype(top0: int, topd: int):
     """dtype of the fused scan table for distance tables with the given
     largest entries: a triple value is a sum of three entries of E."""
     return _int_dtype(3 * ((2 * topd + 1) * top0 + topd))
+
+
+def _scan_bytes(n: int, top0: int, topd: int) -> int:
+    """Bytes of the scan's arrays for distance tables with the given largest
+    entries: E, and its block buffer of rows*n*n entries (n*n for one row)."""
+    return (n * n + _block_rows(n) * n * n) * np.dtype(_scan_dtype(top0, topd)).itemsize
 
 
 def _check_memory(ball_trie: _PrefixTrie, image_trie: _PrefixTrie):
@@ -182,7 +256,7 @@ def _check_memory(ball_trie: _PrefixTrie, image_trie: _PrefixTrie):
         widest = int(np.bincount(trie.depth).max())
         # the table, the incidence, and the level rows: parent, child, gather
         need += n * n * size + trie.hyperplanes * n + widest * n * (2 * size + 1)
-    need += 2 * n * n * np.dtype(_scan_dtype(*tops)).itemsize    # E and its row buffer
+    need += _scan_bytes(n, *tops)
     have = _physical_memory()
     if have and need > have:
         raise MemoryLimitError(
@@ -204,8 +278,8 @@ def cmp_defect(phi, radius: int, cap: int = None) -> DefectReport:
     else:
         graph, images_map = phi
     ball = ball_codes(graph, radius, cap)
-    images = [D.apply_images(graph, images_map, w).codes for w in ball]
-    tries = _prefix_trie(graph, ball), _prefix_trie(graph, images)
+    ball_trie, images = _ball_trie(graph, ball, images_map)
+    tries = ball_trie, _prefix_trie(graph, images)
     _check_memory(*tries)
     best, (i, j, k) = _scan(*map(_distance_table, tries))
     return DefectReport(

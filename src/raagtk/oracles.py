@@ -87,67 +87,3 @@ def bfs_equal_words(adj, w1, w2, max_states=200_000) -> bool:
                     seen.add(nxt)
                     queue.append(nxt)
     return False
-
-
-def oracle_min_conjugate_length(graph, g_nf, ball_elements):
-    """Shortest reduced length among conjugates h g h^-1 over the supplied
-    ball of conjugators."""
-    from .words import inv_codes, normal_codes
-
-    best = len(g_nf.codes)
-    for h in ball_elements:
-        w = normal_codes(graph, h.codes + g_nf.codes + inv_codes(h.codes))
-        if len(w) < best:
-            best = len(w)
-    return best
-
-
-def closure_fixpoint(points, median_fn, cap=100_000):
-    """Naive fixpoint iteration: rescan every triple until nothing new."""
-    pts = []
-    seen = set()
-    for t in points:
-        t = tuple(t)
-        if t not in seen:
-            seen.add(t)
-            pts.append(t)
-    while True:
-        added = False
-        n = len(pts)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    m = median_fn(pts[i], pts[j], pts[k])
-                    if m not in seen:
-                        seen.add(m)
-                        pts.append(m)
-                        added = True
-                        if len(pts) > cap:
-                            return pts, True
-        if not added:
-            return pts, False
-
-
-def generated_subgroup_ball(graph, generators, length_cap, size_cap=200_000):
-    """All elements expressible with reduced length <= length_cap as products
-    of the generators and their inverses (closure by right multiplication)."""
-    from .words import identity, multiply
-
-    gens = []
-    for g in generators:
-        gens.append(g)
-        gens.append(g.inv())
-    seen = {identity(graph)}
-    frontier = [identity(graph)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                t = multiply(w, s)
-                if len(t.codes) <= length_cap and t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-                    if len(seen) > size_cap:
-                        raise MemoryError("generated ball too large")
-        frontier = nxt
-    return seen

@@ -117,11 +117,13 @@ def reduce_codes(adj, codes):
     return out
 
 
-def normal_codes(graph: DefGraph, codes) -> tuple:
-    """Canonical form of a word, built by insertion in one left-to-right
-    pass (see the module docstring)."""
+def normal_codes(graph: DefGraph, codes, prefix=()) -> tuple:
+    """Canonical form of prefix + codes, built by insertion in one
+    left-to-right pass (see the module docstring).  `prefix` must be
+    canonical: inserting its letters one by one would append each of them,
+    so the pass starts from it."""
     block = graph.block
-    out = []
+    out = list(prefix)
     for c in codes:
         bm = block[c >> 1]
         k = len(out) - 1
@@ -241,11 +243,10 @@ def count_vertex(codes, iv):
 
 def strip_suffix_in(graph: DefGraph, codes, allowed_mask):
     """Gate of the identity in the coset g*A_allowed (its unique minimal-length
-    representative) for canonical `codes`, as all four callers pass:
-    hyperplane_at, translate_hyperplane, trees.tree_vertex and
-    trees.translate_vertex.  One right-to-left pass drops each letter over
-    allowed_mask that commutes with every letter kept after it; a dropped
-    letter is last in its trace, so the kept letters stay canonical."""
+    representative) for canonical `codes` g; every caller passes a canonical
+    word.  One right-to-left pass drops each letter over allowed_mask that
+    commutes with every letter kept after it; a dropped letter is last in
+    its trace, so the kept letters stay canonical."""
     block = graph.block
     kept = []
     blocked = 0

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from raagtk.cmp import (
 from raagtk.errors import MemoryLimitError, RaagError
 from raagtk.dls import (
     FOLD,
+    MIXED,
     PARTIAL_CONJUGATION,
+    TWIST,
     apply,
     apply_images,
     build_partial_conjugation,
@@ -27,6 +30,7 @@ from raagtk.dls import (
     twist_split,
 )
 from raagtk.graph import DefGraph
+from raagtk.oracles import oracle_reduce
 from raagtk.selftest import CATALOG, catalog_graph, random_dls
 from raagtk.words import (
     _nf,
@@ -304,23 +308,60 @@ def _reference_scan(d0, dd):
 
 
 @pytest.mark.parametrize("gi", range(len(CATALOG)), ids=[c[0] for c in CATALOG])
-def test_scan_matches_reference(gi):
+def test_scan_matches_reference(gi, monkeypatch):
     graph = catalog_graph(gi)
     rng = random.Random(1000 + gi)
     radius = 3 if len(ball_codes(graph, 3)) <= 100 else 2
     ball = ball_codes(graph, radius)
+    n = len(ball)
     k = rand_nf(rng, graph, rng.randrange(1, 4))
     maps = [{v: multiply(multiply(k, normalize(graph, v)), k.inv()) for v in graph.vertices}]
     maps += [phi.generator_images for phi in (random_dls(rng, graph) for _ in range(2))
              if phi is not None]
     points = [_nf(graph, w) for w in ball]
     d0 = [[dist(x, y) for y in points] for x in points]
+    # block budgets: the default, one row, a row count that does not divide
+    # n, and the whole triangle in one block
+    uneven = next(r for r in range(2, n) if n % r)
+    budgets = [(C._SCAN_BLOCK, C._block_rows(n)), (1, 1), (uneven * n * n, uneven),
+               (n ** 3, n)]
     for images in maps:
         image = [apply_images(graph, images, w) for w in ball]
         dd = [[dist(x, y) for y in image] for x in image]
-        got = _scan(_distance_table(_prefix_trie(graph, ball)),
-                    _distance_table(_prefix_trie(graph, [w.codes for w in image])))
-        assert got == _reference_scan(d0, dd)
+        want = _reference_scan(d0, dd)
+        tables = (_distance_table(_prefix_trie(graph, ball)),
+                  _distance_table(_prefix_trie(graph, [w.codes for w in image])))
+        for budget, rows in budgets:
+            monkeypatch.setattr(C, "_SCAN_BLOCK", budget)
+            assert C._block_rows(n) == rows
+            assert _scan(*tables) == want, rows
+
+
+def _random_maps(rng, graph, count):
+    maps = [random_dls(rng, graph) for _ in range(count)]
+    return [phi for phi in maps if phi is not None]
+
+
+def test_ball_trie_grows_images_and_distances():
+    kinds = set()
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        rng = random.Random(3000 + gi)
+        ball = ball_codes(graph, 3 if len(graph) <= 2 else 2)
+        phis = _random_maps(rng, graph, 8)
+        kinds.update(phi.kind for phi in phis)
+        maps = [{v: normalize(graph, v) for v in graph.vertices}]
+        maps += [phi.generator_images for phi in phis]
+        for images in maps:
+            trie, grown = C._ball_trie(graph, ball, images)
+            assert grown == [apply_images(graph, images, w).codes for w in ball]
+            assert trie.ends.tolist() == list(range(len(ball)))
+        table = _distance_table(trie)
+        assert np.array_equal(table, _distance_table(_prefix_trie(graph, ball)))
+        for i, u in enumerate(ball):
+            ui = inv_codes(u)
+            assert table[i].tolist() == [len(oracle_reduce(graph.adj, ui + v)) for v in ball]
+    assert kinds == {FOLD, MIXED, PARTIAL_CONJUGATION, TWIST}
 
 
 def test_fused_scan_in_int32(monkeypatch):
@@ -377,6 +418,35 @@ def test_memory_check_before_tables(monkeypatch):
     monkeypatch.setattr(C, "_physical_memory", lambda: 0)     # unknown: no check
     with pytest.raises(AssertionError):
         cmp_defect(_fold(), 5)
+
+
+def test_scan_bytes_cover_what_the_scan_allocates():
+    plane = DefGraph(["a", "b"], [("a", "b")])
+    free = DefGraph(["a", "c"])
+    twist = build_transvection(plane, "b", normalize(plane, "a"))
+    long_fold = build_transvection(free, "a", normalize(free, _power("c", 80)))
+    # n = 5 to 485: blocks of 2621 rows down to one row, int16 and int32 scans
+    for phi, radius in ((_fold(), 1), (twist, 4), (twist, 8), (_fold(), 5), (long_fold, 4)):
+        graph = phi.graph
+        ball = ball_codes(graph, radius)
+        ball_trie, images = C._ball_trie(graph, ball, phi.generator_images)
+        image_trie = _prefix_trie(graph, images)
+        D0, DD = _distance_table(ball_trie), _distance_table(image_trie)
+        n, top0, topd = len(ball), int(D0.max()), int(DD.max())
+        predicted = C._scan_bytes(n, top0, topd)
+        # _check_memory counts the scan at word-length bounds of the entries
+        assert predicted <= C._scan_bytes(n, 2 * int(ball_trie.depth.max()),
+                                          2 * int(image_trie.depth.max()))
+        tracemalloc.start()
+        try:
+            _scan(D0, DD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # besides its arrays, numpy's ufunc loop may buffer up to getbufsize()
+        # elements of each of its three operands
+        slack = 3 * np.getbufsize() * np.dtype(_scan_dtype(top0, topd)).itemsize
+        assert peak <= predicted + slack, (n, peak, predicted)
 
 
 def test_memory_check_passes_small_balls(monkeypatch):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from raagtk import oracles as O
 from raagtk.errors import OutOfRangeError, PreconditionError, RadiusTooSmallError
 from raagtk.subgroups import (
     intersect,
@@ -23,6 +22,29 @@ from raagtk.words import (
 )
 
 from conftest import rand_nf
+
+
+def generated_subgroup_ball(graph, generators, length_cap, size_cap=200_000):
+    """All elements expressible with reduced length <= length_cap as products
+    of the generators and their inverses (closure by right multiplication)."""
+    gens = []
+    for g in generators:
+        gens.append(g)
+        gens.append(g.inv())
+    seen = {identity(graph)}
+    frontier = [identity(graph)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                t = multiply(w, s)
+                if len(t.codes) <= length_cap and t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+                    if len(seen) > size_cap:
+                        raise MemoryError("generated ball too large")
+        frontier = nxt
+    return seen
 
 
 def subgroup_equal_on_ball(sf1, sf2, radius):
@@ -102,7 +124,7 @@ def test_member_agrees_with_generator_closure():
             continue
         done += 1
         gens = [root] + [normalize(graph, v) for v in supp]
-        closure = O.generated_subgroup_ball(graph, gens, 6)
+        closure = generated_subgroup_ball(graph, gens, 6)
         for codes in ball_codes(graph, 3):
             h = _nf(graph, codes)
             got = member(sf, h)

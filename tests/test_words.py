@@ -26,6 +26,43 @@ from raagtk.words import (
 from conftest import first_code_set, graph_and_word, graph_and_words, rand_nf
 
 
+def oracle_min_conjugate_length(graph, g_nf, ball_elements):
+    """Shortest reduced length among conjugates h g h^-1 over the supplied
+    ball of conjugators."""
+    best = len(g_nf.codes)
+    for h in ball_elements:
+        w = normal_codes(graph, h.codes + g_nf.codes + inv_codes(h.codes))
+        if len(w) < best:
+            best = len(w)
+    return best
+
+
+def closure_fixpoint(points, median_fn, cap=100_000):
+    """Naive fixpoint iteration: rescan every triple until nothing new."""
+    pts = []
+    seen = set()
+    for t in points:
+        t = tuple(t)
+        if t not in seen:
+            seen.add(t)
+            pts.append(t)
+    while True:
+        added = False
+        n = len(pts)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    m = median_fn(pts[i], pts[j], pts[k])
+                    if m not in seen:
+                        seen.add(m)
+                        pts.append(m)
+                        added = True
+                        if len(pts) > cap:
+                            return pts, True
+        if not added:
+            return pts, False
+
+
 # -- parsing / formatting -----------------------------------------------------
 
 def test_parse_word_round_trip(path3):
@@ -164,7 +201,7 @@ def test_cyclic_reduce_reaches_conjugacy_minimum(gw):
     assert 2 * len(x) + len(core) == len(g)
     # bounded conjugacy search cannot find anything shorter
     ball = [_nf(graph, w) for w in ball_codes(graph, min(len(g), 4))]
-    assert O.oracle_min_conjugate_length(graph, g, ball) == len(core)
+    assert oracle_min_conjugate_length(graph, g, ball) == len(core)
 
 
 # -- geodesics and hyperplanes --------------------------------------------------
@@ -312,7 +349,7 @@ def test_closure_is_median_closed_and_minimal(z2, free2):
             ]
             res = subalgebra_closure(pts)
             got = {t for t in res.elements}
-            oracle, trunc = O.closure_fixpoint(
+            oracle, trunc = closure_fixpoint(
                 pts, lambda a, b, c: (median(a[0], b[0], c[0]),)
             )
             assert not trunc and not res.truncated
@@ -324,7 +361,7 @@ def test_closure_square_corners_already_closed(z2):
     # of corner triples are corners (fixpoint oracle confirms)
     corners = [(normalize(z2, w),) for w in ("1", "a a", "b b", "a a b b")]
     res = subalgebra_closure(corners)
-    oracle, _ = O.closure_fixpoint(
+    oracle, _ = closure_fixpoint(
         corners, lambda a, b, c: (median(a[0], b[0], c[0]),)
     )
     assert len(res.elements) == len(oracle) == 4
@@ -334,7 +371,7 @@ def test_closure_generates_new_points(z2):
     pts = [(normalize(z2, w),) for w in ("1", "a a", "a b")]
     res = subalgebra_closure(pts)
     assert len(res.elements) > 3
-    oracle, _ = O.closure_fixpoint(pts, lambda a, b, c: (median(a[0], b[0], c[0]),))
+    oracle, _ = closure_fixpoint(pts, lambda a, b, c: (median(a[0], b[0], c[0]),))
     assert set(res.elements) == set(oracle)
 
 
