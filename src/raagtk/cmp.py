@@ -264,7 +264,7 @@ def _check_memory(ball_trie: _PrefixTrie, image_trie: _PrefixTrie):
             "the %.1f GiB of physical memory" % (n, need / 2**30, have / 2**30))
 
 
-def cmp_defect(phi, radius: int, cap: int = None) -> DefectReport:
+def cmp_defect(phi, radius: int) -> DefectReport:
     """Exhaustive defect of the automorphism over the ball of the given
     radius: max over ball elements x, y and p between them (also in the
     ball) of the distance from image(p) to the median of the three images.
@@ -277,7 +277,7 @@ def cmp_defect(phi, radius: int, cap: int = None) -> DefectReport:
         images_map = phi.generator_images
     else:
         graph, images_map = phi
-    ball = ball_codes(graph, radius, cap)
+    ball = ball_codes(graph, radius)
     ball_trie, images = _ball_trie(graph, ball, images_map)
     tries = ball_trie, _prefix_trie(graph, images)
     _check_memory(*tries)

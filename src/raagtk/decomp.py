@@ -52,6 +52,14 @@ def chain_constant(q: int, vertex_count: int) -> int:
     return max(2 * nq * vertex_count, nq ** vertex_count)
 
 
+def _reduced_codes(graph: DefGraph, word) -> tuple:
+    """The codes of a word or NormalForm; raises if the word is not reduced."""
+    codes = word.codes if hasattr(word, "codes") else tuple(word)
+    if len(reduce_codes(graph.adj, codes)) != len(codes):
+        raise UnreducedWordError("word is not reduced")
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # hyperplane pairs
 # ---------------------------------------------------------------------------
@@ -84,9 +92,7 @@ def pair_from_word(
         raise PreconditionError("a pair needs two distinct crossings")
     if i > j:
         i, j = j, i
-    word_codes = tuple(word_codes)
-    if len(reduce_codes(graph.adj, word_codes)) != len(word_codes):
-        raise UnreducedWordError("word is not reduced")
+    word_codes = _reduced_codes(graph, word_codes)
     bcodes, acodes = realize_pair_span(graph, word_codes, i, j)
     start = base.codes if base is not None else ()
     b = _nf(graph, normal_codes(graph, start + bcodes))
@@ -137,9 +143,7 @@ def is_decent(graph: DefGraph, word) -> DecencyReport:
     k_v + 1 holds exactly one; it is reduced, and cyclic reduction removes
     letters in pairs over one vertex, so its core keeps an odd number of
     v-letters and v is in its Gamma."""
-    codes = word.codes if hasattr(word, "codes") else tuple(word)
-    if len(reduce_codes(graph.adj, codes)) != len(codes):
-        raise UnreducedWordError("word is not reduced")
+    codes = _reduced_codes(graph, word)
     first = {}
     for k, c in enumerate(codes):
         first.setdefault(c >> 1, k)
@@ -180,9 +184,7 @@ def decompose_good(graph: DefGraph, word) -> Decomposition:
     label it uses appears at least twice; otherwise the unique edge of some
     once-occurring label splits it into three parts and the outer parts
     recurse.  Single edges are their own pieces."""
-    codes = word.codes if hasattr(word, "codes") else tuple(word)
-    if len(reduce_codes(graph.adj, codes)) != len(codes):
-        raise UnreducedWordError("word is not reduced")
+    codes = _reduced_codes(graph, word)
 
     pieces = []
 

@@ -186,12 +186,10 @@ def criterion_1(seed=0, jobs=None) -> CriterionResult:
 C2_GRAPHS = ["E2", "K2", "E3", "P3", "K3", "C4", "P4"]
 C2_RADIUS = 3
 
-_C2_CACHE = {}
 
-
-def _c2_prepare(gi):
-    if gi in _C2_CACHE:
-        return _C2_CACHE[gi]
+def _c2_graph(gi):
+    """(checked, bad) for median_codes against the halfspace-majority
+    oracle over every triple i <= j <= k of graph gi's radius-R ball."""
     graph = catalog_graph(gi)
     # every wall separating 1 from a median separates 1 from two of the
     # inputs, so medians of radius-R triples live in the radius-floor(3R/2)
@@ -216,16 +214,9 @@ def _c2_prepare(gi):
             i0:i1, :n, None
         ]
     index = {w: i for i, w in enumerate(big)}
-    _C2_CACHE[gi] = (graph, big, n, T, index)
-    return _C2_CACHE[gi]
-
-
-def _c2_task(args):
-    gi, first, stride = args
-    graph, big, n, T, index = _c2_prepare(gi)
     bad = 0
     checked = 0
-    for i in range(first, n, stride):
+    for i in range(n):
         Bi = T[i]
         for j in range(i, n):
             row = Bi[j]
@@ -246,14 +237,11 @@ def _c2_task(args):
 def criterion_2(seed=0, jobs=None) -> CriterionResult:
     t0 = time.time()
     name_to_idx = {name: k for k, (name, _, _) in enumerate(CATALOG)}
-    tasks = []
-    for name in C2_GRAPHS:
-        gi = name_to_idx[name]
-        n = len(ball_codes(catalog_graph(gi), C2_RADIUS))
-        # the work of row i falls as i grows; strided rows share it evenly
-        nchunks = max(1, min(8, n // 40))
-        tasks.extend((gi, r, nchunks) for r in range(nchunks))
-    results = _map(_c2_task, tasks, default_jobs(jobs))
+    tasks = [name_to_idx[name] for name in C2_GRAPHS]
+    # one task per graph, largest ball first: the largest runs while the
+    # other workers take the rest
+    tasks.sort(key=lambda gi: -len(ball_codes(catalog_graph(gi), C2_RADIUS)))
+    results = _map(_c2_graph, tasks, default_jobs(jobs))
     checked = sum(r[0] for r in results)
     bad = sum(r[1] for r in results)
     dt = time.time() - t0
@@ -608,8 +596,6 @@ def criterion_11(seed=0, jobs=None) -> CriterionResult:
         pair = DC.pair_from_word(graph, w.codes, i, j)
         # re-base the realizing geodesic at the identity for the ball oracle
         pair0 = DC.pair_from_word(graph, pair.between, 0, len(pair.between) - 1)
-        if not DC.pair_is_decent(pair0).decent:
-            continue
         made += 1
         cls = DC.classify_decent_pair(pair0)
         cases[cls.case] += 1

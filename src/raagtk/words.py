@@ -541,8 +541,9 @@ def median_codes(graph: DefGraph, x, y, z):
 
 
 def median(x: NormalForm, y: NormalForm, z: NormalForm) -> NormalForm:
-    """The cubical median m(x, y, z): walk from x along letters that start
-    both x^-1 y and x^-1 z until no common first letter remains."""
+    """The cubical median m(x, y, z) = (x ^ y) v (y ^ z) v (z ^ x), the join
+    of the three meets rooted at 1, by median_codes (see "Median" in the
+    module docstring)."""
     if x.graph != y.graph or x.graph != z.graph:
         raise GraphMismatchError("median arguments on different graphs")
     if x == y or x == z:

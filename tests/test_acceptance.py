@@ -20,3 +20,27 @@ def test_criterion(fn):
     print("%s %2d %s: %s" % ("PASS" if res.passed else "FAIL",
                              res.number, res.name, res.detail))
     assert res.passed, "%s: %s" % (res.name, res.detail)
+
+
+def _catalog_index(name):
+    return [entry[0] for entry in ST.CATALOG].index(name)
+
+
+@pytest.mark.parametrize("name, n", [("E2", 53), ("K2", 25)])
+def test_c2_graph_checks_each_triple_once(name, n):
+    # every i <= j <= k of the radius-3 ball, once: n(n+1)(n+2)/6
+    assert ST._c2_graph(_catalog_index(name)) == (n * (n + 1) * (n + 2) // 6, 0)
+
+
+def test_criterion_2_submits_largest_ball_first(monkeypatch):
+    submitted = []
+
+    def fake_map(fn, tasks, jobs):
+        submitted.extend(tasks)
+        return [(0, 0)] * len(tasks)
+
+    monkeypatch.setattr(ST, "_map", fake_map)
+    res = ST.criterion_2()
+    order = ["P4", "C4", "E3", "P3", "K3", "E2", "K2"]
+    assert submitted == [_catalog_index(name) for name in order]
+    assert "over E2/K2/E3/P3/K3/C4/P4," in res.detail

@@ -106,6 +106,13 @@ def test_is_decent_rejects_unreduced(path3):
         is_decent(path3, (1, 0))  # a a^-1
 
 
+def test_pair_from_word_and_decompose_good_reject_unreduced(path3):
+    with pytest.raises(UnreducedWordError):
+        pair_from_word(path3, (1, 2, 0), 0, 2)  # a b^-1 a^-1, a and b commute
+    with pytest.raises(UnreducedWordError):
+        decompose_good(path3, (1, 2, 0))
+
+
 def test_decompose_good_single_good_piece(path3):
     d = decompose_good(path3, normalize(path3, "c c c"))
     assert len(d.pieces) == 1 and d.pieces[0].tag == GOOD
