@@ -15,6 +15,8 @@ of it also grows the images: the image of a word continues the normal form
 of its parent's image by the image of its last letter.  The images get a
 trie of their own.  The scan reads one fused table in which "between" and
 "how far from the median" are a single integer, a block of rows at a time.
+For folds and partial conjugations the defect never exceeds |z|
+(defect_ceiling), so their scan stops at the first block that reaches it.
 All of it is exact integer numpy code.
 """
 
@@ -187,9 +189,11 @@ def _block_rows(n: int) -> int:
     return max(1, _SCAN_BLOCK // (n * n))
 
 
-def _scan(D0, DD):
+def _scan(D0, DD, stop=None):
     """Least (i, j, k), j >= i, maximising DD[i, k] + DD[k, j] - DD[i, j] over k
     between i and j (D0[i, k] + D0[k, j] == D0[i, j]), with that maximum.
+    `stop`, if given, must be an upper bound on that maximum; the scan ends
+    after the first block whose best value reaches it.
 
     The scan reads one table E = DD - c*D0 with c = 2*max(DD) + 1, where
     E[i, k] + E[k, j] - E[i, j] is the DD value of a between triple (>= 0 by
@@ -206,7 +210,9 @@ def _scan(D0, DD):
     such a cell, and on the scan's own cells that order is the order of
     (i, j, k): the first flat maximum is the block's least witness.  Blocks
     go in ascending i0, so a later block only replaces the witness with a
-    strictly larger value."""
+    strictly larger value.  Once the best value reaches `stop`, no later
+    block can exceed it, so the witness found is already the least one and
+    the scan ends there."""
     n = len(D0)
     top0, topd = int(D0.max(initial=0)), int(DD.max(initial=0))
     c = 2 * topd + 1
@@ -228,6 +234,8 @@ def _scan(D0, DD):
             i, jk = divmod(ijk, m * n)
             j, k = divmod(jk, n)
             at = (i0 + i, i0 + j, k)
+            if stop is not None and best >= stop:
+                break
     return best, at
 
 
@@ -264,12 +272,129 @@ def _check_memory(ball_trie: _PrefixTrie, image_trie: _PrefixTrie):
             "the %.1f GiB of physical memory" % (n, need / 2**30, have / 2**30))
 
 
+def defect_ceiling(phi):
+    """|z| for a fold or a partial conjugation with twist element z, which
+    bounds its defect at every radius; None for every other map.
+
+    Notation.  The Cayley graph is the 1-skeleton of a CAT(0) cube complex.
+    H(g) is the set of hyperplanes separating 1 from g, so |g| = |H(g)|; g is
+    a prefix of h (g <= h) iff H(g) lies in H(h); the meet x ^ y = m(1, x, y)
+    has H(x ^ y) = H(x) & H(y); and H(gt) is the symmetric difference of H(g)
+    and gH(t).  A hyperplane is labelled by the vertex of its dual edges.
+    Translates keep the label, and hyperplanes that cross have adjacent
+    labels, so two with one label never cross.  |g|_l counts the members of
+    H(g) labelled l, that is the letters l of g, and A_S is the subgroup on
+    the vertex set S.
+
+    Rooted identity.  D(R) = max{|F(x) ^ F(y)| : x ^ y = 1, |x| + |y| <= 2R}.
+    For a scanned triple (x, y, p) put x' = p^-1 x and y' = p^-1 y.  Left
+    multiplication by F(p)^-1 is an isometry that keeps medians, and
+    F(p^-1 x) = F(p)^-1 F(x), so the triple's value d(Fp, m(Fp, Fx, Fy)) is
+    d(1, m(1, Fx', Fy')) = |Fx' ^ Fy'|.  p is between x and y iff
+    d(x, p) + d(p, y) = d(x, y), that is |x'| + |y'| = |x'^-1 y'|, which is
+    |x'| + |y'| - 2|x' ^ y'|; so iff x' ^ y' = 1, and then
+    |x'| + |y'| = d(x, y) <= 2R.  Conversely, for such x' and y' the path
+    x' -> 1 -> y' read by x'^-1 y' is a geodesic of length L <= 2R.  Its
+    vertex q at distance floor(L/2) from x' is within
+    ceil(L/2) <= R of both ends, and within R of 1, since 1 lies on the
+    geodesic from q to one of the ends.  So p = q^-1, x = q^-1 x' and
+    y = q^-1 y' lie in the ball, p is between x and y, and the triple's
+    value is |Fx' ^ Fy'|.
+
+    (A) Let psi be an automorphism and u a vertex with psi(s) in A_{V-u} for
+    every vertex s != u, psi(u) = e u e' for some e, e' in A_{V-u}, and
+    psi(A_lk(u)) = e A_lk(u) e^-1.  The u-hyperplane of an edge (k, ku) is
+    named by the coset k A_lk(u); Phi sends it to the one named by
+    psi(k) e A_lk(u), which is well defined and one to one by the last
+    condition.  Then the u-hyperplanes in H(psi(w)) are Phi of those in
+    H(w).  Substitute the images into a geodesic word for w: the path's
+    u-edges are one per letter u^+-1 of w, and each crosses Phi of the
+    hyperplane that the letter crosses (for u^-1 read at k, the coset of
+    psi(k u^-1) e is that of psi(k) e'^-1 u^-1).  A geodesic crosses a
+    hyperplane at most once, and a hyperplane separates 1 from psi(w) iff
+    the path crosses it an odd number of times.  So if x ^ y = 1, no
+    u-hyperplane separates 1 from both psi(x) and psi(y).
+    (B) Let h be the largest prefix of x in A_S, and hs <= x for a letter s
+    of a vertex u outside S.  If (A) holds for u and Phi sends the
+    hyperplane of the edge (h, hs) to that of an edge (q, qs) with q in A_S,
+    then for p in A_S with p <= psi(x) every member of H(p) - H(q) has its
+    label in lk(u).  Indeed that hyperplane W separates 1 from psi(x), by
+    (A), and A_S, which holds 1, p and q, lies on one side of it and qs on
+    the other.  A member G of H(p) - H(q) is not W, so it has 1, q and qs on
+    one side and p, psi(x) on the other.  Then 1, p, psi(x) and qs fill the
+    four quadrants of G and W, so G and W cross.
+    (C) If a ^ b = 1, then |at ^ bt|_l <= |t|_l for every t and label l.
+    Let T_a = aH(t) and T_b = bH(t), the hyperplanes separating a from at
+    and b from bt; lam = b a^-1 maps T_a onto T_b.  H(a) and H(b) are
+    disjoint, so H(at ^ bt) is the disjoint union of P = H(a) & T_b - T_a,
+    Q = H(b) & T_a - T_b and N = T_a & T_b - H(a) - H(b), whose members split
+    the points as {1, b | a, at, bt}, {1, a | b, at, bt} and
+    {1, a, b | at, bt}.  For G in P follow G, lam^-1 G, lam^-2 G, ... and
+    let f(G) be the first term after G that is not in N.  A term in P or N
+    separates b from bt and has at on the side of bt, so the next term lies
+    in T_a, and lam^-1 maps the at side of a term onto the at side of the
+    next.  f(G) is not in Q: if the second term were in Q, the points 1, a,
+    b and at would put it across G; otherwise the second term is in N, the
+    points 1, a and at put its at side inside that of G, so the at side of
+    f(G) lies inside that of G, which misses b, while every member of Q has
+    b on its at side.  The chain ends, since a repeated term would make G
+    itself a term in N; and f is one to one, since of two chains with one
+    end the longer would pass through the start of the other.  f keeps
+    labels and maps P into T_a - Q - N, so
+    |P|_l + |Q|_l + |N|_l <= |T_a|_l = |t|_l.
+
+    Ceilings.  Let x ^ y = 1 and g = F(x) ^ F(y).
+
+    A fold F: v -> zv has no letter of z in st(v), and every letter of z is
+    adjacent to all of lk(v).  (A) holds for u = v with e = z, e' = 1, and
+    for every other u outside supp(z) with e = e' = 1 (if v is in lk(u),
+    then u is in lk(v) and zv lies in A_lk(u)).  So the labels of g lie in
+    supp(z), and g lies in A_S for S = V - v.  If x is in A_S, then
+    g <= F(x) = x; put q_x = x.  Otherwise h v^+-1 <= x for the largest
+    prefix h of x in A_S, and Phi sends the edge (h, hv) to (hz, hzv) and
+    (h, hv^-1) to itself.  By (B), with q_x = hz or h, the members of
+    H(g) - H(q_x) have labels in lk(v) & supp(z), which is empty, so
+    g <= q_x.  Likewise g <= q_y.  Prefixes of x and of y meet in 1, H(hz)
+    lies in the union of H(h) and hH(z), and (C) covers q_x = h_x z and
+    q_y = h_y z, so |g| <= |q_x ^ q_y| <= |z|.
+
+    A partial conjugation F on the splitting (A, B, C) fixes A_A and
+    conjugates A_B by z.  The letters of z lie in A and have C in their
+    stars, and no vertex of A - C is adjacent to one of B - C.  (A) holds
+    for u in B - C with e = z, e' = z^-1 (lk(u) lies in B), and for u in
+    A - supp(z) with e = e' = 1 (lk(u) lies in A if u is not in C, and z
+    lies in A_lk(u) if u is in C).  So g lies in A_supp(z), inside A_A.
+    (1) Labels l of z adjacent to no vertex of B - C, such as every label in
+    A - C.  If x is in A_A, put q_x = x.  Otherwise hs <= x for the largest
+    prefix h of x in A_A and a letter s of some u in B - C, and Phi sends
+    (h, hs) to (hz, hzs).  With q_x = hz, (B) puts the l-members of H(g)
+    in H(q_x), and as for folds |g|_l <= |q_x ^ q_y|_l <= |z|_l.
+    (2) Labels c of z in C.  c is adjacent to every other letter of z, so
+    g = c^m g1 and z = c^k z1 with no c in g1 or z1, and the c-members of
+    H(g) are the hyperplanes of the edges (c^(i-1), c^i) for 0 < i <= m
+    (m > 0; m < 0 is alike).  F = F1 F2 for the partial conjugations F1 by
+    z1 and F2 by c^k.  (A) holds for F1 and u = c, and its Phi fixes each of
+    those hyperplanes, so they separate 1 from F2(x) and from F2(y):
+    |m| <= |F2(x) ^ F2(y)|.  F2 fixes the vertices B0 of B - C adjacent to
+    c, so it is the identity if B0 = B - C, and otherwise the partial
+    conjugation by c^k on the splitting whose A side also holds B0 and
+    whose C side also holds the vertices of B0 adjacent to the rest of
+    B - C (c centralises them).  There c is adjacent to no vertex of the
+    B side minus the C side, and (1) gives |F2(x) ^ F2(y)| <= |k|.
+    Summed over the labels of z, |g| <= |z|.  With the rooted identity,
+    D(R) <= |z| at every radius."""
+    if isinstance(phi, D.DlsAutomorphism) and phi.kind in (D.FOLD, D.PARTIAL_CONJUGATION):
+        return len(phi.twist_element)
+    return None
+
+
 def cmp_defect(phi, radius: int) -> DefectReport:
     """Exhaustive defect of the automorphism over the ball of the given
     radius: max over ball elements x, y and p between them (also in the
     ball) of the distance from image(p) to the median of the three images.
     The witness is the lexicographically least maximizing triple in ball
-    order."""
+    order.  Folds and partial conjugations end the scan at twice their
+    defect_ceiling, the largest value a scanned triple can take."""
     if radius < 1:
         raise OutOfRangeError("radius must be >= 1")
     if isinstance(phi, D.DlsAutomorphism):
@@ -277,11 +402,13 @@ def cmp_defect(phi, radius: int) -> DefectReport:
         images_map = phi.generator_images
     else:
         graph, images_map = phi
+    ceiling = defect_ceiling(phi)
     ball = ball_codes(graph, radius)
     ball_trie, images = _ball_trie(graph, ball, images_map)
     tries = ball_trie, _prefix_trie(graph, images)
     _check_memory(*tries)
-    best, (i, j, k) = _scan(*map(_distance_table, tries))
+    best, (i, j, k) = _scan(*map(_distance_table, tries),
+                            None if ceiling is None else 2 * ceiling)
     return DefectReport(
         radius,
         best // 2,

@@ -249,6 +249,21 @@ def verify_automorphism(phi, inverse_images: dict = None, graph: DefGraph = None
 # outer-order certificates
 # ---------------------------------------------------------------------------
 
+# most letters one certificate may handle; see certificate_work
+CERTIFY_WORK = 10 ** 6
+
+
+def certificate_work(phi: DlsAutomorphism, probes, max_power: int) -> int:
+    """An upper bound on the letters outer_order_certificate handles: the sum
+    of 1 + |phi^n(p)| over probes p and powers 0 <= n <= N = max_power.
+    phi^n is the map of the same kind with twist element z^n (phi fixes z),
+    which sends each generator to a word of at most 1 + 2n|z| letters, so
+    |phi^n(p)| <= |p|(1 + 2n|z|), and the sum over n is at most
+    (N + 1)(1 + |p|(1 + N|z|))."""
+    n, z = max_power, len(phi.twist_element)
+    return (n + 1) * sum(1 + len(p) * (1 + n * z) for p in probes)
+
+
 class OuterOrderReport(NamedTuple):
     max_power: int
     traces: dict          # probe (str) -> list of cyclic core lengths, n = 0..max_power
@@ -268,6 +283,11 @@ def outer_order_certificate(
         raise PreconditionError("probes must be nonempty")
     if max_power < 1:
         raise OutOfRangeError("max_power must be >= 1")
+    work = certificate_work(phi, probes, max_power)
+    if work > CERTIFY_WORK:
+        raise OutOfRangeError(
+            "max_power %d with these probes may handle %d letters, more than %d"
+            % (max_power, work, CERTIFY_WORK))
     graph = phi.graph
     traces = {}
     outer_powers = {}

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import raagtk
-from raagtk import selftest
+from raagtk import dls, selftest
 from raagtk.cli import main
 from raagtk.errors import InvalidSettingError
 
@@ -112,6 +113,21 @@ def test_dls_build_apply_certify(graph_files, capsys):
                          "--dls", "twist v=b z=a", "--max-power", "6",
                          "--probes", "b")
     assert doc["certificate"] == "NOT_INNER_UP_TO(6)"
+
+
+def test_certify_refuses_a_huge_max_power_before_iterating(graph_files, capsys,
+                                                          monkeypatch):
+    def no_power(*args):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(dls, "apply", no_power)
+    monkeypatch.setattr(dls, "cyclic_reduce_codes", no_power)
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, "dls", "certify", "--graph", graph_files["z2"],
+                         "--dls", "twist v=b z=a", "--probes", "a",
+                         "--max-power", "100000000")
+    assert time.perf_counter() - t0 < 2
+    assert code == 1 and doc["error"] == "out_of_range"
 
 
 def test_element_subcommands(graph_files, capsys):

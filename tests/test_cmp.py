@@ -31,7 +31,7 @@ from raagtk.dls import (
 )
 from raagtk.graph import DefGraph
 from raagtk.oracles import oracle_reduce
-from raagtk.selftest import CATALOG, catalog_graph, random_dls
+from raagtk.selftest import CATALOG, catalog_graph, random_dls, rooted_defect
 from raagtk.words import (
     _nf,
     ball_codes,
@@ -179,6 +179,7 @@ def test_certify_family_bounds_defect_on_random_transvections():
             z_c, _ = twist_split(graph, phi.splitting.vertex, phi.twist_element)
             rep = cmp_certify(phi)
             assert (rep.family is None) == (phi.kind == FOLD)
+            assert (C.defect_ceiling(phi) is None) == (phi.kind != FOLD)
             assert (rep.verdict == CMP_BY_THM) == (not z_c)
             if z_c:
                 families += 1
@@ -307,6 +308,18 @@ def _reference_scan(d0, dd):
     return best, at
 
 
+def _block_budgets(monkeypatch, n):
+    """Set each block budget in turn and yield its rows per block: the
+    default, one row, a row count that does not divide n, and the whole
+    triangle in one block."""
+    uneven = next(r for r in range(2, n) if n % r)
+    for budget, rows in ((C._SCAN_BLOCK, C._block_rows(n)), (1, 1),
+                         (uneven * n * n, uneven), (n ** 3, n)):
+        monkeypatch.setattr(C, "_SCAN_BLOCK", budget)
+        assert C._block_rows(n) == rows
+        yield rows
+
+
 @pytest.mark.parametrize("gi", range(len(CATALOG)), ids=[c[0] for c in CATALOG])
 def test_scan_matches_reference(gi, monkeypatch):
     graph = catalog_graph(gi)
@@ -320,26 +333,47 @@ def test_scan_matches_reference(gi, monkeypatch):
              if phi is not None]
     points = [_nf(graph, w) for w in ball]
     d0 = [[dist(x, y) for y in points] for x in points]
-    # block budgets: the default, one row, a row count that does not divide
-    # n, and the whole triangle in one block
-    uneven = next(r for r in range(2, n) if n % r)
-    budgets = [(C._SCAN_BLOCK, C._block_rows(n)), (1, 1), (uneven * n * n, uneven),
-               (n ** 3, n)]
     for images in maps:
         image = [apply_images(graph, images, w) for w in ball]
         dd = [[dist(x, y) for y in image] for x in image]
         want = _reference_scan(d0, dd)
         tables = (_distance_table(_prefix_trie(graph, ball)),
                   _distance_table(_prefix_trie(graph, [w.codes for w in image])))
-        for budget, rows in budgets:
-            monkeypatch.setattr(C, "_SCAN_BLOCK", budget)
-            assert C._block_rows(n) == rows
+        for rows in _block_budgets(monkeypatch, n):
             assert _scan(*tables) == want, rows
 
 
 def _random_maps(rng, graph, count):
     maps = [random_dls(rng, graph) for _ in range(count)]
     return [phi for phi in maps if phi is not None]
+
+
+def test_scan_stops_at_the_ceiling(monkeypatch):
+    # folds and partial conjugations: the full scan never passes 2|z|, and
+    # the scan that stops there returns the same (value, witness)
+    cases = attained = 0
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        rng = random.Random(6000 + gi)
+        phis = [phi for phi in _random_maps(rng, graph, 12)
+                if phi.kind in (FOLD, PARTIAL_CONJUGATION)][:3]
+        for radius in (1, 2, 3):
+            ball = ball_codes(graph, radius)
+            if len(ball) > 100:
+                break
+            for phi in phis:
+                ball_trie, images = C._ball_trie(graph, ball, phi.generator_images)
+                tables = (_distance_table(ball_trie),
+                          _distance_table(_prefix_trie(graph, images)))
+                stop = 2 * len(phi.twist_element)
+                assert C.defect_ceiling(phi) == len(phi.twist_element)
+                full = _reference_scan(*(t.tolist() for t in tables))
+                assert full[0] <= stop, (phi.describe(), radius)
+                for rows in _block_budgets(monkeypatch, len(ball)):
+                    assert _scan(*tables, stop) == _scan(*tables) == full, rows
+                cases += 1
+                attained += full[0] == stop
+    assert (cases, attained) == (90, 64)
 
 
 def test_ball_trie_grows_images_and_distances():
@@ -368,9 +402,9 @@ def test_fused_scan_in_int32(monkeypatch):
     # a -> c^80 a at R = 4: the fused scan values pass int16
     dtypes = []
 
-    def scan(D0, DD):
+    def scan(D0, DD, stop=None):
         dtypes.append(_scan_dtype(int(D0.max()), int(DD.max())))
-        return _scan(D0, DD)
+        return _scan(D0, DD, stop)
 
     monkeypatch.setattr(C, "_scan", scan)
     free = DefGraph(["a", "c"])
@@ -462,3 +496,18 @@ def test_memory_limit_is_cli_domain_error(monkeypatch, tmp_path, capsys):
                  "--radius", "5", "--json"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["error"] == "memory_limit"
+
+
+def test_rooted_defect_matches_cmp_defect():
+    # the rooted identity (cmp.defect_ceiling) as an oracle: meets of images
+    # over pairs x ^ y = 1 with |x| + |y| <= 2R, no distance table
+    rng = random.Random(5100)
+    kinds = set()
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        # radius 2 over 4 vertices holds up to 3201 ball(4) elements: one map
+        for k, phi in enumerate(_random_maps(rng, graph, 4)):
+            kinds.add(phi.kind)
+            for r in (1, 2) if len(graph) <= 3 or k == 0 else (1,):
+                assert rooted_defect(phi, r) == cmp_defect(phi, r).defect, (phi.describe(), r)
+    assert kinds == {FOLD, MIXED, PARTIAL_CONJUGATION, TWIST}

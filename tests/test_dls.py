@@ -5,11 +5,13 @@ import pytest
 from raagtk.dls import (
     FOLD,
     MIXED,
+    CERTIFY_WORK,
     PARTIAL_CONJUGATION,
     TWIST,
     apply,
     build_partial_conjugation,
     build_transvection,
+    certificate_work,
     compose,
     inverse,
     outer_order_certificate,
@@ -271,13 +273,33 @@ def test_random_dls_draws_pinned():
     (lambda z2: outer_order_certificate(
         build_transvection(z2, "b", normalize(z2, "a")), [normalize(z2, "a")], -1),
      OutOfRangeError),
+    (lambda z2: outer_order_certificate(
+        build_transvection(z2, "b", normalize(z2, "a")), [normalize(z2, "a")], 10 ** 8),
+     OutOfRangeError),
     (lambda z2: increasing_labels_search(normalize(z2, "a"), normalize(z2, "b"), 0),
      OutOfRangeError),
     (lambda z2: verify_automorphism({"a": normalize(z2, "a"), "b": normalize(z2, "b")}),
      PreconditionError),
 ], ids=["cmp_defect_radius_0", "certificate_without_probes",
-        "certificate_max_power_0", "certificate_max_power_-1",
+        "certificate_max_power_0", "certificate_max_power_-1", "certificate_max_power_1e8",
         "search_budget_0", "raw_map_without_graph"])
 def test_domain_errors_are_raag_errors(z2, call, error):
     with pytest.raises(error):
         call(z2)
+
+
+def test_certificate_work_bounds_the_letters_handled():
+    # sum of 1 + |phi^n(p)| over n <= N, against certificate_work's bound
+    rng = random.Random(7007)
+    for gi in range(1, len(CATALOG)):
+        graph = catalog_graph(gi)
+        phi = random_dls(rng, graph)
+        if phi is None:
+            continue
+        probes = [rand_nf(rng, graph, rng.randrange(0, 4)) for _ in range(2)]
+        handled = 0
+        for p in probes:
+            for _ in range(7):
+                handled += 1 + len(p)
+                p = apply(phi, p)
+        assert handled <= certificate_work(phi, probes, 6) <= CERTIFY_WORK
