@@ -82,7 +82,3 @@ class PreconditionError(RaagError):
 
 class MemoryLimitError(RaagError):
     code = "memory_limit"
-
-
-class InvalidSettingError(RaagError):
-    code = "invalid_setting"

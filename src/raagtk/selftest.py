@@ -1,9 +1,11 @@
 """Oracle-backed acceptance suite.
 
-Each criterion is a function returning a CriterionResult; `run_all` prints
-one pass/fail line per criterion and is what the CLI `selftest` subcommand
-invokes.  All sampling is seeded and every check is exact (no tolerances:
-the asserted quantities are integers and set equalities).
+Each criterion is a check `criterion_N(seed, jobs) -> (passed, detail)`,
+listed in CRITERIA with its name and wall-clock gate.  `run_criterion` times
+it and applies the gate; `run_all`, which the CLI `selftest` subcommand
+invokes, prints one pass/fail line per criterion.  All sampling is seeded
+and every check is exact (no tolerances: the asserted quantities are
+integers and set equalities).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .words import (
     _nf,
     ball_codes,
     cyclic_reduce,
-    env_count,
     identity,
     inv_codes,
     median_codes,
@@ -66,10 +67,10 @@ CATALOG = [
 
 
 def default_jobs(jobs=None) -> int:
-    """Worker count for the criterion 1-2 pools: `jobs`, else RAAGTK_JOBS
-    (see words.env_count), else 2, clamped to [1, cpu count]."""
+    """Worker count for the criterion 1-2 pools: `jobs` (selftest --jobs),
+    else 2, clamped to [1, cpu count]."""
     if jobs is None:
-        jobs = env_count("RAAGTK_JOBS", 2)
+        jobs = 2
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
@@ -149,8 +150,7 @@ def _c1_task(args):
     return total, bad, example
 
 
-def criterion_1(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_1(seed, jobs):
     tasks = [(gi, k) for gi in range(len(CATALOG)) for k in range(7)]
     tasks.sort(key=lambda t: -(2 * len(CATALOG[t[0]][1])) ** t[1])
     results = _map(_c1_task, tasks, default_jobs(jobs))
@@ -169,15 +169,12 @@ def criterion_1(seed=0, jobs=None) -> CriterionResult:
         if not O.bfs_equal_words(graph.adj, w, nf):
             bfs_bad += 1
 
-    dt = time.time() - t0
-    passed = bad == 0 and bfs_bad == 0 and dt < 60.0
-    detail = "%d words over %d graphs, %d mismatches, %d BFS mismatches, %.1fs" % (
-        total, len(CATALOG), bad, bfs_bad, dt
+    detail = "%d words over %d graphs, %d mismatches, %d BFS mismatches" % (
+        total, len(CATALOG), bad, bfs_bad
     )
     if examples:
         detail += " first=%s" % examples[0]
-    return CriterionResult(1, "normal-form soundness vs shuffle/cancel oracle",
-                           passed, detail, dt)
+    return bad == 0 and bfs_bad == 0, detail
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +232,7 @@ def _c2_graph(gi):
     return checked, bad
 
 
-def criterion_2(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_2(seed, jobs):
     name_to_idx = {name: k for k, (name, _, _) in enumerate(CATALOG)}
     tasks = [name_to_idx[name] for name in C2_GRAPHS]
     # one task per graph, largest ball first: the largest runs while the
@@ -245,20 +241,16 @@ def criterion_2(seed=0, jobs=None) -> CriterionResult:
     results = _map(_c2_graph, tasks, default_jobs(jobs))
     checked = sum(r[0] for r in results)
     bad = sum(r[1] for r in results)
-    dt = time.time() - t0
-    passed = bad == 0 and dt < 120.0
-    detail = "%d triples over %s, %d mismatches, %.1fs" % (
-        checked, "/".join(C2_GRAPHS), bad, dt
+    return bad == 0, "%d triples over %s, %d mismatches" % (
+        checked, "/".join(C2_GRAPHS), bad
     )
-    return CriterionResult(2, "median vs halfspace-majority scan", passed, detail, dt)
 
 
 # ---------------------------------------------------------------------------
 # criterion 3: centralizer structure vs commutation on radius-4 balls
 # ---------------------------------------------------------------------------
 
-def criterion_3(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_3(seed, jobs):
     rng = random.Random(seed + 3)
     balls = {}
     bad = 0
@@ -274,19 +266,14 @@ def criterion_3(seed=0, jobs=None) -> CriterionResult:
             checked += 1
             if E.membership_centralizer(cf, h) != E.commutes(g, h):
                 bad += 1
-    dt = time.time() - t0
-    return CriterionResult(
-        3, "centralizer membership = commutation on radius-4 balls",
-        bad == 0, "%d membership checks, %d mismatches, %.1fs" % (checked, bad, dt), dt,
-    )
+    return bad == 0, "%d membership checks, %d mismatches" % (checked, bad)
 
 
 # ---------------------------------------------------------------------------
 # criterion 4: good-decomposition bound and decency of non-edge pieces
 # ---------------------------------------------------------------------------
 
-def criterion_4(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_4(seed, jobs):
     rng = random.Random(seed + 4)
     bad = []
     for _ in range(500):
@@ -310,19 +297,14 @@ def criterion_4(seed=0, jobs=None) -> CriterionResult:
         for p in dec.pieces:
             if p.tag != DC.EDGE and not DC.is_decent(graph, p.word).decent:
                 bad.append("decency")
-    dt = time.time() - t0
-    return CriterionResult(
-        4, "good decomposition: piece bound + decent pieces",
-        not bad, "500 geodesics, %d violations %s, %.1fs" % (len(bad), bad[:3], dt), dt,
-    )
+    return not bad, "500 geodesics, %d violations %s" % (len(bad), bad[:3])
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: chain decomposition bounds on path-graph tree arcs
 # ---------------------------------------------------------------------------
 
-def criterion_5(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_5(seed, jobs):
     rng = random.Random(seed + 5)
     path = DefGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     bad = []
@@ -349,30 +331,20 @@ def criterion_5(seed=0, jobs=None) -> CriterionResult:
         total = sum(p.length for p in rep.pieces)
         if total != rep.arc_length:
             bad.append("partition")
-    dt = time.time() - t0
-    return CriterionResult(
-        5, "chain decomposition bounds on path-graph arcs",
-        not bad, "200 arcs, %d violations %s, %.1fs" % (len(bad), bad[:3], dt), dt,
-    )
+    return not bad, "200 arcs, %d violations %s" % (len(bad), bad[:3])
 
 
 # ---------------------------------------------------------------------------
 # criteria 6, 7: the plane twist counterexample and the positive cases
 # ---------------------------------------------------------------------------
 
-def criterion_6(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_6(seed, jobs):
     z2 = DefGraph(["a", "b"], [("a", "b")])
     tw = D.build_transvection(z2, "b", _nf(z2, (1,)))
     vals = []
     for r in range(1, 6):
         vals.append(C.cmp_defect(tw, r).defect)
-    dt = time.time() - t0
-    passed = vals == [1, 2, 3, 4, 5]
-    return CriterionResult(
-        6, "plane twist defect grows linearly",
-        passed, "defect(1..5) = %s, %.1fs" % (vals, dt), dt,
-    )
+    return vals == [1, 2, 3, 4, 5], "defect(1..5) = %s" % vals
 
 
 def rooted_defect(phi, radius) -> int:
@@ -393,8 +365,7 @@ def rooted_defect(phi, radius) -> int:
     return best
 
 
-def criterion_7(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_7(seed, jobs):
     free = DefGraph(["a", "c"])
     fold = D.build_transvection(free, "a", _nf(free, (3,)))
     path = DefGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -405,21 +376,16 @@ def criterion_7(seed=0, jobs=None) -> CriterionResult:
     # the rooted oracle at R = 1..3, against the scans that stopped at |z|
     rooted = all(rooted_defect(phi, r) == vals[r - 1]
                  for phi, vals in ((fold, fold_vals), (pconj, pc_vals)) for r in (1, 2, 3))
-    dt = time.time() - t0
     passed = len(set(fold_vals)) == 1 and len(set(pc_vals)) == 1 and rooted
-    return CriterionResult(
-        7, "fold and partial conjugation defects plateau",
-        passed, "fold %s, pconj %s, rooted oracle %s at R = 1..3, %.1fs"
-        % (fold_vals, pc_vals, "agrees" if rooted else "DISAGREES", dt), dt,
-    )
+    return passed, "fold %s, pconj %s, rooted oracle %s at R = 1..3" % (
+        fold_vals, pc_vals, "agrees" if rooted else "DISAGREES")
 
 
 # ---------------------------------------------------------------------------
 # criterion 8: non-inner certificates
 # ---------------------------------------------------------------------------
 
-def criterion_8(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_8(seed, jobs):
     z2 = DefGraph(["a", "b"], [("a", "b")])
     tw = D.build_transvection(z2, "b", _nf(z2, (1,)))
     free = DefGraph(["a", "c"])
@@ -434,12 +400,8 @@ def criterion_8(seed=0, jobs=None) -> CriterionResult:
         tr = rep.traces[rep.witness]
         if not all(tr[n] < tr[n + 1] for n in range(8)):
             ok = False
-    dt = time.time() - t0
-    return CriterionResult(
-        8, "non-inner certificates with increasing traces",
-        ok, "twist trace %s; fold trace %s, %.1fs"
-        % (r1.traces[r1.witness], r2.traces[r2.witness], dt), dt,
-    )
+    return ok, "twist trace %s; fold trace %s" % (r1.traces[r1.witness],
+                                                  r2.traces[r2.witness])
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +411,7 @@ def criterion_8(seed=0, jobs=None) -> CriterionResult:
 C9_GRAPHS = ["K2", "P3", "K3", "C4", "K4"]
 
 
-def criterion_9(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_9(seed, jobs):
     rng = random.Random(seed + 9)
     name_to_idx = {name: k for k, (name, _, _) in enumerate(CATALOG)}
     balls = {}
@@ -495,13 +456,8 @@ def criterion_9(seed=0, jobs=None) -> CriterionResult:
             bad += 1
         if rep.loxodromics:
             loxo_hits += 1
-    dt = time.time() - t0
-    return CriterionResult(
-        9, "almost-stabilizer dichotomy on truncations",
-        bad == 0 and loxo_hits > 0,
-        "100 (arc, s) samples, %d violations, %d with loxodromics, %.1fs"
-        % (bad, loxo_hits, dt), dt,
-    )
+    return bad == 0 and loxo_hits > 0, (
+        "100 (arc, s) samples, %d violations, %d with loxodromics" % (bad, loxo_hits))
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +510,7 @@ def random_dls(rng, graph) -> D.DlsAutomorphism:
     return None
 
 
-def criterion_10(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_10(seed, jobs):
     rng = random.Random(seed + 10)
     built = 0
     bad = 0
@@ -577,11 +532,7 @@ def criterion_10(seed=0, jobs=None) -> CriterionResult:
             if D.apply(phi, multiply(g, h)) != multiply(D.apply(phi, g), D.apply(phi, h)):
                 bad += 1
                 break
-    dt = time.time() - t0
-    return CriterionResult(
-        10, "random splitting automorphisms verify + respect products",
-        bad == 0, "200 built (%s), %d failures, %.1fs" % (kinds, bad, dt), dt,
-    )
+    return bad == 0, "200 built (%s), %d failures" % (kinds, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +549,7 @@ def _random_graph5(rng):
     return DefGraph(verts, edges)
 
 
-def criterion_11(seed=0, jobs=None) -> CriterionResult:
-    t0 = time.time()
+def criterion_11(seed, jobs):
     rng = random.Random(seed + 11)
     made = 0
     bad = 0
@@ -669,41 +619,50 @@ def criterion_11(seed=0, jobs=None) -> CriterionResult:
             expected = {h for h in ball if E.commutes(h, cls.element)}
             if z2 != expected:
                 bad += 1
-    dt = time.time() - t0
-    return CriterionResult(
-        11, "double-centralizer classification vs ball oracle",
-        bad == 0 and cases[DC.CYCLIC_CASE] > 0,
-        "50 decent pairs (%s), %d mismatches, %.1fs" % (cases, bad, dt), dt,
-    )
+    return bad == 0 and cases[DC.CYCLIC_CASE] > 0, (
+        "50 decent pairs (%s), %d mismatches" % (cases, bad))
 
 
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
 
+# (check, name, wall-clock gate in seconds or None), numbered from 1
 CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
+    (criterion_1, "normal-form soundness vs shuffle/cancel oracle", 60.0),
+    (criterion_2, "median vs halfspace-majority scan", 120.0),
+    (criterion_3, "centralizer membership = commutation on radius-4 balls", None),
+    (criterion_4, "good decomposition: piece bound + decent pieces", None),
+    (criterion_5, "chain decomposition bounds on path-graph arcs", None),
+    (criterion_6, "plane twist defect grows linearly", None),
+    (criterion_7, "fold and partial conjugation defects plateau", None),
+    (criterion_8, "non-inner certificates with increasing traces", None),
+    (criterion_9, "almost-stabilizer dichotomy on truncations", None),
+    (criterion_10, "random splitting automorphisms verify + respect products", None),
+    (criterion_11, "double-centralizer classification vs ball oracle", None),
 ]
 
 
+def run_criterion(number, seed=0, jobs=None) -> CriterionResult:
+    """Run and time criterion `number`.  A gated criterion passes only if
+    its check also ends strictly before the gate; the seconds close the
+    detail."""
+    check, name, gate = CRITERIA[number - 1]
+    t0 = time.time()
+    passed, detail = check(seed, jobs)
+    dt = time.time() - t0
+    passed = passed and (gate is None or dt < gate)
+    return CriterionResult(number, name, passed, "%s, %.1fs" % (detail, dt), dt)
+
+
 def run_all(seed=0, jobs=None, only=None, out=print):
-    # a bad RAAGTK_JOBS fails here, before any criterion runs
-    jobs = default_jobs(jobs)
+    """Run the criteria in `only` (all if empty), print one line per
+    criterion and a summary through `out`, and return their results."""
     results = []
-    for k, fn in enumerate(CRITERIA, start=1):
+    for k in range(1, len(CRITERIA) + 1):
         if only and k not in only:
             continue
-        res = fn(seed=seed, jobs=jobs)
+        res = run_criterion(k, seed, jobs)
         results.append(res)
         out("%s %2d %s: %s" % ("PASS" if res.passed else "FAIL",
                                res.number, res.name, res.detail))

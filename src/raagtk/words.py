@@ -80,7 +80,6 @@ from .errors import (
     ArityMismatchError,
     BallCapExceededError,
     GraphMismatchError,
-    InvalidSettingError,
     MemoryLimitError,
     TransverseHyperplanesError,
     WordSyntaxError,
@@ -412,9 +411,11 @@ def _physical_memory() -> int:
         return 0
 
 
-# bytes one letter takes on its way to a normal form: a slot in the parsed
-# list, in the Word's tuple, and in the normal form's list and tuple
-LETTER_BYTES = 32
+# bytes of peak memory per letter of the worst command that takes a word:
+# `element centralizer` on a^k c^k over the free group, measured at about
+# 114 bytes a letter from 4*10^4 to 10^6 letters (peak RSS minus the same
+# command's on the empty word)
+LETTER_BYTES = 128
 
 
 def parse_word(graph: DefGraph, text: str) -> Word:
@@ -611,32 +612,13 @@ def subalgebra_closure(points, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
 # balls and trace machinery
 # ---------------------------------------------------------------------------
 
-def env_count(name: str, default: int) -> int:
-    """The environment variable `name` if set and not empty, else `default`.
-    A value that is not an integer >= 1 is an error."""
-    text = os.environ.get(name, "")
-    if not text:
-        return default
-    try:
-        value = int(text)
-    except ValueError:
-        pass
-    else:
-        if value >= 1:
-            return value
-    raise InvalidSettingError("%s must be an integer >= 1, got %r" % (name, text))
+# the most elements a ball may hold
+BALL_CAP = 200_000
 
 
-def ball_cap() -> int:
-    """The enumeration cap: RAAGTK_BALL_CAP, else 200000 (see env_count)."""
-    return env_count("RAAGTK_BALL_CAP", 200_000)
-
-
-def ball_codes(graph: DefGraph, radius: int, cap: int = None) -> list:
+def ball_codes(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:
     """All canonical forms of length <= radius, sorted by (length, codes),
     by canonical extension (see the module docstring)."""
-    if cap is None:
-        cap = ball_cap()
     ncodes = 2 * len(graph)
     # Letters as bitmasks over codes.  After w d, the letters allowed are
     # after[d], those that do not commute with d except d^-1, and those
@@ -666,7 +648,7 @@ def ball_codes(graph: DefGraph, radius: int, cap: int = None) -> list:
     return out
 
 
-def ball(graph: DefGraph, radius: int, cap: int = None) -> list:
+def ball(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:
     return [_nf(graph, c) for c in ball_codes(graph, radius, cap)]
 
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
+import raagtk
 from raagtk.graph import DefGraph
 from raagtk.selftest import CATALOG, catalog_graph
 from raagtk.words import NormalForm, _nf, normal_codes
@@ -29,6 +34,14 @@ def path4():
 def nf(graph, text):
     from raagtk.words import normalize
     return normalize(graph, text)
+
+
+def run_child(args, **kw):
+    """Run a Python child that imports this checkout's raagtk."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(raagtk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kw)
 
 
 def rand_nf(rng, graph, length) -> NormalForm:

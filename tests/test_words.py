@@ -425,26 +425,6 @@ def test_ball_cap(free2):
         ball_codes(free2, 8, cap=100)
 
 
-@pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0", "2.5", " "])
-def test_ball_cap_env_rejects_bad_values(free2, monkeypatch, value):
-    from raagtk.errors import InvalidSettingError
-
-    monkeypatch.setenv("RAAGTK_BALL_CAP", value)
-    with pytest.raises(InvalidSettingError, match="RAAGTK_BALL_CAP"):
-        ball_codes(free2, 1)
-
-
-def test_ball_cap_env(free2, monkeypatch):
-    from raagtk.errors import BallCapExceededError
-
-    monkeypatch.setenv("RAAGTK_BALL_CAP", "17")
-    assert len(ball_codes(free2, 2)) == 17
-    with pytest.raises(BallCapExceededError):
-        ball_codes(free2, 3)
-    monkeypatch.setenv("RAAGTK_BALL_CAP", "")
-    assert len(ball_codes(free2, 3)) == 53
-
-
 # -- word kernels against their definitions -------------------------------------
 
 def greedy_codes(block, reduced):
