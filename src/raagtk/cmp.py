@@ -9,12 +9,13 @@ d(x,p) + d(p,y) = d(x,y), so the whole scan reduces to two pairwise distance
 tables: one for the ball, one for its image.  Both count hyperplanes: the
 distance between two vertices of the cube complex is the number of
 hyperplanes separating them.  The tables are grown along the prefix trie of
-the words, one depth level at a time.  The ball is prefix-closed, since every
-prefix of a canonical word is canonical, so it is its own trie, and one walk
-of it also grows the images: the image of a word continues the normal form
-of its parent's image by the image of its last letter.  The images get a
-trie of their own.  The scan reads one fused table in which "between" and
-"how far from the median" are a single integer, a block of rows at a time.
+the words, one depth level at a time, and one builder makes the trie of the
+ball and that of its images.  The ball is prefix-closed, since every prefix
+of a canonical word is canonical, so it is its own trie, and its parent
+pointers also grow the images: the image of a word continues the normal
+form of its parent's image by the image of its last letter.  The scan reads
+one fused table in which "between" and "how far from the median" are a
+single integer, a block of rows at a time.
 For folds and partial conjugations the defect never exceeds |z|
 (defect_ceiling), so their scan stops at the first block that reaches it.
 All of it is exact integer numpy code.
@@ -26,13 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidSplittingError,
-    MemoryLimitError,
-    OutOfRangeError,
-    RaagError,
-)
-from .words import (NormalForm, _nf, _physical_memory, ball_codes, dist, identity,
+from .errors import InvalidSplittingError, OutOfRangeError, RaagError
+from .words import (NormalForm, _nf, _require_memory, ball_codes, dist, identity,
                     inv_codes, median, normal_codes, normalize, strip_suffix_in)
 from . import dls as D
 
@@ -72,75 +68,68 @@ class _PrefixTrie(NamedTuple):
     hyperplanes: int
 
 
-def _trie(parent, column, depth, ends, hyperplanes) -> _PrefixTrie:
-    """A _PrefixTrie from its node lists.  H(w) is the column of every node
-    on the path from w's node up to the root, so the crossings are read off
-    the parent pointers one depth at a time, every word at once."""
-    parent, column = np.array(parent, dtype=np.intp), np.array(column, dtype=np.intp)
+def _prefix_trie(graph, words) -> _PrefixTrie:
+    """Walk every word through its prefix trie, resolving the hyperplane of
+    each new prefix once.  The hyperplane dual to the edge from w[:k-1] to
+    w[:k] is keyed, as in words.hyperplane_at, by its vertex v and the gate
+    of its coset; a letter with the even (inverse) code is read backwards
+    from the canonical prefix w[:k], which needs no normal form.  H(w) is
+    the column of every node on the path from w's node up to the root, so
+    the crossings are read off the parent pointers one depth at a time,
+    every word at once.
+
+    On a ball from ball_codes, node i is ball[i], by induction on i: node 0
+    is ball[0] = 1.  ball_codes lists shorter words first and every prefix
+    of a canonical word is canonical, so the proper prefixes of ball[i] are
+    among ball[0..i-1], already nodes, and the walk reaches the node of
+    ball[i][:-1]; ball[i] is none of the earlier words, so its last letter
+    adds exactly one node, node i."""
+    nc = 2 * len(graph)
+    column = {}     # gate key -> hyperplane id
+    step = {}       # node * nc + code -> node of the prefix extended by code
+    parent, col, depth, ends = [0], [0], [0], []
+    for w in words:
+        node = 0
+        for c in w:
+            key = node * nc + c
+            nxt = step.get(key)
+            if nxt is None:
+                nxt = step[key] = len(parent)
+                k = depth[node] + 1        # the new prefix is w[:k]
+                parent.append(node)
+                v = c >> 1
+                gate = v, strip_suffix_in(graph, w[:k - (c & 1)], graph.link_mask(v))
+                col.append(column.setdefault(gate, len(column)))
+                depth.append(k)
+            node = nxt
+        ends.append(node)
+    parent, col = np.array(parent, dtype=np.intp), np.array(col, dtype=np.intp)
     ends = np.array(ends, dtype=np.intp)
     node, owner = ends, np.arange(len(ends))
     hits, owners = [], []
     while len(node):
         below = node != 0
         node, owner = node[below], owner[below]
-        hits.append(column[node])
+        hits.append(col[node])
         owners.append(owner)
         node = parent[node]
-    return _PrefixTrie(parent, column, np.array(depth), ends,
-                       (np.concatenate(hits), np.concatenate(owners)), hyperplanes)
-
-
-def _gate(graph, word, k):
-    """Key of the hyperplane dual to the edge from word[:k] to word[:k+1] of
-    a canonical word: its vertex and, as in words.hyperplane_at, the gate of
-    its coset.  A letter with the even (inverse) code is read backwards from
-    the canonical prefix word[:k+1], which needs no normal form."""
-    c = word[k]
-    v = c >> 1
-    return v, strip_suffix_in(graph, word[:k + 1 - (c & 1)], graph.link_mask(v))
-
-
-def _prefix_trie(graph, words) -> _PrefixTrie:
-    """Walk every word through its prefix trie, resolving the hyperplane of
-    each new prefix once."""
-    column = {}     # gate key -> hyperplane id
-    step = {}       # (node, code) -> node of the prefix extended by code
-    parent, col, depth, ends = [0], [0], [0], []
-    for w in words:
-        node = 0
-        for k, c in enumerate(w):
-            nxt = step.get((node, c))
-            if nxt is None:
-                nxt = step[node, c] = len(parent)
-                parent.append(node)
-                col.append(column.setdefault(_gate(graph, w, k), len(column)))
-                depth.append(k + 1)
-            node = nxt
-        ends.append(node)
-    return _trie(parent, col, depth, ends, len(column))
+    return _PrefixTrie(parent, col, np.array(depth), ends,
+                       (np.concatenate(hits), np.concatenate(owners)), len(column))
 
 
 def _ball_trie(graph, ball, images_map):
-    """The prefix trie of a ball and the images of its words, from one walk
-    of the ball.  Every prefix of a canonical word is canonical and
-    ball_codes lists shorter words first, so the ball is its own trie: node i
-    is ball[i], and its parent is the node of ball[i][:-1].  The image of a
-    word is its parent's image times the image of its last letter, and the
-    parent's image is canonical, so its normal form continues the insertion
-    from there."""
+    """The prefix trie of a ball, whose node i is ball[i] (see _prefix_trie),
+    and the images of its words.  The image of a word is its parent's image
+    times the image of its last letter, and the parent's image is canonical,
+    so its normal form continues the insertion from there."""
     letters = {}
     for iv, v in enumerate(graph.vertices):
         img = images_map[v].codes
         letters[2 * iv + 1], letters[2 * iv] = img, inv_codes(img)
-    node = {w: i for i, w in enumerate(ball)}
-    column = {}
-    parent, col, images = [0], [0], [()]
-    for w in ball[1:]:
-        up = node[w[:-1]]
-        parent.append(up)
-        col.append(column.setdefault(_gate(graph, w, len(w) - 1), len(column)))
+    trie = _prefix_trie(graph, ball)
+    images = [()]
+    for up, w in zip(trie.parent.tolist()[1:], ball[1:]):
         images.append(normal_codes(graph, letters[w[-1]], images[up]))
-    trie = _trie(parent, col, [len(w) for w in ball], range(len(ball)), len(column))
     return trie, images
 
 
@@ -265,11 +254,7 @@ def _check_memory(ball_trie: _PrefixTrie, image_trie: _PrefixTrie):
         # the table, the incidence, and the level rows: parent, child, gather
         need += n * n * size + trie.hyperplanes * n + widest * n * (2 * size + 1)
     need += _scan_bytes(n, *tops)
-    have = _physical_memory()
-    if have and need > have:
-        raise MemoryLimitError(
-            "a defect scan over %d ball elements needs about %.1f GiB, more than "
-            "the %.1f GiB of physical memory" % (n, need / 2**30, have / 2**30))
+    _require_memory(need, "a defect scan over %d ball elements" % n)
 
 
 def defect_ceiling(phi):

@@ -17,8 +17,10 @@ from .errors import (
 )
 from .graph import DefGraph
 from .words import (
+    LETTER_BYTES,
     NormalForm,
     _nf,
+    _require_memory,
     cyclic_reduce_codes,
     inv_codes,
     normal_codes,
@@ -168,7 +170,13 @@ def build_partial_conjugation(
 # ---------------------------------------------------------------------------
 
 def apply_images(graph: DefGraph, images: dict, g) -> NormalForm:
+    """The image of g under the map with these generator images.  The image
+    word has at most |g| times the longest generator image letters, and one
+    that could need more than the physical memory at LETTER_BYTES a letter
+    raises MemoryLimitError before it is built."""
     codes = g.codes if isinstance(g, NormalForm) else tuple(g)
+    letters = len(codes) * max((len(img.codes) for img in images.values()), default=0)
+    _require_memory(letters * LETTER_BYTES, "an image of up to %d letters" % letters)
     out = []
     for c in codes:
         img = images[graph.vertices[c >> 1]].codes

@@ -103,12 +103,21 @@ def validate(sf: SubgroupForm) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
-def member(sf: SubgroupForm, h: NormalForm) -> bool:
-    """Decide membership of h in a valid form (see in_structured_product)."""
+def _require_valid(sf: SubgroupForm):
     rep = validate(sf)
     if not rep.ok:
         raise InvalidSubgroupError("invalid subgroup form: %s" % (rep.failures[0],))
+
+
+def _contains(sf: SubgroupForm, h: NormalForm) -> bool:
+    """Membership of h in a form already validated."""
     return in_structured_product(sf.conjugator, sf.abelian_roots, sf.support.mask, h)
+
+
+def member(sf: SubgroupForm, h: NormalForm) -> bool:
+    """Decide membership of h in a valid form (see in_structured_product)."""
+    _require_valid(sf)
+    return _contains(sf, h)
 
 
 def _common_conjugator(graph, gens):
@@ -134,17 +143,15 @@ def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm
     graph = sf1.graph
     if graph != sf2.graph:
         raise PreconditionError("subgroups on different graphs")
-    for sf in (sf1, sf2):
-        rep = validate(sf)
-        if not rep.ok:
-            raise InvalidSubgroupError("invalid subgroup form: %s" % (rep.failures[0],))
+    _require_valid(sf1)
+    _require_valid(sf2)
 
     found = []
     for codes in ball_codes(graph, radius):
         if not codes:
             continue
         h = _nf(graph, codes)
-        if is_label_irreducible(h) and member(sf1, h) and member(sf2, h):
+        if is_label_irreducible(h) and _contains(sf1, h) and _contains(sf2, h):
             found.append(h)
 
     # greedy minimization: drop anything generated by the kept elements
@@ -202,7 +209,7 @@ def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm
     # the rebuilt form must agree with plain double membership on the ball
     for codes in ball_codes(graph, min(radius, 4)):
         h = _nf(graph, codes)
-        if member(result, h) != (member(sf1, h) and member(sf2, h)):
+        if _contains(result, h) != (_contains(sf1, h) and _contains(sf2, h)):
             raise RadiusTooSmallError(
                 "radius %d does not witness a generating set" % radius
             )

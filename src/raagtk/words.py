@@ -411,6 +411,15 @@ def _physical_memory() -> int:
         return 0
 
 
+def _require_memory(need: int, what: str):
+    """Raise MemoryLimitError if `what` needs more than the physical memory;
+    pass if the platform does not say how much there is."""
+    have = _physical_memory()
+    if have and need > have:
+        raise MemoryLimitError("%s needs about %.1f GiB, more than the %.1f GiB of "
+                               "physical memory" % (what, need / 2**30, have / 2**30))
+
+
 # bytes of peak memory per letter of the worst command that takes a word:
 # `element centralizer` on a^k c^k over the free group, measured at about
 # 114 bytes a letter from 4*10^4 to 10^6 letters (peak RSS minus the same
@@ -442,11 +451,7 @@ def parse_word(graph: DefGraph, text: str) -> Word:
         counts.append(abs(power))
     if counts.count(1) < len(counts):
         letters = sum(counts)
-        have = _physical_memory()
-        if have and letters * LETTER_BYTES > have:
-            raise MemoryLimitError(
-                "a word of %d letters needs about %.1f GiB, more than the %.1f GiB "
-                "of physical memory" % (letters, letters * LETTER_BYTES / 2**30, have / 2**30))
+        _require_memory(letters * LETTER_BYTES, "a word of %d letters" % letters)
         expanded = []
         for c, k in zip(codes, counts):
             expanded.extend([c] * k)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from raagtk import cmp as C
+from raagtk import words as W
 from raagtk.cli import main
 from raagtk.cmp import (
     CMP_BY_THM,
@@ -36,6 +37,7 @@ from raagtk.words import (
     _nf,
     ball_codes,
     dist,
+    hyperplane_at,
     identity,
     inv_codes,
     median,
@@ -391,11 +393,42 @@ def test_ball_trie_grows_images_and_distances():
             assert grown == [apply_images(graph, images, w).codes for w in ball]
             assert trie.ends.tolist() == list(range(len(ball)))
         table = _distance_table(trie)
-        assert np.array_equal(table, _distance_table(_prefix_trie(graph, ball)))
         for i, u in enumerate(ball):
             ui = inv_codes(u)
             assert table[i].tolist() == [len(oracle_reduce(graph.adj, ui + v)) for v in ball]
     assert kinds == {FOLD, MIXED, PARTIAL_CONJUGATION, TWIST}
+
+
+@pytest.mark.parametrize("gi", range(len(CATALOG)), ids=[c[0] for c in CATALOG])
+def test_prefix_trie_of_a_ball_against_hyperplane_at(gi):
+    # node i is ball[i], its parent is ball[i][:-1], and the hyperplane ids
+    # partition the edges as the Hyperplanes of words.hyperplane_at, which
+    # normalizes instead of reading the canonical prefix
+    graph = catalog_graph(gi)
+    ball = ball_codes(graph, 3)
+    trie = _prefix_trie(graph, ball)
+    index = {w: i for i, w in enumerate(ball)}
+    assert trie.ends.tolist() == list(range(len(ball)))
+    assert trie.depth.tolist() == [len(w) for w in ball]
+    assert trie.parent.tolist()[1:] == [index[w[:-1]] for w in ball[1:]]
+    ids = trie.column.tolist()[1:]
+    keys = [hyperplane_at(graph, w[:-1], w[-1]) for w in ball[1:]]
+    assert set(ids) == set(range(trie.hyperplanes))
+    assert len(set(zip(ids, keys))) == len(set(keys)) == trie.hyperplanes
+
+
+def test_stopping_value_decides_a_late_maximum(monkeypatch):
+    # the fold a -> c^-1 b b a on F(a, b, c, d) at R = 2 (n = 65, 15 rows a
+    # block) first reaches its ceiling 2|z| in row 32, so a scan that stops
+    # one below the ceiling ends in an earlier block with a smaller defect
+    free4 = DefGraph(["a", "b", "c", "d"])
+    fold = build_transvection(free4, "a", normalize(free4, "c^-1 b b"))
+    rep = cmp_defect(fold, 2)
+    assert (rep.defect, rep.ball_size, C._block_rows(65)) == (3, 65, 15)
+    assert tuple(str(w) for w in rep.witness) == ("b b", "c a", "c")
+    assert ball_codes(free4, 2).index(rep.witness[0].codes) == 32
+    monkeypatch.setattr(C, "defect_ceiling", lambda phi: len(phi.twist_element) - 1)
+    assert cmp_defect(fold, 2).defect == 2
 
 
 def test_fused_scan_in_int32(monkeypatch):
@@ -445,11 +478,11 @@ def test_memory_check_before_tables(monkeypatch):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(C, "_distance_table", no_table)
-    monkeypatch.setattr(C, "_physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 6)
     # fold R = 5: two 485 x 485 int16 tables and the scan buffers pass 1 MB
     with pytest.raises(MemoryLimitError):
         cmp_defect(_fold(), 5)
-    monkeypatch.setattr(C, "_physical_memory", lambda: 0)     # unknown: no check
+    monkeypatch.setattr(W, "_physical_memory", lambda: 0)     # unknown: no check
     with pytest.raises(AssertionError):
         cmp_defect(_fold(), 5)
 
@@ -484,14 +517,14 @@ def test_scan_bytes_cover_what_the_scan_allocates():
 
 
 def test_memory_check_passes_small_balls(monkeypatch):
-    monkeypatch.setattr(C, "_physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 6)
     assert cmp_defect(_fold(), 2).defect == 1
 
 
 def test_memory_limit_is_cli_domain_error(monkeypatch, tmp_path, capsys):
     graph = tmp_path / "free2.graph"
     graph.write_text("vertices: a c\n")
-    monkeypatch.setattr(C, "_physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 6)
     code = main(["cmp", "defect", "--graph", str(graph), "--dls", "fold v=a z=c",
                  "--radius", "5", "--json"])
     assert code == 1

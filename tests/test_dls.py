@@ -1,7 +1,10 @@
+import json
 import random
 
 import pytest
 
+from raagtk import words as W
+from raagtk.cli import main
 from raagtk.dls import (
     FOLD,
     MIXED,
@@ -21,6 +24,7 @@ from raagtk.cmp import cmp_defect
 from raagtk.elements import increasing_labels_search
 from raagtk.errors import (
     InvalidSplittingError,
+    MemoryLimitError,
     NotInCentralizerError,
     OutOfRangeError,
     PreconditionError,
@@ -303,3 +307,24 @@ def test_certificate_work_bounds_the_letters_handled():
                 handled += 1 + len(p)
                 p = apply(phi, p)
         assert handled <= certificate_work(phi, probes, 6) <= CERTIFY_WORK
+
+
+def test_apply_refuses_images_past_physical_memory(monkeypatch, tmp_path, capsys):
+    # a -> c^20 a sends a^1000 to (c^20 a)^1000: 1000 letters times images of
+    # at most 21 letters, counted before the image is built
+    free = DefGraph(["a", "c"])
+    fold = build_transvection(free, "a", normalize(free, "c^20"))
+    word = normalize(free, "a^1000")
+    monkeypatch.setattr(W, "_physical_memory", lambda: 21_000 * W.LETTER_BYTES)
+    assert len(apply(fold, word)) == 21_000
+    monkeypatch.setattr(W, "_physical_memory", lambda: 21_000 * W.LETTER_BYTES - 1)
+    with pytest.raises(MemoryLimitError, match=r"^an image of up to 21000 letters needs "):
+        apply(fold, word)
+    graph = tmp_path / "free2.graph"
+    graph.write_text("vertices: a c\n")
+    code = main(["dls", "apply", "--graph", str(graph), "--dls", "fold v=a z=c^20",
+                 "--word", "a^1000", "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "memory_limit"
+    monkeypatch.setattr(W, "_physical_memory", lambda: 0)     # unknown: no check
+    assert len(apply(fold, word)) == 21_000

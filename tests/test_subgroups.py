@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from raagtk import subgroups as S
 from raagtk.errors import OutOfRangeError, PreconditionError, RadiusTooSmallError
 from raagtk.subgroups import (
     intersect,
@@ -183,6 +184,29 @@ def test_intersect_radius_below_one_is_out_of_range(z2, radius):
 def test_intersect_visual_parabolics(path3):
     r = intersect(parabolic(path3, ["a", "b"]), parabolic(path3, ["b", "c"]), 4)
     assert subgroup_equal_on_ball(r, parabolic(path3, ["b"]), 3)
+
+
+def test_intersect_validates_each_form_once(z2, path3, monkeypatch):
+    # sf1, sf2 and the rebuilt form, whatever the ball size; the reports are
+    # those of the implementation that validated per ball element
+    calls = []
+    monkeypatch.setattr(S, "validate", lambda sf: calls.append(sf) or validate(sf))
+    cases = [
+        (parabolic(path3, ["a", "b"]), parabolic(path3, ["b", "c"]),
+         "semi_parabolic conj=1 roots=[b] support={}"),
+        (semi_parabolic(z2, [normalize(z2, "a")], []), semi_parabolic(z2, [normalize(z2, "b")], []),
+         "parabolic conj=1 roots=[] support={}"),
+        (parabolic(path3, ["a", "c"], normalize(path3, "b")), parabolic(path3, ["a", "b"]),
+         "semi_parabolic conj=1 roots=[a] support={}"),
+        (semi_parabolic(path3, [normalize(path3, "a c")], ["b"]),
+         parabolic(path3, ["a", "b", "c"], normalize(path3, "a")),
+         "semi_parabolic conj=1 roots=[b, a c] support={}"),
+    ]
+    for sf1, sf2, want in cases:
+        calls.clear()
+        result = intersect(sf1, sf2, 4)
+        assert result.describe() == want
+        assert calls == [sf1, sf2, result]
 
 
 def test_intersect_commutative_and_validated():
