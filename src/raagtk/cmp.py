@@ -254,7 +254,7 @@ def _check_memory(ball_trie: _PrefixTrie, image_trie: _PrefixTrie):
         # the table, the incidence, and the level rows: parent, child, gather
         need += n * n * size + trie.hyperplanes * n + widest * n * (2 * size + 1)
     need += _scan_bytes(n, *tops)
-    _require_memory(need, "a defect scan over %d ball elements" % n)
+    _require_memory(need, "a defect scan over %d ball elements", n)
 
 
 def defect_ceiling(phi):

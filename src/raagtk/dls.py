@@ -170,13 +170,15 @@ def build_partial_conjugation(
 # ---------------------------------------------------------------------------
 
 def apply_images(graph: DefGraph, images: dict, g) -> NormalForm:
-    """The image of g under the map with these generator images.  The image
-    word has at most |g| times the longest generator image letters, and one
-    that could need more than the physical memory at LETTER_BYTES a letter
-    raises MemoryLimitError before it is built."""
+    """The image of g under the map with these generator images.  The
+    letters of g's generator images are counted before they are
+    concatenated, and a concatenation that would need more than the physical
+    memory at LETTER_BYTES a letter raises MemoryLimitError."""
     codes = g.codes if isinstance(g, NormalForm) else tuple(g)
-    letters = len(codes) * max((len(img.codes) for img in images.values()), default=0)
-    _require_memory(letters * LETTER_BYTES, "an image of up to %d letters" % letters)
+    # image length by letter code: codes 2i and 2i + 1 are vertex i's
+    lengths = [len(images[v].codes) for v in graph.vertices for _ in (0, 1)]
+    letters = sum(map(lengths.__getitem__, codes))
+    _require_memory(letters * LETTER_BYTES, "an image of %d letters", letters)
     out = []
     for c in codes:
         img = images[graph.vertices[c >> 1]].codes

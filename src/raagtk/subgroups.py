@@ -221,13 +221,14 @@ def parabolic_direction_check(h: NormalForm, g: NormalForm, sf: SubgroupForm) ->
     conjugated cyclic core of h lies in sf, so must each conjugated letter."""
     if sf.kind != PARABOLIC:
         raise PreconditionError("subgroup form is not parabolic")
+    _require_valid(sf)
     graph = sf.graph
     _, core = cyclic_reduce_codes(graph, h.codes)
     conj_core = _nf(graph, normal_codes(graph, g.codes + core + inv_codes(g.codes)))
-    if not member(sf, conj_core):
+    if not _contains(sf, conj_core):
         raise PreconditionError("conjugated core does not lie in the subgroup")
     for c in core:
         one = _nf(graph, normal_codes(graph, g.codes + (c,) + inv_codes(g.codes)))
-        if not member(sf, one):
+        if not _contains(sf, one):
             return False
     return True

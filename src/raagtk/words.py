@@ -403,6 +403,7 @@ def translate_hyperplane(g: NormalForm, h: Hyperplane) -> Hyperplane:
 # parsing / formatting
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _physical_memory() -> int:
     """Bytes of physical memory, or 0 if the platform does not say."""
     try:
@@ -411,13 +412,13 @@ def _physical_memory() -> int:
         return 0
 
 
-def _require_memory(need: int, what: str):
-    """Raise MemoryLimitError if `what` needs more than the physical memory;
-    pass if the platform does not say how much there is."""
+def _require_memory(need: int, what: str, *args):
+    """Raise MemoryLimitError if `what % args` needs more than the physical
+    memory; pass if the platform does not say how much there is."""
     have = _physical_memory()
     if have and need > have:
         raise MemoryLimitError("%s needs about %.1f GiB, more than the %.1f GiB of "
-                               "physical memory" % (what, need / 2**30, have / 2**30))
+                               "physical memory" % (what % args, need / 2**30, have / 2**30))
 
 
 # bytes of peak memory per letter of the worst command that takes a word:
@@ -451,7 +452,7 @@ def parse_word(graph: DefGraph, text: str) -> Word:
         counts.append(abs(power))
     if counts.count(1) < len(counts):
         letters = sum(counts)
-        _require_memory(letters * LETTER_BYTES, "a word of %d letters" % letters)
+        _require_memory(letters * LETTER_BYTES, "a word of %d letters", letters)
         expanded = []
         for c, k in zip(codes, counts):
             expanded.extend([c] * k)

@@ -318,7 +318,7 @@ def test_apply_refuses_images_past_physical_memory(monkeypatch, tmp_path, capsys
     monkeypatch.setattr(W, "_physical_memory", lambda: 21_000 * W.LETTER_BYTES)
     assert len(apply(fold, word)) == 21_000
     monkeypatch.setattr(W, "_physical_memory", lambda: 21_000 * W.LETTER_BYTES - 1)
-    with pytest.raises(MemoryLimitError, match=r"^an image of up to 21000 letters needs "):
+    with pytest.raises(MemoryLimitError, match=r"^an image of 21000 letters needs "):
         apply(fold, word)
     graph = tmp_path / "free2.graph"
     graph.write_text("vertices: a c\n")
@@ -328,3 +328,22 @@ def test_apply_refuses_images_past_physical_memory(monkeypatch, tmp_path, capsys
     assert json.loads(capsys.readouterr().out)["error"] == "memory_limit"
     monkeypatch.setattr(W, "_physical_memory", lambda: 0)     # unknown: no check
     assert len(apply(fold, word)) == 21_000
+
+
+def test_apply_counts_the_letters_of_each_image(monkeypatch, tmp_path, capsys):
+    # a -> c^1000 a fixes c, so c^100000 is its own image: the count is the
+    # sum of the letters' image lengths, not |g| times the longest image
+    free = DefGraph(["a", "c"])
+    limit = 100_000 * W.LETTER_BYTES + 1
+    monkeypatch.setattr(W, "_physical_memory", lambda: limit)
+    fold = build_transvection(free, "a", normalize(free, "c^1000"))
+    word = normalize(free, "c^100000")
+    assert apply(fold, word) == word
+    # the inverse check applies it to c^-10000 a, 20001 letters
+    assert verify_automorphism(build_transvection(free, "a", normalize(free, "c^10000")))
+    graph = tmp_path / "free2.graph"
+    graph.write_text("vertices: a c\n")
+    code = main(["dls", "apply", "--graph", str(graph), "--dls", "fold v=a z=c^1000",
+                 "--word", "c^100000", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["length"] == 100_000

@@ -264,6 +264,15 @@ def test_parabolic_direction_check_positive(path3):
     assert parabolic_direction_check(h, identity(path3), sf)
 
 
+def test_parabolic_direction_check_validates_once(path3, monkeypatch):
+    # one validate call for a 40-letter core, not one per membership test
+    calls = []
+    monkeypatch.setattr(S, "validate", lambda sf: calls.append(sf) or validate(sf))
+    sf = parabolic(path3, ["a", "b"])
+    assert parabolic_direction_check(normalize(path3, "a b " * 20), identity(path3), sf)
+    assert calls == [sf]
+
+
 def test_parabolic_direction_check_precondition(free2):
     sf = parabolic(free2, ["a"])
     with pytest.raises(PreconditionError):
