@@ -129,7 +129,7 @@ def _ball_trie(graph, ball, images_map):
     trie = _prefix_trie(graph, ball)
     images = [()]
     for up, w in zip(trie.parent.tolist()[1:], ball[1:]):
-        images.append(normal_codes(graph, letters[w[-1]], images[up]))
+        images.append(normal_codes(graph, letters[w[-1]], prefix=images[up]))
     return trie, images
 
 
@@ -240,19 +240,23 @@ def _scan_bytes(n: int, top0: int, topd: int) -> int:
     return (n * n + _block_rows(n) * n * n) * np.dtype(_scan_dtype(top0, topd)).itemsize
 
 
-def _check_memory(ball_trie: _PrefixTrie, image_trie: _PrefixTrie):
+def _check_memory(ball_trie: _PrefixTrie, images):
     """Raise MemoryLimitError if the arrays of one defect computation would
-    not fit in physical memory.  Entries are bounded by word lengths: a
-    distance is at most the sum of two lengths."""
+    not fit in physical memory, before the image trie is built.  Entries
+    are bounded by word lengths: a distance is at most the sum of two
+    lengths.  The image trie is bounded from the images alone: its depth is
+    the longest image, it has at most one hyperplane per image letter, and
+    at most n nodes on a level."""
     n = len(ball_trie.ends)
+    sides = ((int(ball_trie.depth.max(initial=0)), ball_trie.hyperplanes,
+              int(np.bincount(ball_trie.depth).max())),
+             (max(map(len, images)), sum(map(len, images)), n))
     need, tops = 0, []
-    for trie in (ball_trie, image_trie):
-        longest = int(trie.depth.max(initial=0))
+    for longest, hyperplanes, widest in sides:
         size = np.dtype(_int_dtype(4 * longest)).itemsize
         tops.append(2 * longest)
-        widest = int(np.bincount(trie.depth).max())
         # the table, the incidence, and the level rows: parent, child, gather
-        need += n * n * size + trie.hyperplanes * n + widest * n * (2 * size + 1)
+        need += n * n * size + hyperplanes * n + widest * n * (2 * size + 1)
     need += _scan_bytes(n, *tops)
     _require_memory(need, "a defect scan over %d ball elements", n)
 
@@ -390,8 +394,8 @@ def cmp_defect(phi, radius: int) -> DefectReport:
     ceiling = defect_ceiling(phi)
     ball = ball_codes(graph, radius)
     ball_trie, images = _ball_trie(graph, ball, images_map)
+    _check_memory(ball_trie, images)
     tries = ball_trie, _prefix_trie(graph, images)
-    _check_memory(*tries)
     best, (i, j, k) = _scan(*map(_distance_table, tries),
                             None if ceiling is None else 2 * ceiling)
     return DefectReport(

@@ -28,8 +28,8 @@ def gamma(g: NormalForm) -> VertexSet:
 
 def commutes(g: NormalForm, h: NormalForm) -> bool:
     graph = g.graph
-    word = g.codes + h.codes + inv_codes(g.codes) + inv_codes(h.codes)
-    return not normal_codes(graph, word)
+    return not normal_codes(graph, h.codes + inv_codes(g.codes) + inv_codes(h.codes),
+                            prefix=g.codes)
 
 
 class LIDecomposition(NamedTuple):
@@ -50,7 +50,7 @@ def li_components(g: NormalForm) -> LIDecomposition:
     xinv = inv_codes(xc)
     for fac in factors:
         sub = tuple(c for c in core if fac.mask >> (c >> 1) & 1)
-        comps.append(_nf(graph, normal_codes(graph, xc + sub + xinv)))
+        comps.append(_nf(graph, normal_codes(graph, sub + xinv, prefix=xc)))
     return LIDecomposition(tuple(comps), tuple(factors), _nf(graph, xc))
 
 
@@ -95,7 +95,7 @@ def primitive_root(g: NormalForm):
                 pref.append(c)
         cand = _nf(graph, normal_codes(graph, pref))
         if cand ** n == core_nf:
-            root = _nf(graph, normal_codes(graph, xc + cand.codes + inv_codes(xc)))
+            root = _nf(graph, normal_codes(graph, cand.codes + inv_codes(xc), prefix=xc))
             return root, n
     return g, 1
 

@@ -64,6 +64,7 @@ CATALOG = [
     ("K4", ["a", "b", "c", "d"],
      [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]),
 ]
+CATALOG_INDEX = {name: k for k, (name, _, _) in enumerate(CATALOG)}
 
 
 def default_jobs(jobs=None) -> int:
@@ -233,8 +234,7 @@ def _c2_graph(gi):
 
 
 def criterion_2(seed, jobs):
-    name_to_idx = {name: k for k, (name, _, _) in enumerate(CATALOG)}
-    tasks = [name_to_idx[name] for name in C2_GRAPHS]
+    tasks = [CATALOG_INDEX[name] for name in C2_GRAPHS]
     # one task per graph, largest ball first: the largest runs while the
     # other workers take the rest
     tasks.sort(key=lambda gi: -len(ball_codes(catalog_graph(gi), C2_RADIUS)))
@@ -413,18 +413,17 @@ C9_GRAPHS = ["K2", "P3", "K3", "C4", "K4"]
 
 def criterion_9(seed, jobs):
     rng = random.Random(seed + 9)
-    name_to_idx = {name: k for k, (name, _, _) in enumerate(CATALOG)}
-    balls = {}
     bad = 0
     loxo_hits = 0
     made = 0
     while made < 100:
-        gi = name_to_idx[rng.choice(C9_GRAPHS)]
+        gi = CATALOG_INDEX[rng.choice(C9_GRAPHS)]
         graph = catalog_graph(gi)
         r = _clique_number(graph)
         v = rng.choice(graph.vertices)
         iv = graph.index(v)
         delta = rng.choice([0, 1, 1, 2])
+        need = max((4 * r + 2) * delta, 2 * delta + 1, 3)
         if rng.random() < 0.6:
             # arc along an axis: a power of a loxodromic word
             h = _random_nontrivial(rng, graph, rng.randrange(1, 4))
@@ -432,11 +431,9 @@ def criterion_9(seed, jobs):
             ell = sum(1 for c in core.codes if c >> 1 == iv)
             if ell == 0:
                 continue
-            need = max((4 * r + 2) * delta, 2 * delta + 1, 3)
             k = -(-need // ell)
             end = core ** k
         else:
-            need = max((4 * r + 2) * delta, 2 * delta + 1, 3)
             w = _random_nf(rng, graph, need + rng.randrange(0, 5))
             if sum(1 for c in w.codes if c >> 1 == iv) < need:
                 continue

@@ -48,7 +48,7 @@ def tree_vertex(graph: DefGraph, v: str, g: NormalForm) -> TreeVertex:
 
 def translate_vertex(g: NormalForm, tv: TreeVertex) -> TreeVertex:
     graph = tv.graph
-    moved = normal_codes(graph, g.codes + tv.rep)
+    moved = normal_codes(graph, tv.rep, prefix=g.codes)
     iv = graph.index(tv.label)
     return TreeVertex(graph, tv.label, strip_suffix_in(graph, moved, graph.full & ~(1 << iv)))
 
@@ -97,12 +97,12 @@ def arc_vertex_path(beta: TreeArc) -> list:
     graph = beta.graph
     iv = graph.index(beta.label)
     word = beta.word()
-    base = list(beta.start.rep)
+    rep, last = beta.start.rep, 0
     out = [beta.start]
-    for c in word:
-        base.append(c)
+    for k, c in enumerate(word, 1):
         if c >> 1 == iv:
-            out.append(tree_vertex(graph, beta.label, _nf(graph, normal_codes(graph, tuple(base)))))
+            rep, last = normal_codes(graph, word[last:k], prefix=rep), k
+            out.append(tree_vertex(graph, beta.label, _nf(graph, rep)))
     return out
 
 
@@ -117,7 +117,7 @@ def arc_stabilizer(beta: TreeArc) -> S.SubgroupForm:
     if not vpos:
         raise DegenerateArcError("arc crosses no edge")
     bcodes, acodes = realize_pair_span(graph, word, vpos[0], vpos[-1])
-    base = _nf(graph, normal_codes(graph, beta.start.rep + bcodes))
+    base = _nf(graph, normal_codes(graph, bcodes, prefix=beta.start.rep))
     delta = graph.vset_mask(vertex_mask(acodes))
     return S.parabolic(graph, graph.perp(delta), base)
 

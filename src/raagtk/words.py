@@ -13,6 +13,13 @@ letter it cannot commute past.  If that is c^-1 it cancels; it blocks nothing
 after it, so it is last in its trace, and deleting a last letter keeps a word
 greedy.  Otherwise c goes in before the first later letter greater than c.
 
+Continuation.  The pass carries the normal form of what it has read, and
+a canonical p is its own normal form, so `normal_codes(graph, h, prefix=p)`
+equals `normal_codes(graph, p + h)` without reinserting p.  Products whose
+left factor is canonical (g h, g h g^-1, a base and new letters) continue
+from it; an inverse on the left is not canonical and is read letter by
+letter.
+
 Ball by canonical extension.  For canonical w, w + (c,) is canonical iff the
 insertion above appends c: scanning back from the end, c passes only letters
 it commutes with that are less than c, and the first letter it cannot pass is
@@ -67,7 +74,18 @@ B, C below z, so g^-1 A, g^-1 B and g^-1 C pairwise commute and
 m = g (g^-1 A)(g^-1 B)(g^-1 C).  On positions: A and B are ideals of x with
 A ^ B = g, so x read on A u B spells A v B, and y read on C minus A spells
 g^-1 C.  `median_codes` returns the normal form of their
-concatenation; it builds neither x^-1 y nor x^-1 z.
+concatenation; it builds neither x^-1 y nor x^-1 z.  x read on A u B is an
+ideal of x, hence canonical, so the normal form continues from it.
+
+Wall spans.  Position k of a reduced word depends on position i <= k if a
+chain i = p_0 < ... < p_m = k links them, consecutive letters not commuting.
+k > i depends on i iff its vertex lies in block[] of an earlier position
+that depends on i, by induction on k: a chain's p_{m-1} is such a position,
+as block is symmetric, and such a position's chain extends to k.  So one
+scan forward from i finds the positions that depend on i, and one backward
+from j those j depends on.  `realize_pair_span` takes B to be the positions
+that do not depend on i, an ideal, and A those that depend on i and on which
+j depends; the crossings at i and j are transverse iff j does not depend on i.
 """
 
 from __future__ import annotations
@@ -387,14 +405,14 @@ def hyperplane_at(graph: DefGraph, base_codes, code) -> Hyperplane:
     if code & 1:
         b = base_codes
     else:
-        b = normal_codes(graph, tuple(base_codes) + (code,))
+        b = normal_codes(graph, (code,), prefix=base_codes)
     rep = strip_suffix_in(graph, b, graph.link_mask(iv))
     return Hyperplane(graph, graph.vertices[iv], rep)
 
 
 def translate_hyperplane(g: NormalForm, h: Hyperplane) -> Hyperplane:
     graph = h.graph
-    moved = normal_codes(graph, g.codes + h.rep)
+    moved = normal_codes(graph, h.rep, prefix=g.codes)
     rep = strip_suffix_in(graph, moved, graph.link_mask(graph.index(h.label)))
     return Hyperplane(graph, h.label, rep)
 
@@ -492,7 +510,7 @@ def normalize(graph: DefGraph, word) -> NormalForm:
 def multiply(g: NormalForm, h: NormalForm) -> NormalForm:
     if g.graph != h.graph:
         raise GraphMismatchError("factors live on different graphs")
-    return _nf(g.graph, normal_codes(g.graph, g.codes + h.codes))
+    return _nf(g.graph, normal_codes(g.graph, h.codes, prefix=g.codes))
 
 
 def invert(g: NormalForm) -> NormalForm:
@@ -501,12 +519,6 @@ def invert(g: NormalForm) -> NormalForm:
 
 def identity(graph: DefGraph) -> NormalForm:
     return _nf(graph, ())
-
-
-def conjugate(g: NormalForm, by: NormalForm) -> NormalForm:
-    """by * g * by^-1"""
-    graph = g.graph
-    return _nf(graph, normal_codes(graph, by.codes + g.codes + inv_codes(by.codes)))
 
 
 def cyclic_reduce_codes(graph: DefGraph, codes):
@@ -544,7 +556,7 @@ def median_codes(graph: DefGraph, x, y, z):
     ax, ay = _meet_masks(fields, block, x, _prefix_index(y))
     bx, _ = _meet_masks(fields, block, x, z_index)
     cy, _ = _meet_masks(fields, block, y, z_index)
-    return normal_codes(graph, _read(x, ax | bx) + _read(y, cy & ~ay))
+    return normal_codes(graph, _read(y, cy & ~ay), prefix=_read(x, ax | bx))
 
 
 def median(x: NormalForm, y: NormalForm, z: NormalForm) -> NormalForm:
@@ -658,44 +670,32 @@ def ball(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:
     return [_nf(graph, c) for c in ball_codes(graph, radius, cap)]
 
 
-def reach_masks(graph: DefGraph, codes):
-    """Dependence order on the positions of a reduced word.
-
-    reach[j] is the bitmask of positions i <= j linked to j by a chain of
-    pairwise non-commuting letters (j itself included).  Two crossings are
-    realized by nested hyperplanes iff one reaches the other; otherwise the
-    hyperplanes are transverse.
-    """
-    adj = graph.adj
-    reach = []
-    for j, cj in enumerate(codes):
-        vj = cj >> 1
-        m = 1 << j
-        for i in range(j):
-            vi = codes[i] >> 1
-            if vi == vj or not (adj[vi] >> vj) & 1:
-                m |= reach[i]
-        reach.append(m)
-    return reach
+def _chain(block, codes, positions):
+    """The positions, taken from `positions` in scan order, linked to the
+    first of them by a chain of letters that do not commute (see "Wall
+    spans" in the module docstring)."""
+    linked = []
+    reach = 0
+    for k in positions:
+        v = codes[k] >> 1
+        if not linked or (reach >> v) & 1:
+            linked.append(k)
+            reach |= block[v]
+    return linked
 
 
 def realize_pair_span(graph: DefGraph, codes, i: int, j: int):
     """Reorder a reduced word as B * A * C where A is the dependence interval
     of positions i <= j.  Returns (B_codes, A_codes); the geodesic that starts
     at (start * B) and reads A crosses exactly the hyperplanes separating or
-    equal to the crossings at i and j.
+    equal to the crossings at i and j.  Two scans find them (see "Wall
+    spans" in the module docstring).
     """
-    reach = reach_masks(graph, codes)
-    if not (reach[j] >> i) & 1:
+    after_i = set(_chain(graph.block, codes, range(i, len(codes))))
+    if j not in after_i:
         raise TransverseHyperplanesError(
             "crossings %d and %d are transverse" % (i, j)
         )
-    bcodes = []
-    acodes = []
-    for k, c in enumerate(codes):
-        after_i = (reach[k] >> i) & 1
-        if after_i and k <= j and (reach[j] >> k) & 1:
-            acodes.append(c)
-        elif not after_i:
-            bcodes.append(c)
-    return tuple(bcodes), tuple(acodes)
+    before_j = reversed(_chain(graph.block, codes, range(j, i - 1, -1)))
+    bcodes = tuple(c for k, c in enumerate(codes) if k not in after_i)
+    return bcodes, tuple(codes[k] for k in before_j if k in after_i)

@@ -27,14 +27,10 @@ def test_criterion(number):
     assert res.passed, "%s: %s" % (res.name, res.detail)
 
 
-def _catalog_index(name):
-    return [entry[0] for entry in ST.CATALOG].index(name)
-
-
 @pytest.mark.parametrize("name, n", [("E2", 53), ("K2", 25)])
 def test_c2_graph_checks_each_triple_once(name, n):
     # every i <= j <= k of the radius-3 ball, once: n(n+1)(n+2)/6
-    assert ST._c2_graph(_catalog_index(name)) == (n * (n + 1) * (n + 2) // 6, 0)
+    assert ST._c2_graph(ST.CATALOG_INDEX[name]) == (n * (n + 1) * (n + 2) // 6, 0)
 
 
 def test_criterion_2_submits_largest_ball_first(monkeypatch):
@@ -47,7 +43,7 @@ def test_criterion_2_submits_largest_ball_first(monkeypatch):
     monkeypatch.setattr(ST, "_map", fake_map)
     res = ST.run_criterion(2)
     order = ["P4", "C4", "E3", "P3", "K3", "E2", "K2"]
-    assert submitted == [_catalog_index(name) for name in order]
+    assert submitted == [ST.CATALOG_INDEX[name] for name in order]
     assert "over E2/K2/E3/P3/K3/C4/P4," in res.detail
 
 

@@ -521,6 +521,42 @@ def test_memory_check_passes_small_balls(monkeypatch):
     assert cmp_defect(_fold(), 2).defect == 1
 
 
+def test_memory_refusal_builds_no_image_trie(monkeypatch):
+    # the fold a -> c^640 a at R = 3: images of up to 1923 letters, whose
+    # trie is quadratic in their length; the check refuses before it
+    built = []
+
+    def recording(graph, words):
+        built.append(max(map(len, words)))
+        return prefix_trie(graph, words)
+
+    prefix_trie = C._prefix_trie
+    monkeypatch.setattr(C, "_prefix_trie", recording)
+    monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 4)
+    free = DefGraph(["a", "c"])
+    with pytest.raises(MemoryLimitError):
+        cmp_defect(build_transvection(free, "a", normalize(free, _power("c", 640))), 3)
+    assert built == [3]     # the ball's trie only
+
+
+def test_image_bounds_cover_the_image_trie():
+    # _check_memory bounds the image trie before it exists: depth by the
+    # longest image, hyperplanes by the image letters, a level by n nodes
+    rng = random.Random(2213)
+    free = DefGraph(["a", "c"])
+    maps = [build_transvection(free, "a", normalize(free, _power("c", 80)))]
+    for gi in range(len(CATALOG)):
+        maps += [phi for phi in (random_dls(rng, catalog_graph(gi)) for _ in range(3)) if phi]
+    for phi in maps:
+        for radius in (1, 2, 3):
+            ball = ball_codes(phi.graph, radius)
+            _, images = C._ball_trie(phi.graph, ball, phi.generator_images)
+            trie = _prefix_trie(phi.graph, images)
+            assert int(trie.depth.max()) == max(map(len, images))
+            assert trie.hyperplanes <= sum(map(len, images))
+            assert int(np.bincount(trie.depth).max()) <= len(ball)
+
+
 def test_memory_limit_is_cli_domain_error(monkeypatch, tmp_path, capsys):
     graph = tmp_path / "free2.graph"
     graph.write_text("vertices: a c\n")

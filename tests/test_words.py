@@ -686,3 +686,75 @@ def test_meet_codes_matches_peel_meet():
         v = normal_codes(graph, p + rand_nf(rng, graph, rng.randrange(0, 40)).codes)
         for a, b in ((u, v), (v, u), (w, inv_codes(w)), (u, inv_codes(u))):
             assert meet_codes(graph.block, a, b) == peel_meet_codes(graph.block, a, b)
+
+
+def test_normal_codes_continues_from_canonical_prefix():
+    # normal_codes(graph, h, prefix=g) == normal_codes(graph, g + h) for
+    # canonical g; h ends with letters that cancel into g, shuffled with
+    # random ones
+    from raagtk.selftest import CATALOG, catalog_graph
+
+    rng = random.Random(53)
+    cancelled = 0
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        for _ in range(150):
+            g = rand_nf(rng, graph, rng.randrange(0, 25)).codes
+            h = [rng.randrange(2 * len(graph)) for _ in range(rng.randrange(0, 8))]
+            h += inv_codes(g[len(g) - rng.randrange(len(g) + 1):])
+            if rng.random() < 0.5:
+                rng.shuffle(h)
+            out = normal_codes(graph, h, prefix=g)
+            assert out == normal_codes(graph, g + tuple(h))
+            cancelled += len(out) < len(g)
+    assert cancelled > 500
+
+
+def _chain_closure(graph, codes, i):
+    """Positions of `codes` that depend on position i, by the definition: k
+    is reached from i by steps p < q whose letters do not commute."""
+    adj = graph.adj
+    reached = {i}
+    for q in range(i + 1, len(codes)):
+        vq = codes[q] >> 1
+        for p in reached:
+            vp = codes[p] >> 1
+            if vp == vq or not (adj[vp] >> vq) & 1:
+                reached.add(q)
+                break
+    return reached
+
+
+def test_realize_pair_span_matches_chain_closure():
+    from raagtk.errors import TransverseHyperplanesError
+    from raagtk.graph import DefGraph
+    from raagtk.selftest import CATALOG, catalog_graph
+    from raagtk.words import realize_pair_span
+
+    rng = random.Random(59)
+    verts = ["a", "b", "c", "d", "e"]
+    graphs = [catalog_graph(gi) for gi in range(len(CATALOG))]
+    graphs += [DefGraph(verts, [(u, w) for k, u in enumerate(verts) for w in verts[k + 1:]
+                                if rng.random() < 0.5]) for _ in range(12)]
+    cases = transverse = 0
+    for graph in graphs:
+        for _ in range(120):
+            codes = rand_nf(rng, graph, rng.randrange(1, 16)).codes
+            if not codes:
+                continue
+            for _ in range(4):
+                i, j = sorted(rng.randrange(len(codes)) for _ in range(2))
+                after_i = _chain_closure(graph, codes, i)
+                cases += 1
+                if j not in after_i:
+                    transverse += 1
+                    with pytest.raises(TransverseHyperplanesError):
+                        realize_pair_span(graph, codes, i, j)
+                    continue
+                before_j = {k for k in after_i if j in _chain_closure(graph, codes, k)}
+                b, a = realize_pair_span(graph, codes, i, j)
+                assert b == tuple(c for k, c in enumerate(codes) if k not in after_i)
+                assert a == tuple(codes[k] for k in sorted(before_j))
+                rest = tuple(codes[k] for k in sorted(after_i - before_j))
+                assert normal_codes(graph, b + a + rest) == codes
+    assert cases >= 10_000 and transverse >= 1000
