@@ -129,7 +129,7 @@ def _ball_trie(graph, ball, images_map):
     trie = _prefix_trie(graph, ball)
     images = [()]
     for up, w in zip(trie.parent.tolist()[1:], ball[1:]):
-        images.append(normal_codes(graph, letters[w[-1]], prefix=images[up]))
+        images.append(normal_codes(graph, letters[w[-1]], images[up]))
     return trie, images
 
 

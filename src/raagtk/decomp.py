@@ -95,10 +95,10 @@ def pair_from_word(
     word_codes = _reduced_codes(graph, word_codes)
     bcodes, acodes = realize_pair_span(graph, word_codes, i, j)
     start = base.codes if base is not None else ()
-    b = _nf(graph, normal_codes(graph, bcodes, prefix=start))
+    b = _nf(graph, normal_codes(graph, bcodes, start))
     between = normal_codes(graph, acodes)
     u = hyperplane_at(graph, b.codes, between[0])
-    w_base = normal_codes(graph, between[:-1], prefix=b.codes)
+    w_base = normal_codes(graph, between[:-1], b.codes)
     w = hyperplane_at(graph, w_base, between[-1])
     return HyperplanePair(u, w, b, between)
 
@@ -305,8 +305,8 @@ def classify_decent_pair(pair: HyperplanePair) -> PairClassification:
     ix = graph.index(x)
     sign = 1 if pair.between[0] & 1 else -1
     base = pair.base.codes
-    g = _nf(graph, normal_codes(graph, (2 * ix + (1 if sign > 0 else 0),) + inv_codes(base),
-                                prefix=base))
+    letter = 2 * ix + (1 if sign > 0 else 0)
+    g = _nf(graph, normal_codes(graph, (letter,) + inv_codes(base), base))
     total = len(pair.between)
     stats = {
         "walls": total,

@@ -122,7 +122,7 @@ def build_transvection(graph: DefGraph, v: str, z: NormalForm) -> DlsAutomorphis
     zc, zf = twist_split(graph, v, z)
     kind = TWIST if not zf else FOLD if not zc else MIXED
     images = _identity_images(graph)
-    images[v] = _nf(graph, normal_codes(graph, (2 * iv + 1,), prefix=z.codes))
+    images[v] = _nf(graph, normal_codes(graph, (2 * iv + 1,), z.codes))
     return DlsAutomorphism(graph, SplittingData.hnn(graph, v), z, kind, images)
 
 
@@ -160,7 +160,7 @@ def build_partial_conjugation(
     zinv = inv_codes(z.codes)
     for u in db - dc:
         iu = graph.index(u)
-        images[u] = _nf(graph, normal_codes(graph, (2 * iu + 1,) + zinv, prefix=z.codes))
+        images[u] = _nf(graph, normal_codes(graph, (2 * iu + 1,) + zinv, z.codes))
     split = SplittingData.amalgam(graph, da, db, dc)
     return DlsAutomorphism(graph, split, z, PARTIAL_CONJUGATION, images)
 
@@ -237,7 +237,7 @@ def verify_automorphism(phi, inverse_images: dict = None, graph: DefGraph = None
     for i, j in sorted(graph.edges):
         u = images[graph.vertices[i]].codes
         w = images[graph.vertices[j]].codes
-        if normal_codes(graph, w + inv_codes(u) + inv_codes(w), prefix=u):
+        if normal_codes(graph, w + inv_codes(u) + inv_codes(w), u):
             return False
     if inverse_images is not None:
         comp = {

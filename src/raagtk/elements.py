@@ -28,8 +28,7 @@ def gamma(g: NormalForm) -> VertexSet:
 
 def commutes(g: NormalForm, h: NormalForm) -> bool:
     graph = g.graph
-    return not normal_codes(graph, h.codes + inv_codes(g.codes) + inv_codes(h.codes),
-                            prefix=g.codes)
+    return not normal_codes(graph, h.codes + inv_codes(g.codes) + inv_codes(h.codes), g.codes)
 
 
 class LIDecomposition(NamedTuple):
@@ -50,7 +49,7 @@ def li_components(g: NormalForm) -> LIDecomposition:
     xinv = inv_codes(xc)
     for fac in factors:
         sub = tuple(c for c in core if fac.mask >> (c >> 1) & 1)
-        comps.append(_nf(graph, normal_codes(graph, sub + xinv, prefix=xc)))
+        comps.append(_nf(graph, normal_codes(graph, sub + xinv, xc)))
     return LIDecomposition(tuple(comps), tuple(factors), _nf(graph, xc))
 
 
@@ -95,7 +94,7 @@ def primitive_root(g: NormalForm):
                 pref.append(c)
         cand = _nf(graph, normal_codes(graph, pref))
         if cand ** n == core_nf:
-            root = _nf(graph, normal_codes(graph, cand.codes + inv_codes(xc), prefix=xc))
+            root = _nf(graph, normal_codes(graph, cand.codes + inv_codes(xc), xc))
             return root, n
     return g, 1
 

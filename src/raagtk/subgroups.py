@@ -171,7 +171,7 @@ def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm
             nxt = []
             for w in frontier:
                 for gcod in gens:
-                    prod = normal_codes(graph, gcod, prefix=w)
+                    prod = normal_codes(graph, gcod, w)
                     if len(prod) <= radius and prod not in span:
                         span.add(prod)
                         nxt.append(prod)
@@ -225,11 +225,11 @@ def parabolic_direction_check(h: NormalForm, g: NormalForm, sf: SubgroupForm) ->
     graph = sf.graph
     _, core = cyclic_reduce_codes(graph, h.codes)
     ginv = inv_codes(g.codes)
-    conj_core = _nf(graph, normal_codes(graph, core + ginv, prefix=g.codes))
+    conj_core = _nf(graph, normal_codes(graph, core + ginv, g.codes))
     if not _contains(sf, conj_core):
         raise PreconditionError("conjugated core does not lie in the subgroup")
     for c in core:
-        one = _nf(graph, normal_codes(graph, (c,) + ginv, prefix=g.codes))
+        one = _nf(graph, normal_codes(graph, (c,) + ginv, g.codes))
         if not _contains(sf, one):
             return False
     return True

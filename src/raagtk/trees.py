@@ -48,7 +48,7 @@ def tree_vertex(graph: DefGraph, v: str, g: NormalForm) -> TreeVertex:
 
 def translate_vertex(g: NormalForm, tv: TreeVertex) -> TreeVertex:
     graph = tv.graph
-    moved = normal_codes(graph, tv.rep, prefix=g.codes)
+    moved = normal_codes(graph, tv.rep, g.codes)
     iv = graph.index(tv.label)
     return TreeVertex(graph, tv.label, strip_suffix_in(graph, moved, graph.full & ~(1 << iv)))
 
@@ -101,7 +101,7 @@ def arc_vertex_path(beta: TreeArc) -> list:
     out = [beta.start]
     for k, c in enumerate(word, 1):
         if c >> 1 == iv:
-            rep, last = normal_codes(graph, word[last:k], prefix=rep), k
+            rep, last = normal_codes(graph, word[last:k], rep), k
             out.append(tree_vertex(graph, beta.label, _nf(graph, rep)))
     return out
 
@@ -117,7 +117,7 @@ def arc_stabilizer(beta: TreeArc) -> S.SubgroupForm:
     if not vpos:
         raise DegenerateArcError("arc crosses no edge")
     bcodes, acodes = realize_pair_span(graph, word, vpos[0], vpos[-1])
-    base = _nf(graph, normal_codes(graph, bcodes, prefix=beta.start.rep))
+    base = _nf(graph, normal_codes(graph, bcodes, beta.start.rep))
     delta = graph.vset_mask(vertex_mask(acodes))
     return S.parabolic(graph, graph.perp(delta), base)
 

@@ -13,12 +13,11 @@ letter it cannot commute past.  If that is c^-1 it cancels; it blocks nothing
 after it, so it is last in its trace, and deleting a last letter keeps a word
 greedy.  Otherwise c goes in before the first later letter greater than c.
 
-Continuation.  The pass carries the normal form of what it has read, and
-a canonical p is its own normal form, so `normal_codes(graph, h, prefix=p)`
-equals `normal_codes(graph, p + h)` without reinserting p.  Products whose
-left factor is canonical (g h, g h g^-1, a base and new letters) continue
-from it; an inverse on the left is not canonical and is read letter by
-letter.
+Continuation.  The pass carries the normal form of what it has read, and a
+canonical p is its own normal form, so `normal_codes(graph, h, p)` equals
+`normal_codes(graph, p + h)` without reinserting p.  Products whose left
+factor is canonical (g h, g h g^-1, a base and new letters) continue from
+it; an inverse on the left is not canonical and is read letter by letter.
 
 Ball by canonical extension.  For canonical w, w + (c,) is canonical iff the
 insertion above appends c: scanning back from the end, c passes only letters
@@ -405,14 +404,14 @@ def hyperplane_at(graph: DefGraph, base_codes, code) -> Hyperplane:
     if code & 1:
         b = base_codes
     else:
-        b = normal_codes(graph, (code,), prefix=base_codes)
+        b = normal_codes(graph, (code,), base_codes)
     rep = strip_suffix_in(graph, b, graph.link_mask(iv))
     return Hyperplane(graph, graph.vertices[iv], rep)
 
 
 def translate_hyperplane(g: NormalForm, h: Hyperplane) -> Hyperplane:
     graph = h.graph
-    moved = normal_codes(graph, h.rep, prefix=g.codes)
+    moved = normal_codes(graph, h.rep, g.codes)
     rep = strip_suffix_in(graph, moved, graph.link_mask(graph.index(h.label)))
     return Hyperplane(graph, h.label, rep)
 
@@ -510,7 +509,7 @@ def normalize(graph: DefGraph, word) -> NormalForm:
 def multiply(g: NormalForm, h: NormalForm) -> NormalForm:
     if g.graph != h.graph:
         raise GraphMismatchError("factors live on different graphs")
-    return _nf(g.graph, normal_codes(g.graph, h.codes, prefix=g.codes))
+    return _nf(g.graph, normal_codes(g.graph, h.codes, g.codes))
 
 
 def invert(g: NormalForm) -> NormalForm:
@@ -556,7 +555,7 @@ def median_codes(graph: DefGraph, x, y, z):
     ax, ay = _meet_masks(fields, block, x, _prefix_index(y))
     bx, _ = _meet_masks(fields, block, x, z_index)
     cy, _ = _meet_masks(fields, block, y, z_index)
-    return normal_codes(graph, _read(y, cy & ~ay), prefix=_read(x, ax | bx))
+    return normal_codes(graph, _read(y, cy & ~ay), _read(x, ax | bx))
 
 
 def median(x: NormalForm, y: NormalForm, z: NormalForm) -> NormalForm:

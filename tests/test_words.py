@@ -689,7 +689,7 @@ def test_meet_codes_matches_peel_meet():
 
 
 def test_normal_codes_continues_from_canonical_prefix():
-    # normal_codes(graph, h, prefix=g) == normal_codes(graph, g + h) for
+    # normal_codes(graph, h, g) == normal_codes(graph, g + h) for
     # canonical g; h ends with letters that cancel into g, shuffled with
     # random ones
     from raagtk.selftest import CATALOG, catalog_graph
@@ -704,7 +704,7 @@ def test_normal_codes_continues_from_canonical_prefix():
             h += inv_codes(g[len(g) - rng.randrange(len(g) + 1):])
             if rng.random() < 0.5:
                 rng.shuffle(h)
-            out = normal_codes(graph, h, prefix=g)
+            out = normal_codes(graph, h, g)
             assert out == normal_codes(graph, g + tuple(h))
             cancelled += len(out) < len(g)
     assert cancelled > 500
