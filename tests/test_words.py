@@ -711,17 +711,19 @@ def test_normal_codes_continues_from_canonical_prefix():
 
 
 def _chain_closure(graph, codes, i):
-    """Positions of `codes` that depend on position i, by the definition: k
-    is reached from i by steps p < q whose letters do not commute."""
+    """Positions of `codes` that depend on position i, by a search over the
+    definition: the positions reached from i by steps p -> q, p < q, whose
+    letters do not commute."""
     adj = graph.adj
-    reached = {i}
-    for q in range(i + 1, len(codes)):
-        vq = codes[q] >> 1
-        for p in reached:
-            vp = codes[p] >> 1
-            if vp == vq or not (adj[vp] >> vq) & 1:
+    reached, todo = {i}, [i]
+    while todo:
+        p = todo.pop()
+        vp = codes[p] >> 1
+        for q in range(p + 1, len(codes)):
+            vq = codes[q] >> 1
+            if q not in reached and (vp == vq or not (adj[vp] >> vq) & 1):
                 reached.add(q)
-                break
+                todo.append(q)
     return reached
 
 
