@@ -21,7 +21,6 @@ from . import cmp as C
 from . import decomp as DC
 from . import dls as D
 from . import elements as E
-from . import selftest as ST
 from . import subgroups as S
 from . import trees as T
 from . import words as W
@@ -57,7 +56,11 @@ def _parse_subgroup(graph, text) -> S.SubgroupForm:
     for tok in text.split():
         key, _, val = tok.partition("=")
         if key == "conj":
-            conj = _nf(graph, val.replace(",", " "))
+            word = val.replace(",", " ")
+            # a dot is a space, as in roots=, unless a vertex name holds one
+            if not any("." in v for v in graph.vertices):
+                word = word.replace(".", " ")
+            conj = _nf(graph, word)
         elif key == "roots":
             roots = [
                 _nf(graph, part.replace(".", " "))
@@ -304,6 +307,8 @@ def cmd_decomp(args, graph):
                " | ".join("%s:%s" % (p["tag"], p["word"]) for p in pieces)),
         )
     if args.action == "chain":
+        if args.tree_vertex is None:
+            raise WordSyntaxError("decomp chain needs a --tree-vertex argument")
         beta = T.arc(graph, args.tree_vertex, W.identity(graph), _nf(graph, args.word))
         rep = DC.decompose_chain(beta)
         pieces = [{"kind": p.kind, "length": p.length} for p in rep.pieces]
@@ -316,6 +321,8 @@ def cmd_decomp(args, graph):
                "ok" if rep.bounds_ok else "VIOLATED"),
         )
     if args.action == "classify":
+        if args.label is None:
+            raise WordSyntaxError("decomp classify needs a --label argument")
         w = _nf(graph, args.word)
         iv = graph.index(args.label)
         pos = [k for k, c in enumerate(w.codes) if c >> 1 == iv]
@@ -337,6 +344,8 @@ def cmd_decomp(args, graph):
 
 
 def cmd_selftest(args, graph):
+    # imported here: the self-test loads numpy, a process pool and the oracles
+    from . import selftest as ST
     only = set(args.criteria) if args.criteria else None
     # in JSON mode the per-criterion lines become the one document
     results = ST.run_all(seed=args.seed, jobs=args.jobs, only=only,
@@ -364,6 +373,7 @@ def _positive_ints(text):
 
 
 def _criteria(text):
+    from . import selftest as ST
     numbers = _positive_ints(text)
     if max(numbers) > len(ST.CRITERIA):
         raise argparse.ArgumentTypeError("criteria are numbered 1..%d" % len(ST.CRITERIA))

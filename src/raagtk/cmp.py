@@ -23,15 +23,17 @@ All of it is exact integer numpy code.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidSplittingError, OutOfRangeError, RaagError
 from .words import (NormalForm, _nf, _require_memory, ball_codes, dist, identity,
                     inv_codes, median, normal_codes, normalize, strip_suffix_in)
 from . import dls as D
 
+# numpy is most of a command's start-up and only the tables need it, so the
+# functions that build or scan them import it themselves
+if TYPE_CHECKING:
+    import numpy as np
 
 class DefectReport(NamedTuple):
     radius: int
@@ -51,6 +53,7 @@ class DefectReport(NamedTuple):
 
 def _int_dtype(top: int):
     """The smallest of int16/int32/int64 that holds `top`."""
+    import numpy as np
     return next(t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
 
 
@@ -84,6 +87,7 @@ def _prefix_trie(graph, words) -> _PrefixTrie:
     among ball[0..i-1], already nodes, and the walk reaches the node of
     ball[i][:-1]; ball[i] is none of the earlier words, so its last letter
     adds exactly one node, node i."""
+    import numpy as np
     nc = 2 * len(graph)
     column = {}     # gate key -> hyperplane id
     step = {}       # node * nc + code -> node of the prefix extended by code
@@ -142,6 +146,7 @@ def _distance_table(trie: _PrefixTrie):
     hyperplane x word incidence; one depth level is one gathered add.  The
     table has the smallest dtype that holds twice its largest entry, since the
     scan adds two entries."""
+    import numpy as np
     n = len(trie.ends)
     lengths = trie.depth[trie.ends]
     longest = int(lengths.max(initial=0))
@@ -202,6 +207,7 @@ def _scan(D0, DD, stop=None):
     strictly larger value.  Once the best value reaches `stop`, no later
     block can exceed it, so the witness found is already the least one and
     the scan ends there."""
+    import numpy as np
     n = len(D0)
     top0, topd = int(D0.max(initial=0)), int(DD.max(initial=0))
     c = 2 * topd + 1
@@ -237,6 +243,7 @@ def _scan_dtype(top0: int, topd: int):
 def _scan_bytes(n: int, top0: int, topd: int) -> int:
     """Bytes of the scan's arrays for distance tables with the given largest
     entries: E, and its block buffer of rows*n*n entries (n*n for one row)."""
+    import numpy as np
     return (n * n + _block_rows(n) * n * n) * np.dtype(_scan_dtype(top0, topd)).itemsize
 
 
@@ -247,6 +254,7 @@ def _check_memory(ball_trie: _PrefixTrie, images):
     lengths.  The image trie is bounded from the images alone: its depth is
     the longest image, it has at most one hyperplane per image letter, and
     at most n nodes on a level."""
+    import numpy as np
     n = len(ball_trie.ends)
     sides = ((int(ball_trie.depth.max(initial=0)), ball_trie.hyperplanes,
               int(np.bincount(ball_trie.depth).max())),

@@ -136,6 +136,8 @@ def almost_stabilizer(beta: TreeArc, s: int, radius: int) -> AlmostStabilizerRes
     length = beta.length
     if not (0 <= s < length / 2):
         raise OutOfRangeError("s must satisfy 0 <= s < length/2")
+    if radius < 1:
+        raise OutOfRangeError("radius must be >= 1")
     graph = beta.graph
     v = beta.label
     found = []

@@ -188,6 +188,31 @@ def test_decomp_subcommands(graph_files, capsys):
     assert doc["case"] == "cyclic_case" and doc["element"] == "a"
 
 
+@pytest.mark.parametrize("action, flag", [("chain", "--tree-vertex"), ("classify", "--label")])
+def test_decomp_missing_flag_is_named(graph_files, capsys, action, flag):
+    code, doc = run_json(capsys, "decomp", action, "--graph", graph_files["path"],
+                         "--word", "b a b")
+    assert code == 1 and doc["error"] == "word_syntax"
+    assert doc["message"] == "decomp %s needs a %s argument" % (action, flag)
+
+
+def test_subgroup_conj_reads_dots_as_spaces(graph_files, capsys, tmp_path):
+    for action, extra in (("member", ["--word", "a b a b^-1 a^-1"]),
+                          ("member", ["--word", "b"]),
+                          ("validate", [])):
+        docs = [run_json(capsys, "subgroup", action, "--graph", graph_files["path"],
+                         "--subgroup", "conj=%s support=a" % conj, *extra)
+                for conj in ("a.b", "a,b")]
+        assert docs[0] == docs[1]
+        assert docs[0][0] == 0
+    # where a vertex name holds a dot, conj= reads it as part of the name
+    dotted = tmp_path / "dotted.graph"
+    dotted.write_text("vertices: a.b c\n")
+    code, doc = run_json(capsys, "subgroup", "member", "--graph", str(dotted),
+                         "--subgroup", "conj=a.b support=c", "--word", "a.b c a.b^-1")
+    assert code == 0 and doc["member"] is True
+
+
 def test_closure_cli(graph_files, capsys):
     code, doc = run_json(capsys, "closure", "--graph", graph_files["z2"],
                          "--tuple", "1", "--tuple", "a a", "--tuple", "a b")
@@ -284,6 +309,8 @@ def test_cmp_radius_below_one_is_usage_error(graph_files, argv):
      "--radius", "0"],
     ["subgroup", "intersect", "--subgroup", "support=a", "--subgroup2", "support=a",
      "--radius", "-2"],
+    ["tree", "almost-stab", "--vertex", "a", "--end", "a a a", "--s", "1", "--radius", "0"],
+    ["tree", "almost-stab", "--vertex", "a", "--end", "a a a", "--s", "1", "--radius", "-3"],
 ])
 def test_vacuous_range_is_out_of_range(graph_files, capsys, argv):
     code, doc = run_json(capsys, *argv, "--graph", graph_files["z2"])
@@ -377,3 +404,43 @@ with open("/proc/self/status") as f:
 
     k = 40_000
     assert peak("a^%d c^%d" % (k, k)) - peak("1") <= LETTER_BYTES * 2 * k
+
+
+STARTUP_CHILD = """
+import json, sys
+import raagtk, raagtk.cli
+HEAVY = ("numpy", "concurrent.futures.process", "raagtk.selftest", "raagtk.oracles")
+print(json.dumps([m for m in HEAVY if m in sys.modules]))
+for argv in map(json.loads, sys.argv[1:]):
+    raagtk.cli.main(argv)
+    print(json.dumps([m for m in HEAVY if m in sys.modules]))
+"""
+
+
+def test_startup_loads_numpy_only_for_defect_tables(graph_files):
+    # numpy, the self-test's process pool and its oracles are most of a
+    # command's start-up: only cmp defect tables and selftest load them
+    z2, free = graph_files["z2"], graph_files["free"]
+    light = [
+        ["normalize", "--graph", z2, "--word", "b a"],
+        ["element", "root", "--graph", z2, "--word", "a b a b"],
+        ["tree", "almost-stab", "--graph", z2, "--vertex", "a", "--end", "a a a",
+         "--s", "1", "--radius", "2"],
+        ["dls", "certify", "--graph", free, "--dls", "fold v=a z=c"],
+        ["cmp", "certify", "--graph", z2, "--dls", "twist v=b z=a"],
+        ["cmp", "defect", "--graph", free, "--dls", "fold v=a z=c", "--radius", "30"],
+    ]
+    defect = ["cmp", "defect", "--graph", z2, "--dls", "twist v=b z=a", "--radius", "4"]
+    argvs = [argv + ["--json"] for argv in light + [defect]]
+    proc = run_child(["-c", STARTUP_CHILD, *map(json.dumps, argvs)], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+    assert len(lines) == 1 + 2 * len(argvs)
+    loaded, outputs = lines[0::2], lines[1::2]
+    assert loaded[:-1] == [[]] * (1 + len(light))
+    assert loaded[-1] == ["numpy"]
+    assert outputs[-2]["error"] == "ball_cap_exceeded"
+    assert all("error" not in doc for doc in outputs[:-2])
+    assert outputs[-1] == {
+        "ball_size": 41, "defect": 4, "radius": 4, "schema": 1,
+        "witness": {"p": "1", "x": "a^-1 a^-1 a^-1 a^-1", "y": "b^-1 b^-1 b^-1 b^-1"}}

@@ -22,10 +22,11 @@ GRAPHS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 SPLITTINGS = {"free2": "fold v=a z=c", "path": "pconj A=a,b B=b,c C=b z=a"}
 ERRORS = {"ball_cap_exceeded", "memory_limit", "out_of_range"}
 
-# The child caps its address space once raagtk and numpy are imported, at what
-# it then uses plus 512 MiB: an interpreter with numpy imported maps about
-# 150 MB on a 2-core x86-64 Linux host, and a ball at the cap peaks under
-# 70 MB resident.
+# The child caps its address space once raagtk is imported, at what it then
+# uses plus 512 MiB.  numpy is no longer loaded before the cap, only by a
+# `cmp defect` that gets past the ball cap; the headroom still covers loading
+# it (an interpreter with numpy imported maps about 150 MB on a 2-core x86-64
+# Linux host), and a ball at the cap peaks under 70 MB resident.
 CHILD = """
 import resource, sys
 from raagtk.cli import main
