@@ -35,6 +35,7 @@ from . import dls as D
 if TYPE_CHECKING:
     import numpy as np
 
+
 class DefectReport(NamedTuple):
     radius: int
     defect: int
