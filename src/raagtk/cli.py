@@ -39,6 +39,14 @@ def _nf(graph, text):
     return W.normalize(graph, W.parse_word(graph, text))
 
 
+def _words(args, graph, count, command):
+    """The --word arguments as normal forms; there must be exactly `count`."""
+    if len(args.word) != count:
+        raise WordSyntaxError("%s needs exactly %s --word argument%s" % (
+            command, ("one", "two", "three")[count - 1], "s" * (count > 1)))
+    return [_nf(graph, w) for w in args.word]
+
+
 def _emit(args, payload, text):
     if args.json:
         payload = {"schema": SCHEMA, **payload}
@@ -46,6 +54,14 @@ def _emit(args, payload, text):
     else:
         print(text)
     return 0
+
+
+def _field_word(graph, text):
+    """A word inside a --subgroup field: a dot is a space, unless a vertex
+    name holds one."""
+    if not any("." in v for v in graph.vertices):
+        text = text.replace(".", " ")
+    return _nf(graph, text)
 
 
 def _parse_subgroup(graph, text) -> S.SubgroupForm:
@@ -56,17 +72,9 @@ def _parse_subgroup(graph, text) -> S.SubgroupForm:
     for tok in text.split():
         key, _, val = tok.partition("=")
         if key == "conj":
-            word = val.replace(",", " ")
-            # a dot is a space, as in roots=, unless a vertex name holds one
-            if not any("." in v for v in graph.vertices):
-                word = word.replace(".", " ")
-            conj = _nf(graph, word)
+            conj = _field_word(graph, val.replace(",", " "))
         elif key == "roots":
-            roots = [
-                _nf(graph, part.replace(".", " "))
-                for part in val.split(",")
-                if part
-            ]
+            roots = [_field_word(graph, part) for part in val.split(",") if part]
         elif key == "support":
             support = [v for v in val.split(",") if v]
         elif key == "kind":
@@ -120,25 +128,19 @@ def cmd_graph(args, graph):
 
 
 def cmd_normalize(args, graph):
-    nf = _nf(graph, args.word[0])
+    nf, = _words(args, graph, 1, "normalize")
     return _emit(args, {"input": args.word[0], "normal_form": str(nf),
                         "length": len(nf)}, str(nf))
 
 
 def cmd_multiply(args, graph):
-    if len(args.word) != 2:
-        raise WordSyntaxError("multiply needs exactly two --word arguments")
-    g = _nf(graph, args.word[0])
-    h = _nf(graph, args.word[1])
-    r = W.multiply(g, h)
+    r = W.multiply(*_words(args, graph, 2, "multiply"))
     return _emit(args, {"input": args.word, "normal_form": str(r),
                         "length": len(r)}, str(r))
 
 
 def cmd_median(args, graph):
-    if len(args.word) != 3:
-        raise WordSyntaxError("median needs exactly three --word arguments")
-    m = W.median(*[_nf(graph, w) for w in args.word])
+    m = W.median(*_words(args, graph, 3, "median"))
     return _emit(args, {"input": args.word, "normal_form": str(m),
                         "length": len(m)}, str(m))
 
@@ -191,14 +193,10 @@ def cmd_element(args, graph):
 def cmd_tree(args, graph):
     v = args.vertex
     if args.action == "dist":
-        if len(args.word) < 2:
-            raise WordSyntaxError("tree dist needs two --word arguments")
-        d = T.tv_distance(graph, v, _nf(graph, args.word[0]), _nf(graph, args.word[1]))
+        d = T.tv_distance(graph, v, *_words(args, graph, 2, "tree dist"))
         return _emit(args, {"distance": d}, str(d))
     if args.action == "length":
-        if not args.word:
-            raise WordSyntaxError("tree length needs a --word argument")
-        ell = T.tv_translation_length(graph, v, _nf(graph, args.word[0]))
+        ell = T.tv_translation_length(graph, v, *_words(args, graph, 1, "tree length"))
         return _emit(args, {"translation_length": ell}, str(ell))
     beta = T.arc(graph, v, _nf(graph, args.start), _nf(graph, args.end))
     if args.action == "stab":

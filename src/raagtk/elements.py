@@ -104,9 +104,6 @@ class CentralizerForm(NamedTuple):
     cyclic_roots: tuple          # primitive roots h_i of the core's components
     parabolic_support: VertexSet  # Delta = Gamma(core)^perp
 
-    def graph(self):
-        return self.conjugator.graph
-
 
 def centralizer(g: NormalForm) -> CentralizerForm:
     """Structured centralizer Z(g) = x * (<h_1> x ... x <h_k> x A_Delta) * x^-1."""

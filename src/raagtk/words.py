@@ -91,6 +91,8 @@ from __future__ import annotations
 
 import functools
 import os
+from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 from .errors import (
@@ -98,6 +100,7 @@ from .errors import (
     BallCapExceededError,
     GraphMismatchError,
     MemoryLimitError,
+    OutOfRangeError,
     TransverseHyperplanesError,
     WordSyntaxError,
 )
@@ -343,10 +346,6 @@ class NormalForm:
             n >>= 1
         return out
 
-    def support(self):
-        """Vertices whose letters appear in the normal form."""
-        return self.graph.vset_mask(vertex_mask(self.codes))
-
     def __str__(self):
         return format_codes(self.graph, self.codes)
 
@@ -584,45 +583,55 @@ class ClosureResult(NamedTuple):
 DEFAULT_CLOSURE_CAP = 100_000
 
 
+# the most coordinate medians one closure may compute; see subalgebra_closure
+CLOSURE_WORK = 10 ** 6
+
+
 def subalgebra_closure(points, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
     """Least median-closed superset of `points` (tuples of NormalForm of a
     common arity), median applied coordinatewise.  Stops with truncated=True
-    once more than `cap` tuples are generated."""
-    pts = []
-    seen = set()
-    arity = None
-    for t in points:
-        t = tuple(t)
-        if arity is None:
-            arity = len(t)
-        elif len(t) != arity:
-            raise ArityMismatchError("tuples of mixed arity")
-        if t not in seen:
-            seen.add(t)
-            pts.append(t)
-    if arity is None:
-        return ClosureResult([], False, cap)
-    fresh = list(pts)
-    while fresh:
-        if len(pts) > cap:
-            return ClosureResult(pts, True, cap)
-        new = []
+    once more than `cap` tuples are generated.
+
+    A round closes the points it starts with, pts[:n], of which pts[old:n]
+    are new.  The new point a = pts[ia] meets the pairs of
+    pts[:old] + pts[ia + 1:n] in combinations order, so each unordered
+    triple is evaluated once, in the round after its newest point was
+    found.  The points come out in the order of the plain loop that meets
+    every pair (pts[i], pts[j]), i <= j < n, for each new a: every pair
+    skipped here either holds an earlier new point of the round, and the
+    triple was evaluated before, when its first new point was a, or repeats
+    a point, and m(a, b, b) = b, m(a, a, c) = a.  So no skipped pair adds a
+    point, and the points found and their order are the plain loop's.
+
+    A round evaluates C(n, 3) - C(old, 3) triples, so all the rounds up to
+    one starting with n points evaluate C(n, 3); a round that would take
+    the coordinate medians past CLOSURE_WORK is refused before it starts."""
+    if cap < 1:
+        raise OutOfRangeError("cap must be >= 1")
+    pts = list(dict.fromkeys(map(tuple, points)))
+    arity = len(pts[0]) if pts else 0
+    if any(len(t) != arity for t in pts):
+        raise ArityMismatchError("tuples of mixed arity")
+    seen = set(pts)
+    old = 0
+    while old < len(pts) <= cap:
         n = len(pts)
-        for a in fresh:
-            for i in range(n):
-                b = pts[i]
-                for j in range(i, n):
-                    c = pts[j]
-                    m = tuple(median(a[k], b[k], c[k]) for k in range(arity))
-                    if m not in seen:
-                        seen.add(m)
-                        new.append(m)
-                        if len(pts) + len(new) > cap:
-                            pts.extend(new)
-                            return ClosureResult(pts, True, cap)
-        pts.extend(new)
-        fresh = new
-    return ClosureResult(pts, False, cap)
+        work = arity * comb(n, 3)
+        if work > CLOSURE_WORK:
+            raise OutOfRangeError(
+                "closing %d points may take %d coordinate medians, more than %d"
+                % (n, work, CLOSURE_WORK))
+        triples = ((pts[ia], b, c) for ia in range(old, n)
+                   for b, c in combinations(pts[:old] + pts[ia + 1:n], 2))
+        for a, b, c in triples:
+            m = tuple(map(median, a, b, c))
+            if m not in seen:
+                seen.add(m)
+                pts.append(m)
+                if len(pts) > cap:
+                    break
+        old = n
+    return ClosureResult(pts, len(pts) > cap, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import time
 
@@ -7,7 +8,7 @@ import pytest
 
 from raagtk import dls, selftest
 from raagtk.cli import main
-from raagtk.words import ball_codes
+from raagtk.words import CLOSURE_WORK, ball_codes
 
 from conftest import run_child
 
@@ -211,12 +212,34 @@ def test_subgroup_conj_reads_dots_as_spaces(graph_files, capsys, tmp_path):
     code, doc = run_json(capsys, "subgroup", "member", "--graph", str(dotted),
                          "--subgroup", "conj=a.b support=c", "--word", "a.b c a.b^-1")
     assert code == 0 and doc["member"] is True
+    # and so does roots=
+    code, doc = run_json(capsys, "subgroup", "validate", "--graph", str(dotted),
+                         "--subgroup", "roots=a.b")
+    assert code == 0 and doc["valid"] is True
+    code, doc = run_json(capsys, "subgroup", "member", "--graph", str(dotted),
+                         "--subgroup", "roots=a.b", "--word", "a.b^-2")
+    assert code == 0 and doc["member"] is True
 
 
 def test_closure_cli(graph_files, capsys):
     code, doc = run_json(capsys, "closure", "--graph", graph_files["z2"],
                          "--tuple", "1", "--tuple", "a a", "--tuple", "a b")
     assert code == 0 and doc["size"] > 3 and doc["truncated"] is False
+
+
+def test_closure_refuses_too_much_work_before_the_round(graph_files, capsys):
+    # 20 points a^i b^s(i) of Z^2 close to 291 points after one round; the
+    # next round would take C(291, 3) = 4,063,645 more medians
+    rng = random.Random(1)
+    s = list(range(20))
+    rng.shuffle(s)
+    tuples = [arg for i in range(20) for arg in ("--tuple", "a^%d b^%d" % (i, s[i]))]
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "closure", "--graph", graph_files["z2"], *tuples)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and doc["error"] == "out_of_range"
+    assert "4064785 coordinate medians" in doc["message"]
+    assert "more than %d" % CLOSURE_WORK in doc["message"]
 
 
 def test_deterministic_output(graph_files, capsys):
@@ -248,6 +271,20 @@ def test_tree_word_count_is_syntax_error(graph_files, capsys, argv):
     code, doc = run_json(capsys, "tree", argv[0], "--graph", graph_files["path"],
                          "--vertex", "b", *argv[1:])
     assert code == 1 and doc["error"] == "word_syntax"
+
+
+@pytest.mark.parametrize("command, words, message", [
+    (["normalize"], 2, "normalize needs exactly one --word argument"),
+    (["multiply"], 3, "multiply needs exactly two --word arguments"),
+    (["median"], 4, "median needs exactly three --word arguments"),
+    (["tree", "dist", "--vertex", "b"], 3, "tree dist needs exactly two --word arguments"),
+    (["tree", "length", "--vertex", "b"], 2,
+     "tree length needs exactly one --word argument"),
+])
+def test_extra_words_are_syntax_errors(graph_files, capsys, command, words, message):
+    code, doc = run_json(capsys, *command, "--graph", graph_files["path"],
+                         *["--word", "a"] * words)
+    assert code == 1 and doc["error"] == "word_syntax" and doc["message"] == message
 
 
 def test_selftest_jobs_below_one_is_usage_error(monkeypatch):
@@ -311,6 +348,8 @@ def test_cmp_radius_below_one_is_usage_error(graph_files, argv):
      "--radius", "-2"],
     ["tree", "almost-stab", "--vertex", "a", "--end", "a a a", "--s", "1", "--radius", "0"],
     ["tree", "almost-stab", "--vertex", "a", "--end", "a a a", "--s", "1", "--radius", "-3"],
+    ["closure", "--tuple", "a", "--cap", "0"],
+    ["closure", "--tuple", "a", "--cap", "-1"],
 ])
 def test_vacuous_range_is_out_of_range(graph_files, capsys, argv):
     code, doc = run_json(capsys, *argv, "--graph", graph_files["z2"])

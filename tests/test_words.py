@@ -1,11 +1,16 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 
 from raagtk import oracles as O
-from raagtk.errors import GraphMismatchError
+from raagtk import words as W
+from raagtk.errors import GraphMismatchError, OutOfRangeError
+from raagtk.selftest import CATALOG, catalog_graph
 from raagtk.words import (
+    DEFAULT_CLOSURE_CAP,
+    ClosureResult,
     _nf,
     ball_codes,
     cyclic_reduce,
@@ -392,6 +397,103 @@ def test_closure_pairs_arity(z2):
 
     with pytest.raises(ArityMismatchError):
         subalgebra_closure([(one,), (one, a)])
+
+
+def reference_closure(points, cap=DEFAULT_CLOSURE_CAP):
+    """The round loop that `subalgebra_closure` replaced, kept as the order
+    reference: each new point a meets every pair (pts[i], pts[j]), i <= j,
+    of the points the round starts with."""
+    pts = []
+    seen = set()
+    arity = None
+    for t in points:
+        t = tuple(t)
+        if arity is None:
+            arity = len(t)
+        if t not in seen:
+            seen.add(t)
+            pts.append(t)
+    if arity is None:
+        return ClosureResult([], False, cap)
+    fresh = list(pts)
+    while fresh:
+        if len(pts) > cap:
+            return ClosureResult(pts, True, cap)
+        new = []
+        n = len(pts)
+        for a in fresh:
+            for i in range(n):
+                b = pts[i]
+                for j in range(i, n):
+                    c = pts[j]
+                    m = tuple(median(a[k], b[k], c[k]) for k in range(arity))
+                    if m not in seen:
+                        seen.add(m)
+                        new.append(m)
+                        if len(pts) + len(new) > cap:
+                            pts.extend(new)
+                            return ClosureResult(pts, True, cap)
+        pts.extend(new)
+        fresh = new
+    return ClosureResult(pts, False, cap)
+
+
+def z2_permutation_points(graph, n, seed):
+    """The n points a^i b^s(i) of Z^2, s a permutation shuffled by `seed`."""
+    s = list(range(n))
+    random.Random(seed).shuffle(s)
+    return [(normalize(graph, "a^%d b^%d" % (i, s[i])),) for i in range(n)]
+
+
+def test_closure_matches_the_reference_loop(z2):
+    for cap in (10, 30, DEFAULT_CLOSURE_CAP):
+        pts = z2_permutation_points(z2, 8, 5)
+        assert subalgebra_closure(pts, cap) == reference_closure(pts, cap)
+    rng = random.Random(19)
+    over_at_start = over_in_round = 0
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        for _ in range(20):
+            arity = rng.choice((1, 2))
+            pts = [tuple(rand_nf(rng, graph, rng.randrange(0, 8)) for _ in range(arity))
+                   for _ in range(rng.randrange(1, 8))]
+            pts += rng.sample(pts, rng.randrange(0, 2))
+            cap = rng.choice((1, 3, 10, DEFAULT_CLOSURE_CAP))
+            res = subalgebra_closure(pts, cap)
+            assert res == reference_closure(pts, cap), (gi, pts, cap)
+            if res.truncated:
+                if len(set(pts)) > cap:
+                    over_at_start += 1
+                else:
+                    over_in_round += 1
+                    assert len(res.elements) == cap + 1
+    assert over_at_start and over_in_round
+
+
+def test_closure_evaluates_each_unordered_triple_once(z2, monkeypatch):
+    triples = []
+
+    def counted(x, y, z):
+        triples.append(tuple(sorted((x.codes, y.codes, z.codes))))
+        return median(x, y, z)
+
+    monkeypatch.setattr(W, "median", counted)
+    res = subalgebra_closure(z2_permutation_points(z2, 8, 5))
+    assert len(res.elements) == 31 and not res.truncated
+    assert len(triples) == len(set(triples)) == comb(31, 3)
+    assert all(len(set(t)) == 3 for t in triples)
+
+
+def test_closure_refuses_a_round_past_the_work_limit(z2, monkeypatch):
+    pts = z2_permutation_points(z2, 8, 5)
+    # C(31, 3) = 4495 medians close these points
+    monkeypatch.setattr(W, "CLOSURE_WORK", comb(31, 3))
+    assert len(subalgebra_closure(pts).elements) == 31
+    monkeypatch.setattr(W, "CLOSURE_WORK", comb(31, 3) - 1)
+    with pytest.raises(OutOfRangeError, match="4495 coordinate medians, more than 4494"):
+        subalgebra_closure(pts)
+    # a truncated closure stops before the round that would pass the limit
+    assert subalgebra_closure(pts, cap=30).truncated
 
 
 def test_parse_word_refuses_words_past_physical_memory(z2, monkeypatch):
