@@ -26,8 +26,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidSplittingError, OutOfRangeError, RaagError
-from .words import (NormalForm, _nf, _require_memory, ball_codes, dist, identity,
-                    inv_codes, median, normal_codes, normalize, strip_suffix_in)
+from .words import (NormalForm, _nf, _require_memory, ball_codes, dist,
+                    hyperplane_columns, identity, inv_codes, median, normal_codes,
+                    normalize)
 from . import dls as D
 
 # numpy is most of a command's start-up and only the tables need it, so the
@@ -70,44 +71,17 @@ class _PrefixTrie(NamedTuple):
     ends: np.ndarray        # node of each word
     crossings: tuple        # (hyperplane ids, word indices): H(w) for every w
     hyperplanes: int
+    gates: int              # gates memoised by words.hyperplane_columns
 
 
-def _prefix_trie(graph, words) -> _PrefixTrie:
-    """Walk every word through its prefix trie, resolving the hyperplane of
-    each new prefix once.  The hyperplane dual to the edge from w[:k-1] to
-    w[:k] is keyed, as in words.hyperplane_at, by its vertex v and the gate
-    of its coset; a letter with the even (inverse) code is read backwards
-    from the canonical prefix w[:k], which needs no normal form.  H(w) is
-    the column of every node on the path from w's node up to the root, so
-    the crossings are read off the parent pointers one depth at a time,
-    every word at once.
-
-    On a ball from ball_codes, node i is ball[i], by induction on i: node 0
-    is ball[0] = 1.  ball_codes lists shorter words first and every prefix
-    of a canonical word is canonical, so the proper prefixes of ball[i] are
-    among ball[0..i-1], already nodes, and the walk reaches the node of
-    ball[i][:-1]; ball[i] is none of the earlier words, so its last letter
-    adds exactly one node, node i."""
+def _trie(graph, parent, letter, depth, ends) -> _PrefixTrie:
+    """The trie with these parent, last-letter and depth lists (parent[t] < t)
+    and these word nodes.  Each edge's hyperplane is resolved by
+    words.hyperplane_columns.  H(w) is the column of every node on the path
+    from w's node up to the root, so the crossings are read off the parent
+    pointers one depth at a time, every word at once."""
     import numpy as np
-    nc = 2 * len(graph)
-    column = {}     # gate key -> hyperplane id
-    step = {}       # node * nc + code -> node of the prefix extended by code
-    parent, col, depth, ends = [0], [0], [0], []
-    for w in words:
-        node = 0
-        for c in w:
-            key = node * nc + c
-            nxt = step.get(key)
-            if nxt is None:
-                nxt = step[key] = len(parent)
-                k = depth[node] + 1        # the new prefix is w[:k]
-                parent.append(node)
-                v = c >> 1
-                gate = v, strip_suffix_in(graph, w[:k - (c & 1)], graph.link_mask(v))
-                col.append(column.setdefault(gate, len(column)))
-                depth.append(k)
-            node = nxt
-        ends.append(node)
+    col, hyperplanes, gates = hyperplane_columns(graph, parent, letter)
     parent, col = np.array(parent, dtype=np.intp), np.array(col, dtype=np.intp)
     ends = np.array(ends, dtype=np.intp)
     node, owner = ends, np.arange(len(ends))
@@ -119,23 +93,50 @@ def _prefix_trie(graph, words) -> _PrefixTrie:
         owners.append(owner)
         node = parent[node]
     return _PrefixTrie(parent, col, np.array(depth), ends,
-                       (np.concatenate(hits), np.concatenate(owners)), len(column))
+                       (np.concatenate(hits), np.concatenate(owners)), hyperplanes, gates)
+
+
+def _prefix_trie(graph, words) -> _PrefixTrie:
+    """Walk every word through its prefix trie, adding a node for each new
+    prefix, and resolve the hyperplanes of the trie's edges (_trie)."""
+    nc = 2 * len(graph)
+    step = [0] * nc     # [node * nc + code]: node of the prefix extended by code, or 0
+    parent, letter, depth, ends = [0], [0], [0], []
+    for w in words:
+        node = 0
+        for c in w:
+            at = node * nc + c
+            nxt = step[at]
+            if not nxt:
+                nxt = step[at] = len(parent)
+                step += [0] * nc
+                parent.append(node)
+                letter.append(c)
+                depth.append(depth[node] + 1)
+            node = nxt
+        ends.append(node)
+    return _trie(graph, parent, letter, depth, ends)
 
 
 def _ball_trie(graph, ball, images_map):
-    """The prefix trie of a ball, whose node i is ball[i] (see _prefix_trie),
-    and the images of its words.  The image of a word is its parent's image
-    times the image of its last letter, and the parent's image is canonical,
-    so its normal form continues the insertion from there."""
+    """The prefix trie of a ball from ball_codes, whose node i is ball[i],
+    and the images of its words.  ball_codes lists shorter words first, and
+    every prefix of a canonical word is canonical, so the parent of ball[i]
+    is ball[i][:-1], an earlier word of the ball.  The image of a word is
+    its parent's image times the image of its last letter, and the parent's
+    image is canonical, so its normal form continues the insertion from
+    there."""
     letters = {}
     for iv, v in enumerate(graph.vertices):
         img = images_map[v].codes
         letters[2 * iv + 1], letters[2 * iv] = img, inv_codes(img)
-    trie = _prefix_trie(graph, ball)
+    index = {w: i for i, w in enumerate(ball)}
+    parent = [0] + [index[w[:-1]] for w in ball[1:]]
+    last = [0] + [w[-1] for w in ball[1:]]
     images = [()]
-    for up, w in zip(trie.parent.tolist()[1:], ball[1:]):
-        images.append(normal_codes(graph, letters[w[-1]], images[up]))
-    return trie, images
+    for up, c in zip(parent[1:], last[1:]):
+        images.append(normal_codes(graph, letters[c], images[up]))
+    return _trie(graph, parent, last, list(map(len, ball)), range(len(ball))), images
 
 
 def _distance_table(trie: _PrefixTrie):
@@ -248,25 +249,43 @@ def _scan_bytes(n: int, top0: int, topd: int) -> int:
     return (n * n + _block_rows(n) * n * n) * np.dtype(_scan_dtype(top0, topd)).itemsize
 
 
-def _check_memory(ball_trie: _PrefixTrie, images):
+# bytes of the image trie's Python objects per memoised gate, beyond the
+# walk's step slots: the gate memo, the hash-consed gates, the columns and
+# the node lists.  There is at least one gate a node, and a scratch run over
+# catalog maps and folds a -> c^k a (k <= 640) peaked at 414 bytes a gate.
+_GATE_BYTES = 512
+
+
+def _gate_bound(graph, longest: int, letters: int) -> int:
+    """Upper bound on the gates words.hyperplane_columns memoises for the
+    trie of images of `letters` letters in all, the longest of `longest`:
+    the trie has at most `letters` nodes besides the root, and each holds at
+    most min(longest, sum over v of 2^|lk v|) gates."""
+    return letters * min(longest, sum(1 << lk.bit_count() for lk in graph.adj))
+
+
+def _check_memory(graph, ball_trie: _PrefixTrie, images):
     """Raise MemoryLimitError if the arrays of one defect computation would
     not fit in physical memory, before the image trie is built.  Entries
     are bounded by word lengths: a distance is at most the sum of two
     lengths.  The image trie is bounded from the images alone: its depth is
-    the longest image, it has at most one hyperplane per image letter, and
-    at most n nodes on a level."""
+    the longest image, it has at most one node and one hyperplane per image
+    letter, at most n nodes on a level, and at most _gate_bound gates."""
     import numpy as np
     n = len(ball_trie.ends)
+    longest, letters = max(map(len, images)), sum(map(len, images))
     sides = ((int(ball_trie.depth.max(initial=0)), ball_trie.hyperplanes,
               int(np.bincount(ball_trie.depth).max())),
-             (max(map(len, images)), sum(map(len, images)), n))
+             (longest, letters, n))
     need, tops = 0, []
-    for longest, hyperplanes, widest in sides:
-        size = np.dtype(_int_dtype(4 * longest)).itemsize
-        tops.append(2 * longest)
+    for top, hyperplanes, widest in sides:
+        size = np.dtype(_int_dtype(4 * top)).itemsize
+        tops.append(2 * top)
         # the table, the incidence, and the level rows: parent, child, gather
         need += n * n * size + hyperplanes * n + widest * n * (2 * size + 1)
     need += _scan_bytes(n, *tops)
+    # the image trie's walk: 2|V| step slots of 8 bytes a node; and its gates
+    need += 16 * len(graph) * (letters + 1) + _GATE_BYTES * _gate_bound(graph, longest, letters)
     _require_memory(need, "a defect scan over %d ball elements", n)
 
 
@@ -403,7 +422,7 @@ def cmp_defect(phi, radius: int) -> DefectReport:
     ceiling = defect_ceiling(phi)
     ball = ball_codes(graph, radius)
     ball_trie, images = _ball_trie(graph, ball, images_map)
-    _check_memory(ball_trie, images)
+    _check_memory(graph, ball_trie, images)
     tries = ball_trie, _prefix_trie(graph, images)
     best, (i, j, k) = _scan(*map(_distance_table, tries),
                             None if ceiling is None else 2 * ceiling)

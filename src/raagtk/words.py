@@ -85,6 +85,27 @@ scan forward from i finds the positions that depend on i, and one backward
 from j those j depends on.  `realize_pair_span` takes B to be the positions
 that do not depend on i, an ideal, and A those that depend on i and on which
 j depends; the crossings at i and j are transverse iff j does not depend on i.
+
+Gates.  The gate of the coset p A_M, its shortest element, is
+G(p, M) = `strip_suffix_in(p, M)` for canonical p: right to left, drop
+each letter over M that no letter kept after it blocks.  For canonical p c
+with c over u:
+
+  (1) if u is in M, G(p c, M) = G(p, M);
+  (2) if u is not in M, G(p c, M) = G(p, M - block[u]) c.
+
+In (1) c is read first, nothing blocks it, and it is dropped, so the pass
+over p is unchanged.  In (2) c is kept and blocks block[u].  From then on
+a letter over x in M is dropped iff x is not in block[u] and no letter kept
+after it blocks x, which is the test of the pass over p with the mask
+M - block[u] = M & lk u: by induction along the pass, both keep the same
+letters, and the first has blocked exactly block[u] more.  So a letter
+outside the mask shrinks the mask of what comes before it.  The hyperplane
+of the edge p -> p c over v is named, as in `hyperplane_at`, by v and the
+gate of p c^(0 or 1) in the coset of lk v.  v is not in lk v and lk v
+misses block[v], so that gate is G(p, lk v) for c = v and G(p, lk v) v^-1
+for c = v^-1.  `hyperplane_columns` resolves every edge of a trie this way
+along its parent pointers, each gate once per (node, mask).
 """
 
 from __future__ import annotations
@@ -276,6 +297,59 @@ def strip_suffix_in(graph: DefGraph, codes, allowed_mask):
         kept.append(c)
         blocked |= block[v]
     return tuple(reversed(kept))
+
+
+def hyperplane_columns(graph: DefGraph, parent, letter):
+    """Hyperplane ids of the edges of a trie of canonical words, from its
+    parent and last-letter lists: node t > 0 is node parent[t] < t extended
+    by the letter letter[t] (entries at 0, the root, are ignored).  The
+    edge p -> p c over v is keyed, as in hyperplane_at, by v and the gate
+    G(p, lk v), followed by c when c = v^-1 (see "Gates" in the module
+    docstring); ids are numbered in order of first use.  Returns
+    (ids, number of hyperplanes, gates memoised), with ids[0] = 0.
+
+    Gates are hash-consed as (gate id, letter) -> id, id 0 the empty gate,
+    so equal ids are equal gates, and memoised per (node, mask).  The edge
+    query of node t walks up from p = parent[t] to a memoised gate, adding
+    one entry per node it passes, and then memoises G(t, lk v), which is
+    G(p, lk v) c as v is not in lk v.  So a query adds at most depth(t)
+    entries, and the masks are subsets of links: at most
+    n * min(depth, sum over v of 2^|lk v|) entries for n nodes."""
+    nv, adj = len(graph), graph.adj
+    nc = 2 * nv
+    memo = {}       # node << |V| | mask -> id of G(node, mask)
+    cons = {}       # gate id * 2|V| + code -> id of the gate followed by code
+    column = {}     # gate id * |V| + v -> hyperplane id
+    ids = [0]
+    for t in range(1, len(parent)):
+        c = letter[t]
+        v = c >> 1
+        node, mask = parent[t], adj[v]
+        g = memo.get(node << nv | mask) if node else 0
+        if g is None:
+            # walk up to a memoised gate or the root, then build back down
+            path = []
+            while node:
+                key = node << nv | mask
+                g = memo.get(key)
+                if g is not None:
+                    break
+                d = letter[node]
+                if (mask >> (d >> 1)) & 1:
+                    path.append((key, -1))
+                else:
+                    path.append((key, d))
+                    mask &= adj[d >> 1]
+                node = parent[node]
+            else:
+                g = 0
+            for key, d in reversed(path):
+                if d >= 0:
+                    g = cons.setdefault(g * nc + d, len(cons) + 1)
+                memo[key] = g
+        gc = memo[t << nv | adj[v]] = cons.setdefault(g * nc + c, len(cons) + 1)
+        ids.append(column.setdefault((g if c & 1 else gc) * nv + v, len(column)))
+    return ids, len(column), len(memo)
 
 
 # ---------------------------------------------------------------------------

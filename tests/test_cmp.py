@@ -45,6 +45,7 @@ from raagtk.words import (
     normal_codes,
     normalize,
     reduce_codes,
+    strip_suffix_in,
 )
 
 from conftest import rand_nf
@@ -454,7 +455,7 @@ def _path_trie(m):
     return C._PrefixTrie(parent=np.arange(-1, m), column=np.arange(-1, m),
                          depth=np.arange(m + 1), ends=np.array([0, m]),
                          crossings=(np.arange(m), np.ones(m, dtype=np.intp)),
-                         hyperplanes=m)
+                         hyperplanes=m, gates=0)
 
 
 def test_distance_table_dtype_follows_twice_the_largest_entry():
@@ -522,26 +523,27 @@ def test_memory_check_passes_small_balls(monkeypatch):
 
 
 def test_memory_refusal_builds_no_image_trie(monkeypatch):
-    # the fold a -> c^640 a at R = 3: images of up to 1923 letters, whose
-    # trie is quadratic in their length; the check refuses before it
-    built = []
+    # the fold a -> c^640 a at R = 3: images of up to 1923 letters; the check
+    # refuses before their trie's hyperplanes are resolved
+    resolved = []
 
-    def recording(graph, words):
-        built.append(max(map(len, words)))
-        return prefix_trie(graph, words)
+    def recording(graph, parent, letter):
+        resolved.append(len(parent))
+        return hyperplane_columns(graph, parent, letter)
 
-    prefix_trie = C._prefix_trie
-    monkeypatch.setattr(C, "_prefix_trie", recording)
+    hyperplane_columns = C.hyperplane_columns
+    monkeypatch.setattr(C, "hyperplane_columns", recording)
     monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 4)
     free = DefGraph(["a", "c"])
     with pytest.raises(MemoryLimitError):
         cmp_defect(build_transvection(free, "a", normalize(free, _power("c", 640))), 3)
-    assert built == [3]     # the ball's trie only
+    assert resolved == [53]     # the ball's trie only
 
 
 def test_image_bounds_cover_the_image_trie():
     # _check_memory bounds the image trie before it exists: depth by the
-    # longest image, hyperplanes by the image letters, a level by n nodes
+    # longest image, nodes and hyperplanes by the image letters, a level by
+    # n nodes, and the gate memo by _gate_bound
     rng = random.Random(2213)
     free = DefGraph(["a", "c"])
     maps = [build_transvection(free, "a", normalize(free, _power("c", 80)))]
@@ -553,8 +555,88 @@ def test_image_bounds_cover_the_image_trie():
             _, images = C._ball_trie(phi.graph, ball, phi.generator_images)
             trie = _prefix_trie(phi.graph, images)
             assert int(trie.depth.max()) == max(map(len, images))
-            assert trie.hyperplanes <= sum(map(len, images))
+            assert trie.hyperplanes <= len(trie.parent) - 1 <= sum(map(len, images))
             assert int(np.bincount(trie.depth).max()) <= len(ball)
+            longest, letters = max(map(len, images)), sum(map(len, images))
+            assert trie.gates <= C._gate_bound(phi.graph, longest, letters)
+
+
+def _gate_limit(graph, trie):
+    """The gate memo bound of words.hyperplane_columns for this trie: its
+    nodes besides the root times min(depth, sum over v of 2^|lk v|)."""
+    masks = sum(2 ** len(graph.link(v)) for v in graph.vertices)
+    return (len(trie.parent) - 1) * min(int(trie.depth.max()), masks)
+
+
+def test_long_image_fold_is_linear_in_the_image():
+    # a -> c^640 a at R = 3: images of up to 1923 letters, whose hyperplanes
+    # are resolved from one gate a node (the free group has one mask)
+    free = DefGraph(["a", "c"])
+    fold = build_transvection(free, "a", normalize(free, _power("c", 640)))
+    rep = cmp_defect(fold, 3)
+    assert (rep.defect, rep.ball_size) == (640, 53)
+    assert tuple(str(w) for w in rep.witness) == ("1", "a^-1 c^-1 a", "a^-1 c^-1")
+    _, images = C._ball_trie(free, ball_codes(free, 3), fold.generator_images)
+    trie = _prefix_trie(free, images)
+    assert trie.gates <= _gate_limit(free, trie)
+    assert trie.gates == len(trie.parent) - 1
+
+
+def _strip_columns(graph, words):
+    """Hyperplane ids of the prefix trie of `words`, in node order, from the
+    strip-based key: each new prefix w[:k] strips its whole prefix, w[:k-1]
+    or w[:k] for an inverse letter, with the link of the letter's vertex."""
+    nc = 2 * len(graph)
+    column, step, ids, depth = {}, {}, [0], [0]
+    for w in words:
+        node = 0
+        for c in w:
+            key = node * nc + c
+            nxt = step.get(key)
+            if nxt is None:
+                nxt = step[key] = len(ids)
+                k = depth[node] + 1
+                v = c >> 1
+                gate = v, strip_suffix_in(graph, w[:k - (c & 1)], graph.link_mask(v))
+                ids.append(column.setdefault(gate, len(column)))
+                depth.append(k)
+            node = nxt
+    return ids
+
+
+def _assert_columns_match_strip(graph, trie, words):
+    assert trie.column.tolist() == _strip_columns(graph, words)
+    assert trie.hyperplanes == len(set(trie.column.tolist()[1:]))
+    assert trie.gates <= _gate_limit(graph, trie)
+
+
+@pytest.mark.parametrize("gi", range(len(CATALOG)), ids=[c[0] for c in CATALOG])
+def test_columns_match_the_strip_reference(gi):
+    # the gates carried along the parent pointers give the same column,
+    # element by element, as stripping every prefix
+    graph = catalog_graph(gi)
+    rng = random.Random(7000 + gi)
+    identity_images = {v: normalize(graph, v) for v in graph.vertices}
+    for radius in (1, 2, 3):
+        ball = ball_codes(graph, radius)
+        _assert_columns_match_strip(graph, C._ball_trie(graph, ball, identity_images)[0], ball)
+        _assert_columns_match_strip(graph, _prefix_trie(graph, ball), ball)
+    for _ in range(30):
+        words = [_reduced_word(rng, graph, rng.randrange(0, 25))
+                 for _ in range(rng.randrange(1, 9))]
+        _assert_columns_match_strip(graph, _prefix_trie(graph, words), words)
+    ball = ball_codes(graph, 3 if len(graph) <= 2 else 2)
+    for phi in _random_maps(rng, graph, 4):
+        _, images = C._ball_trie(graph, ball, phi.generator_images)
+        _assert_columns_match_strip(graph, _prefix_trie(graph, images), images)
+
+
+@pytest.mark.parametrize("k", (40, 160, 640))
+def test_long_fold_columns_match_the_strip_reference(k):
+    free = DefGraph(["a", "c"])
+    fold = build_transvection(free, "a", normalize(free, _power("c", k)))
+    _, images = C._ball_trie(free, ball_codes(free, 3), fold.generator_images)
+    _assert_columns_match_strip(free, _prefix_trie(free, images), images)
 
 
 def test_memory_limit_is_cli_domain_error(monkeypatch, tmp_path, capsys):
