@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import (
-    DegenerateArcError,
-    PreconditionError,
-    UnreducedWordError,
-)
+from .errors import PreconditionError, UnreducedWordError
 from .graph import DefGraph, VertexSet
 from .words import (
     Hyperplane,
@@ -240,12 +236,8 @@ def decompose_chain(beta: T.TreeArc) -> ChainReport:
     span wins: the whole arc, from its first to its last edge, when it has
     at least three edges.  Every other span overlaps it."""
     graph = beta.graph
-    iv = graph.index(beta.label)
-    word = beta.word()
-    vpos = [k for k, c in enumerate(word) if c >> 1 == iv]
+    word, vpos = beta.crossings()
     m = len(vpos)
-    if m == 0:
-        raise DegenerateArcError("arc crosses no edge")
     if m < 3:
         pieces = (ChainPiece("mu", (0, m - 1), m, None, None),)
     else:

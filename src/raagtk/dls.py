@@ -192,15 +192,16 @@ def apply(phi: DlsAutomorphism, g: NormalForm) -> NormalForm:
     return apply_images(phi.graph, phi.generator_images, g)
 
 
+def _compose_images(graph: DefGraph, outer: dict, inner: dict) -> dict:
+    """Generator-image map of outer o inner (first inner, then outer)."""
+    return {v: apply_images(graph, outer, inner[v]) for v in graph.vertices}
+
+
 def compose(phi: DlsAutomorphism, psi: DlsAutomorphism) -> dict:
     """Generator-image map of phi o psi (first psi, then phi)."""
     if phi.graph != psi.graph:
         raise GraphMismatchError("automorphisms on different graphs")
-    graph = phi.graph
-    return {
-        v: apply_images(graph, phi.generator_images, psi.generator_images[v])
-        for v in graph.vertices
-    }
+    return _compose_images(phi.graph, phi.generator_images, psi.generator_images)
 
 
 def inverse(phi: DlsAutomorphism) -> DlsAutomorphism:
@@ -240,18 +241,9 @@ def verify_automorphism(phi, inverse_images: dict = None, graph: DefGraph = None
         if normal_codes(graph, w + inv_codes(u) + inv_codes(w), u):
             return False
     if inverse_images is not None:
-        comp = {
-            v: apply_images(graph, images, inverse_images[v])
-            for v in graph.vertices
-        }
-        if not is_identity_map(graph, comp):
-            return False
-        comp = {
-            v: apply_images(graph, inverse_images, images[v])
-            for v in graph.vertices
-        }
-        if not is_identity_map(graph, comp):
-            return False
+        for outer, inner in ((images, inverse_images), (inverse_images, images)):
+            if not is_identity_map(graph, _compose_images(graph, outer, inner)):
+                return False
     return True
 
 

@@ -10,6 +10,7 @@ integers and set equalities).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -136,15 +137,17 @@ def _c1_task(args):
     bad = 0
     example = ""
     total = 0
+    nf_projections = functools.cache(lambda nf: O._projections(adj, nf, nverts))
     for w in itertools.product(range(2 * nverts), repeat=k):
         total += 1
         nf = normal_codes(graph, w)
         r = O.oracle_reduce(adj, w)
         # the same letters have the same projections, so only words that
-        # differ from the oracle's need comparing
+        # differ from the oracle's need comparing, against each form's
+        # projections computed once
         if len(r) != len(nf) or r != nf and O._projections(
             adj, r, nverts
-        ) != O._projections(adj, nf, nverts):
+        ) != nf_projections(nf):
             bad += 1
             if not example:
                 example = "%s: %r" % (CATALOG[gi][0], w)

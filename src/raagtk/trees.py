@@ -48,9 +48,7 @@ def tree_vertex(graph: DefGraph, v: str, g: NormalForm) -> TreeVertex:
 
 def translate_vertex(g: NormalForm, tv: TreeVertex) -> TreeVertex:
     graph = tv.graph
-    moved = normal_codes(graph, tv.rep, g.codes)
-    iv = graph.index(tv.label)
-    return TreeVertex(graph, tv.label, strip_suffix_in(graph, moved, graph.full & ~(1 << iv)))
+    return tree_vertex(graph, tv.label, _nf(graph, normal_codes(graph, tv.rep, g.codes)))
 
 
 def tv_distance(graph: DefGraph, v: str, g, h) -> int:
@@ -83,6 +81,15 @@ class TreeArc(NamedTuple):
         """Canonical geodesic word realizing the arc, read from start.rep."""
         return normal_codes(self.graph, inv_codes(self.start.rep) + self.end.rep)
 
+    def crossings(self):
+        """word() and the positions of its label letters, one per edge."""
+        iv = self.graph.index(self.label)
+        word = self.word()
+        vpos = [k for k, c in enumerate(word) if c >> 1 == iv]
+        if not vpos:
+            raise DegenerateArcError("arc crosses no edge")
+        return word, vpos
+
 
 def arc(graph: DefGraph, v: str, start: NormalForm, end: NormalForm) -> TreeArc:
     p = tree_vertex(graph, v, start)
@@ -92,18 +99,15 @@ def arc(graph: DefGraph, v: str, start: NormalForm, end: NormalForm) -> TreeArc:
     return TreeArc(graph, v, p, q)
 
 
-def arc_vertex_path(beta: TreeArc) -> list:
-    """The tree vertices along the arc, from start to end."""
+def arc_vertex(beta: TreeArc, k: int) -> TreeVertex:
+    """The k-th tree vertex along the arc, 0 <= k <= length: one normal form
+    of start.rep and the word up to its k-th crossing, then one gate."""
     graph = beta.graph
-    iv = graph.index(beta.label)
-    word = beta.word()
-    rep, last = beta.start.rep, 0
-    out = [beta.start]
-    for k, c in enumerate(word, 1):
-        if c >> 1 == iv:
-            rep, last = normal_codes(graph, word[last:k], rep), k
-            out.append(tree_vertex(graph, beta.label, _nf(graph, rep)))
-    return out
+    word, vpos = beta.crossings()
+    if not 0 <= k <= len(vpos):
+        raise OutOfRangeError("k must satisfy 0 <= k <= %d" % len(vpos))
+    rep = normal_codes(graph, word[:vpos[k - 1] + 1] if k else (), beta.start.rep)
+    return tree_vertex(graph, beta.label, _nf(graph, rep))
 
 
 def arc_stabilizer(beta: TreeArc) -> S.SubgroupForm:
@@ -111,11 +115,7 @@ def arc_stabilizer(beta: TreeArc) -> S.SubgroupForm:
     visual subgroup on the common link of the label set spanned between the
     first and last edge hyperplanes."""
     graph = beta.graph
-    iv = graph.index(beta.label)
-    word = beta.word()
-    vpos = [k for k, c in enumerate(word) if c >> 1 == iv]
-    if not vpos:
-        raise DegenerateArcError("arc crosses no edge")
+    word, vpos = beta.crossings()
     bcodes, acodes = realize_pair_span(graph, word, vpos[0], vpos[-1])
     base = _nf(graph, normal_codes(graph, bcodes, beta.start.rep))
     delta = graph.vset_mask(vertex_mask(acodes))
@@ -168,10 +168,8 @@ def classify_almost_stabilizer(beta: TreeArc, result: AlmostStabilizerResult) ->
     with all their loxodromic parts powers of one primitive root."""
     graph = beta.graph
     v = beta.label
-    iv = graph.index(v)
     t = result.s // 2
-    path = arc_vertex_path(beta)
-    p1, q1 = path[t], path[len(path) - 1 - t]
+    p1, q1 = arc_vertex(beta, t), arc_vertex(beta, beta.length - t)
     fixers = []
     loxo = []
     roots = set()
@@ -190,19 +188,14 @@ def classify_almost_stabilizer(beta: TreeArc, result: AlmostStabilizerResult) ->
             )
             if not on_axis:
                 ok = False
-            lox_parts = [
-                c for c in li_components(g).components
-                if count_vertex(cyclic_reduce_codes(graph, c.codes)[1], iv)
-            ]
+            lox_parts = [c for c in li_components(g).components
+                         if tv_translation_length(graph, v, c)]
             if len(lox_parts) != 1:
                 ok = False
             else:
                 r, _ = primitive_root(lox_parts[0])
                 roots.add(min(r, r.inv(), key=lambda x: x.codes))
             loxo.append(g)
-    shared = None
-    if roots:
-        if len(roots) != 1:
-            ok = False
-        shared = next(iter(sorted(roots, key=lambda x: x.codes)))
+    ok = ok and len(roots) <= 1
+    shared = min(roots, key=lambda x: x.codes) if roots else None
     return DichotomyReport(tuple(fixers), tuple(loxo), shared, (p1, q1), ok)

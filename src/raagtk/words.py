@@ -17,7 +17,7 @@ Continuation.  The pass carries the normal form of what it has read, and a
 canonical p is its own normal form, so `normal_codes(graph, h, p)` equals
 `normal_codes(graph, p + h)` without reinserting p.  Products whose left
 factor is canonical (g h, g h g^-1, a base and new letters) continue from
-it; an inverse on the left is not canonical and is read letter by letter.
+it; `inv_codes(g)` on the left is not canonical and is read letter by letter.
 
 Ball by canonical extension.  For canonical w, w + (c,) is canonical iff the
 insertion above appends c: scanning back from the end, c passes only letters
@@ -406,19 +406,16 @@ class NormalForm:
         return multiply(self, other)
 
     def inv(self) -> "NormalForm":
-        return NormalForm(self.graph, inv_codes(self.codes))
+        """Canonical g^-1 (the reversed letters of `inv_codes` need not be)."""
+        return NormalForm(self.graph, normal_codes(self.graph, inv_codes(self.codes)))
 
     def __pow__(self, n: int) -> "NormalForm":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = _nf(self.graph, ())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        """g^n continued from the canonical base b = g, or g^-1 for n < 0,
+        through |n| - 1 more copies of b ("Continuation" above).  The input
+        is |n| * |g| letters, and so is the output for cyclically reduced g."""
+        base = self if n >= 0 else self.inv()
+        codes = normal_codes(self.graph, base.codes * (abs(n) - 1), base.codes) if n else ()
+        return _nf(self.graph, codes)
 
     def __str__(self):
         return format_codes(self.graph, self.codes)

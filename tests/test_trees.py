@@ -9,14 +9,15 @@ from raagtk.trees import (
     almost_stabilizer,
     arc,
     arc_stabilizer,
-    arc_vertex_path,
+    arc_vertex,
     classify_almost_stabilizer,
     translate_vertex,
     tree_vertex,
     tv_distance,
     tv_translation_length,
 )
-from raagtk.words import _nf, ball_codes, identity, multiply, normalize
+from raagtk.selftest import CATALOG, catalog_graph
+from raagtk.words import _nf, ball_codes, identity, multiply, normal_codes, normalize
 
 from conftest import rand_nf
 
@@ -175,12 +176,49 @@ def test_arc_stabilizer_elements_fix_interior():
         except DegenerateArcError:
             continue
         sf = arc_stabilizer(beta)
-        interior = arc_vertex_path(beta)
+        interior = [arc_vertex(beta, k) for k in range(beta.length + 1)]
         for codes in ball_codes(path4, 2):
             g = _nf(path4, codes)
             if member(sf, g):
                 for p in interior:
                     assert translate_vertex(g, p) == p
+
+
+def walked_arc_vertices(beta):
+    """Reference: the tree vertices along the arc, continuing the rep
+    through the word one crossing at a time."""
+    graph = beta.graph
+    iv = graph.index(beta.label)
+    word = beta.word()
+    rep, last = beta.start.rep, 0
+    out = [beta.start]
+    for k, c in enumerate(word, 1):
+        if c >> 1 == iv:
+            rep, last = normal_codes(graph, word[last:k], rep), k
+            out.append(tree_vertex(graph, beta.label, _nf(graph, rep)))
+    return out
+
+
+def test_arc_vertex_matches_walk_on_every_catalog_graph():
+    rng = random.Random(47)
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        done = 0
+        while done < 12:
+            v = rng.choice(graph.vertices)
+            start = rand_nf(rng, graph, rng.randrange(0, 4))
+            w = rand_nf(rng, graph, rng.randrange(1, 10))
+            try:
+                beta = arc(graph, v, start, multiply(start, w))
+            except DegenerateArcError:
+                continue
+            done += 1
+            walk = walked_arc_vertices(beta)
+            assert [arc_vertex(beta, k) for k in range(beta.length + 1)] == walk
+        with pytest.raises(OutOfRangeError):
+            arc_vertex(beta, beta.length + 1)
+        with pytest.raises(OutOfRangeError):
+            arc_vertex(beta, -1)
 
 
 def test_almost_stabilizer_contains_stabilizer(z2):
@@ -208,3 +246,14 @@ def test_almost_stabilizer_dichotomy_axis_case(z2):
     assert rep.loxodromics
     assert rep.shared_root is not None
     assert str(rep.shared_root) in ("a", "a^-1")
+
+
+def test_almost_stabilizer_dichotomy_root_with_commuting_letters(path4):
+    # the reversed letters of (a b d)^-1 are d^-1 b^-1 a^-1, but its normal
+    # form is d^-1 a^-1 b^-1; the two loxodromic roots agree up to inversion
+    r = normalize(path4, "a b d")
+    beta = arc(path4, "d", identity(path4), r ** 4)
+    rep = classify_almost_stabilizer(beta, almost_stabilizer(beta, 1, 3))
+    assert len(rep.loxodromics) == 2
+    assert rep.ok
+    assert rep.shared_root == r

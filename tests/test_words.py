@@ -161,6 +161,60 @@ def test_multiply_lengths_and_inverse(gw):
     assert len(multiply(g, h)) <= len(g) + len(h)
     assert len(invert(g)) == len(g)
     assert multiply(g, invert(g)) == identity(graph)
+    assert invert(g).codes == normal_codes(graph, inv_codes(g.codes))
+    gh = multiply(invert(g), h)
+    assert gh.codes == normal_codes(graph, gh.codes)
+    assert gh.codes == normal_codes(graph, inv_codes(g.codes) + h.codes)
+
+
+def test_power_is_repeated_multiply():
+    # the bases include conjugates x g x^-1, which are not cyclically reduced
+    rng = random.Random(53)
+    unreduced = 0
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        for _ in range(6):
+            g = rand_nf(rng, graph, rng.randrange(0, 6))
+            x = rand_nf(rng, graph, rng.randrange(1, 4))
+            for base in (g, multiply(multiply(x, g), invert(x))):
+                unreduced += bool(cyclic_reduce(base).conjugator)
+                assert base ** 0 == identity(graph)
+                for step, sign in ((base, 1), (invert(base), -1)):
+                    power = identity(graph)
+                    for n in range(1, 7):
+                        power = multiply(power, step)
+                        assert base ** (sign * n) == power
+    assert unreduced > 40
+
+
+def test_public_outputs_are_canonical():
+    # NormalForm promises canonical codes; every operation that returns one
+    # must keep that promise, or equality and continuation from it break
+    from raagtk import dls as D
+    from raagtk.elements import centralizer, li_components, primitive_root
+    from raagtk.selftest import random_dls
+
+    rng = random.Random(59)
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        maps = [phi for phi in (random_dls(rng, graph) for _ in range(3)) if phi]
+        inverses = [D.inverse(phi) for phi in maps]
+        out = [phi.twist_element for phi in inverses]
+        out += [img for phi in inverses for img in phi.generator_images.values()]
+        for _ in range(12):
+            g = rand_nf(rng, graph, rng.randrange(0, 8))
+            h = rand_nf(rng, graph, rng.randrange(0, 8))
+            out += [g.inv(), invert(g), multiply(g, h), multiply(invert(g), h)]
+            out += [g ** n for n in range(-4, 5)]
+            out += list(cyclic_reduce(g))
+            if g:
+                dec = li_components(g)
+                out += [*dec.components, dec.conjugator, primitive_root(g)[0]]
+                cf = centralizer(g)
+                out += [cf.conjugator, *cf.cyclic_roots]
+            out += [D.apply(phi, g) for phi in maps]
+        for x in out:
+            assert x.codes == normal_codes(graph, x.codes), (CATALOG[gi][0], x)
 
 
 def test_multiply_commuting(z2):
