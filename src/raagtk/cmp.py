@@ -5,8 +5,8 @@ The defect of a map F at radius R is the largest distance from F(p) to the
 median of (F(p), F(x), F(y)) over ball triples with p between x and y.  In a
 median graph that distance is the Gromov product
 (d(Fp,Fx) + d(Fp,Fy) - d(Fx,Fy)) / 2 and p is between x and y iff
-d(x,p) + d(p,y) = d(x,y), so the whole scan reduces to two pairwise distance
-tables: one for the ball, one for its image.  Both count hyperplanes: the
+d(x,p) + d(p,y) = d(x,y), so the scan reads two pairwise distance tables:
+one for the ball, one for its image.  Both count hyperplanes: the
 distance between two vertices of the cube complex is the number of
 hyperplanes separating them.  The tables are grown along the prefix trie of
 the words, one depth level at a time, and one builder makes the trie of the
@@ -18,7 +18,10 @@ one fused table in which "between" and "how far from the median" are a
 single integer, a block of rows at a time.
 For folds and partial conjugations the defect never exceeds |z|
 (defect_ceiling), so their scan stops at the first block that reaches it.
-All of it is exact integer numpy code.
+Above radius |z| they first read the scan's row 0, x = 1, where a value
+needs only the lengths of three images; when it reaches 2|z| that is the
+answer, and no table is built (cmp_defect).  The tables and the scan are
+exact integer numpy code; row 0 is plain Python and loads no numpy.
 """
 
 from __future__ import annotations
@@ -118,6 +121,15 @@ def _prefix_trie(graph, words) -> _PrefixTrie:
     return _trie(graph, parent, letter, depth, ends)
 
 
+def _letter_images(graph, images_map) -> dict:
+    """The image codes of every letter code, from the generator images."""
+    letters = {}
+    for iv, v in enumerate(graph.vertices):
+        img = images_map[v].codes
+        letters[2 * iv + 1], letters[2 * iv] = img, inv_codes(img)
+    return letters
+
+
 def _ball_trie(graph, ball, images_map):
     """The prefix trie of a ball from ball_codes, whose node i is ball[i],
     and the images of its words.  ball_codes lists shorter words first, and
@@ -126,10 +138,7 @@ def _ball_trie(graph, ball, images_map):
     its parent's image times the image of its last letter, and the parent's
     image is canonical, so its normal form continues the insertion from
     there."""
-    letters = {}
-    for iv, v in enumerate(graph.vertices):
-        img = images_map[v].codes
-        letters[2 * iv + 1], letters[2 * iv] = img, inv_codes(img)
+    letters = _letter_images(graph, images_map)
     index = {w: i for i, w in enumerate(ball)}
     parent = [0] + [index[w[:-1]] for w in ball[1:]]
     last = [0] + [w[-1] for w in ball[1:]]
@@ -405,13 +414,76 @@ def defect_ceiling(phi):
     return None
 
 
+def _row_zero(graph, ball, images_map, top):
+    """The least (y, p) in ball order with p <= y and
+    |F(p)| + |F(p^-1 y)| - |F(y)| = top, or None: the first cell of row 0 of
+    the scan that reaches `top` (see cmp_defect).  The images are grown as in
+    _ball_trie, but only for the words the row reads, memoised on codes."""
+    letters = _letter_images(graph, images_map)
+    block = graph.block
+    images = {(): ()}
+
+    def image(w):
+        img = images.get(w)
+        if img is None:
+            img = images[w] = normal_codes(graph, letters[w[-1]], image(w[:-1]))
+        return img
+
+    for y in ball:
+        need = len(image(y)) + top
+        # the ideals of y's positions, as bitmasks and readings: position j
+        # joins an ideal of the earlier positions iff it holds every earlier
+        # letter that does not commute with y[j]
+        ideals = [(0, ())]
+        for j, c in enumerate(y):
+            bm = block[c >> 1]
+            below = sum(1 << i for i in range(j) if (bm >> (y[i] >> 1)) & 1)
+            ideals += [(m | 1 << j, p + (c,)) for m, p in ideals if m & below == below]
+        hits = []
+        for m, p in ideals:
+            fp = len(image(p))
+            # |F(y)| >= |F(p^-1 y)| - |F(p)|, so the value is at most 2|F(p)|
+            if 2 * fp < top:
+                continue
+            rest = normal_codes(graph, tuple(c for i, c in enumerate(y) if not (m >> i) & 1))
+            if fp + len(image(rest)) == need:
+                hits.append(p)
+        if hits:
+            return y, min(hits, key=lambda p: (len(p), p))
+    return None
+
+
 def cmp_defect(phi, radius: int) -> DefectReport:
     """Exhaustive defect of the automorphism over the ball of the given
     radius: max over ball elements x, y and p between them (also in the
     ball) of the distance from image(p) to the median of the three images.
     The witness is the lexicographically least maximizing triple in ball
     order.  Folds and partial conjugations end the scan at twice their
-    defect_ceiling, the largest value a scanned triple can take."""
+    defect_ceiling c, the largest value a scanned triple can take, and when
+    R > c they read row 0 of the scan first, with no table.
+
+    Row 0.  The scan's first row is x = ball[0] = 1.  There p is between 1
+    and y iff |p| + d(p, y) = |y|, that is p <= y in the prefix order, and
+    such a p is y read on an ideal of its positions, a canonical word
+    (words, "Meets" and "Median"); p^-1 y is y read on the complementary positions, which
+    _row_zero normalises.  F is a homomorphism and F(1) = 1, so the cell's
+    value DD[0, k] + DD[k, j] - DD[0, j] is |F(p)| + |F(p^-1 y)| - |F(y)|:
+    the row needs the lengths of images of ball words, and no table.  In
+    the rooted identity (defect_ceiling) these are the pairs x' = p^-1,
+    y' = p^-1 y, with |x'| + |y'| = |y| <= R.
+
+    Why its answer is the scan's.  Every triple's value is at most 2c.  If a
+    cell of row 0 reaches 2c, the scan's first block, which holds row 0
+    first in its flat order and no cell above 2c, has the least such cell as
+    its first flat maximum, and the scan stops there since 2c is its `stop`:
+    the least j, then the least k, that is the first y in ball order and
+    then its least p by (length, codes), the ball's order.  So _row_zero's
+    (1, y, p) and the defect c are the scan's witness and value.  If no
+    cell of row 0 reaches 2c, the tables are built and scanned as before.
+
+    Why R > c.  The fold's ceiling pair x' = v, y' = z needs
+    |x'| + |y'| = |z| + 1 <= R to lie in row 0.  At R <= c row 0 would
+    rarely reach 2c, and a miss costs a row-0 pass on top of the tables."""
     if radius < 1:
         raise OutOfRangeError("radius must be >= 1")
     if isinstance(phi, D.DlsAutomorphism):
@@ -421,6 +493,11 @@ def cmp_defect(phi, radius: int) -> DefectReport:
         graph, images_map = phi
     ceiling = defect_ceiling(phi)
     ball = ball_codes(graph, radius)
+    if ceiling is not None and radius > ceiling:
+        hit = _row_zero(graph, ball, images_map, 2 * ceiling)
+        if hit is not None:
+            return DefectReport(radius, ceiling, (identity(graph), *(_nf(graph, w) for w in hit)),
+                                len(ball))
     ball_trie, images = _ball_trie(graph, ball, images_map)
     _check_memory(graph, ball_trie, images)
     tries = ball_trie, _prefix_trie(graph, images)

@@ -483,3 +483,24 @@ def test_startup_loads_numpy_only_for_defect_tables(graph_files):
     assert outputs[-1] == {
         "ball_size": 41, "defect": 4, "radius": 4, "schema": 1,
         "witness": {"p": "1", "x": "a^-1 a^-1 a^-1 a^-1", "y": "b^-1 b^-1 b^-1 b^-1"}}
+
+
+GRAPHS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs")
+
+
+def test_row_zero_defect_loads_no_numpy():
+    # the fold reaches its ceiling in row 0 of the scan and builds no table,
+    # so numpy stays out; the plane twist has no ceiling and still loads it
+    fold = ["cmp", "defect", "--graph", os.path.join(GRAPHS, "free2.graph"),
+            "--dls", "fold v=a z=c", "--radius", "4", "--json"]
+    twist = ["cmp", "defect", "--graph", os.path.join(GRAPHS, "z2.graph"),
+             "--dls", "twist v=b z=a", "--radius", "4", "--json"]
+    proc = run_child(["-c", STARTUP_CHILD, json.dumps(fold), json.dumps(twist)],
+                     capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+    assert lines[0::2] == [[], [], ["numpy"]]
+    assert lines[1] == {
+        "ball_size": 161, "defect": 1, "radius": 4, "schema": 1,
+        "witness": {"p": "a^-1", "x": "1", "y": "a^-1 c"}}
+    assert lines[3]["defect"] == 4

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import tracemalloc
@@ -474,17 +475,44 @@ def _fold():
     return build_transvection(free, "a", normalize(free, "c"))
 
 
-def test_memory_check_before_tables(monkeypatch):
-    def no_table(trie):
-        raise AssertionError("a table was built")
+def _plane_twist():
+    plane = DefGraph(["a", "b"], [("a", "b")])
+    return build_transvection(plane, "b", normalize(plane, "a"))
 
-    monkeypatch.setattr(C, "_distance_table", no_table)
+
+def _no_table(trie):
+    raise AssertionError("a table was built")
+
+
+@contextlib.contextmanager
+def _table_path():
+    """cmp_defect with row 0 skipped, so the scan of the tables answers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_row_zero", lambda *args: None)
+        yield
+
+
+def test_memory_check_before_tables(monkeypatch):
+    monkeypatch.setattr(C, "_distance_table", _no_table)
     monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 6)
-    # fold R = 5: two 485 x 485 int16 tables and the scan buffers pass 1 MB
+    # the plane twist has no ceiling, so it takes the tables: at R = 12 two
+    # 313 x 313 tables, the scan buffers and the image trie pass 1 MB
     with pytest.raises(MemoryLimitError):
-        cmp_defect(_fold(), 5)
+        cmp_defect(_plane_twist(), 12)
     monkeypatch.setattr(W, "_physical_memory", lambda: 0)     # unknown: no check
     with pytest.raises(AssertionError):
+        cmp_defect(_plane_twist(), 12)
+
+
+def test_row_zero_builds_no_table(monkeypatch):
+    # the fold at R = 5 reaches its ceiling in row 0, so it is answered
+    # under a limit that refuses its two 485 x 485 tables
+    monkeypatch.setattr(C, "_distance_table", _no_table)
+    monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 6)
+    rep = cmp_defect(_fold(), 5)
+    assert (rep.defect, rep.ball_size) == (1, 485)
+    assert tuple(str(w) for w in rep.witness) == ("1", "a^-1 c", "a^-1")
+    with _table_path(), pytest.raises(MemoryLimitError):
         cmp_defect(_fold(), 5)
 
 
@@ -640,11 +668,11 @@ def test_long_fold_columns_match_the_strip_reference(k):
 
 
 def test_memory_limit_is_cli_domain_error(monkeypatch, tmp_path, capsys):
-    graph = tmp_path / "free2.graph"
-    graph.write_text("vertices: a c\n")
+    graph = tmp_path / "z2.graph"
+    graph.write_text("vertices: a b\nedge: a b\n")
     monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 6)
-    code = main(["cmp", "defect", "--graph", str(graph), "--dls", "fold v=a z=c",
-                 "--radius", "5", "--json"])
+    code = main(["cmp", "defect", "--graph", str(graph), "--dls", "twist v=b z=a",
+                 "--radius", "12", "--json"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["error"] == "memory_limit"
 
@@ -662,3 +690,88 @@ def test_rooted_defect_matches_cmp_defect():
             for r in (1, 2) if len(graph) <= 3 or k == 0 else (1,):
                 assert rooted_defect(phi, r) == cmp_defect(phi, r).defect, (phi.describe(), r)
     assert kinds == {FOLD, MIXED, PARTIAL_CONJUGATION, TWIST}
+
+
+def _answers_from_row_zero(phi, radius):
+    """Whether row 0 answers for phi at this radius, and cmp_defect's report
+    by row 0 and by the tables."""
+    graph = phi.graph
+    ceiling = C.defect_ceiling(phi)
+    hit = radius > ceiling and C._row_zero(graph, ball_codes(graph, radius),
+                                           phi.generator_images, 2 * ceiling) is not None
+    with _table_path():
+        tables = cmp_defect(phi, radius)
+    return hit, cmp_defect(phi, radius), tables
+
+
+def test_row_zero_matches_the_table_path_on_random_maps():
+    # folds and partial conjugations from random_dls on every catalog graph
+    # at R <= 4, while the ball holds at most 1000 elements: the same
+    # DefectReport whether row 0 answers or not (the misses scan in full)
+    cases = hits = 0
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        rng = random.Random(8000 + gi)
+        phis = [phi for phi in _random_maps(rng, graph, 12)
+                if phi.kind in (FOLD, PARTIAL_CONJUGATION)][:4]
+        for radius in (1, 2, 3, 4):
+            if len(ball_codes(graph, radius)) > 1000:
+                break
+            for phi in phis:
+                hit, rep, want = _answers_from_row_zero(phi, radius)
+                assert rep == want, (CATALOG[gi][0], phi.describe(), radius)
+                cases += 1
+                hits += hit
+    assert (cases, hits) == (189, 82)
+
+
+@pytest.mark.parametrize("radius", range(1, 7))
+def test_row_zero_matches_the_table_path_on_criterion_7(radius):
+    # criterion 7's fold a -> c a and partial conjugation c -> a c a^-1:
+    # both answer from row 0 once R > |z| = 1
+    free = DefGraph(["a", "c"])
+    path = DefGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    for phi in (build_transvection(free, "a", normalize(free, "c")),
+                build_partial_conjugation(path, ["a", "b"], ["b", "c"], ["b"],
+                                          normalize(path, "a"))):
+        hit, rep, want = _answers_from_row_zero(phi, radius)
+        assert hit == (radius > 1)
+        assert rep == want
+
+
+def test_row_zero_with_z_trivial_and_a_loose_ceiling():
+    path = DefGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    # z = 1: a ceiling of 0, met by the first cell (1, 1, 1)
+    trivial = build_partial_conjugation(path, ["a", "b"], ["b", "c"], ["b"], identity(path))
+    for radius in (1, 3):
+        hit, rep, want = _answers_from_row_zero(trivial, radius)
+        assert hit and rep == want
+        assert (rep.defect, tuple(map(str, rep.witness))) == (0, ("1", "1", "1"))
+    # |z| = 3 and defect 1: row 0 holds the witness but misses 2|z|, so the
+    # tables are scanned in full
+    loose = build_partial_conjugation(path, ["a", "b"], ["b", "c"], ["b"],
+                                      normalize(path, "a^-1 b b"))
+    assert loose.describe() == "partial_conjugation[z=a^-1 b b; c->a^-1 c a]"
+    hit, rep, want = _answers_from_row_zero(loose, 4)
+    assert not hit and rep == want
+    assert (rep.defect, rep.ball_size) == (1, 313)
+    assert tuple(map(str, rep.witness)) == ("1", "a c^-1", "a")
+
+
+@pytest.mark.parametrize("dls,radius", [
+    ("fold v=a z=c", 5),
+    ("pconj A=a,b B=b,c C=b z=a", 6),
+    ("pconj A=a,b B=b,c C=b z=a^-1,b,b", 4),
+    ("pconj A=a,b B=b,c C=b z=1", 2),
+])
+def test_row_zero_defect_json_is_byte_identical(dls, radius, tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text("vertices: a c\n" if dls.startswith("fold")
+                    else "vertices: a b c\nedge: a b\nedge: b c\n")
+    argv = ["cmp", "defect", "--graph", str(path), "--dls", dls,
+            "--radius", str(radius), "--json"]
+    assert main(argv) == 0
+    doc = capsys.readouterr().out
+    with _table_path():
+        assert main(argv) == 0
+    assert capsys.readouterr().out == doc
