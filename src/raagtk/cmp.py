@@ -15,7 +15,11 @@ of a canonical word is canonical, so it is its own trie, and its parent
 pointers also grow the images: the image of a word continues the normal
 form of its parent's image by the image of its last letter.  The scan reads
 one fused table in which "between" and "how far from the median" are a
-single integer, a block of rows at a time.
+single integer, a block of rows at a time.  Past its first block it skips
+every block that cannot hold the witness: a third table W, the ball's
+distances with each hyperplane weighted by the length of its label's image,
+bounds each row's values by max(W - DD) over the row, and the scan's column
+p = 1 bounds the maximum from below (_scan).
 For folds and partial conjugations the defect never exceeds |z|
 (defect_ceiling), so their scan stops at the first block that reaches it.
 Above radius |z| they first read the scan's row 0, x = 1, where a value
@@ -148,7 +152,18 @@ def _ball_trie(graph, ball, images_map):
     return _trie(graph, parent, last, list(map(len, ball)), range(len(ball))), images
 
 
-def _distance_table(trie: _PrefixTrie):
+def _label_weights(graph, ball, trie: _PrefixTrie, images_map):
+    """|F(l)| for each hyperplane of the ball's trie (_ball_trie), where the
+    label l is the vertex of the last letter of any word whose node adds
+    the hyperplane: the weights of _scan's bound."""
+    import numpy as np
+    size = np.array([len(images_map[v].codes) for v in graph.vertices])
+    weight = np.zeros(trie.hyperplanes, dtype=size.dtype)
+    weight[trie.column[1:]] = size[[w[-1] >> 1 for w in ball[1:]]]
+    return weight
+
+
+def _distance_table(trie: _PrefixTrie, weight=None):
     """Pairwise distances between the trie's words, counted as separating
     hyperplanes: d(u, v) = |H(u)| + |H(v)| - 2|H(u) & H(v)|, where H(w) is the
     set of hyperplanes crossed by the geodesic from 1 to w.  A node adds one
@@ -156,15 +171,21 @@ def _distance_table(trie: _PrefixTrie):
     words w is its parent's row plus the hyperplane's row of the
     hyperplane x word incidence; one depth level is one gathered add.  The
     table has the smallest dtype that holds twice its largest entry, since the
-    scan adds two entries."""
+    scan adds two entries.
+
+    With `weight`, an integer array over the hyperplane ids, each hyperplane
+    counts its weight instead of 1: the incidence holds the weights, and |H|
+    is read off the diagonal of the shared sums.  This is the weighted table
+    of _scan's bound."""
     import numpy as np
     n = len(trie.ends)
     lengths = trie.depth[trie.ends]
     longest = int(lengths.max(initial=0))
-    # every entry, and the sum L_u + L_v on the way to it, is at most 2*longest
-    dtype = _int_dtype(4 * longest)
-    crosses = np.zeros((trie.hyperplanes, n), dtype=np.bool_)
-    crosses[trie.crossings] = True
+    top = longest if weight is None else longest * int(weight.max(initial=0))
+    # every entry, and the sum |H(u)| + |H(v)| on the way to it, is at most 2*top
+    dtype = _int_dtype(4 * top)
+    crosses = np.zeros((trie.hyperplanes, n), dtype=np.bool_ if weight is None else dtype)
+    crosses[trie.crossings] = True if weight is None else weight[trie.crossings[0]]
     shared = np.zeros((n, n), dtype=dtype)
     order = np.argsort(trie.depth, kind="stable")
     starts = np.searchsorted(trie.depth[order], np.arange(longest + 2))
@@ -178,10 +199,10 @@ def _distance_table(trie: _PrefixTrie):
         done = np.flatnonzero(lengths == d)
         shared[done] = rows[pos[trie.ends[done]]]
     del rows, crosses
-    lengths = lengths.astype(dtype)
+    sizes = shared.diagonal().copy()
     shared *= -2
-    shared += lengths[:, None]
-    shared += lengths
+    shared += sizes[:, None]
+    shared += sizes
     return shared.astype(_int_dtype(2 * int(shared.max(initial=0))), copy=False)
 
 
@@ -194,11 +215,12 @@ def _block_rows(n: int) -> int:
     return max(1, _SCAN_BLOCK // (n * n))
 
 
-def _scan(D0, DD, stop=None):
+def _scan(D0, DD, weighted, stop=None):
     """Least (i, j, k), j >= i, maximising DD[i, k] + DD[k, j] - DD[i, j] over k
     between i and j (D0[i, k] + D0[k, j] == D0[i, j]), with that maximum.
-    `stop`, if given, must be an upper bound on that maximum; the scan ends
-    after the first block whose best value reaches it.
+    `weighted()` returns the table W of the bound below, which the scan
+    overwrites.  `stop`, if given, must be an upper bound on that maximum;
+    the scan ends after the first block whose best value reaches it.
 
     The scan reads one table E = DD - c*D0 with c = 2*max(DD) + 1, where
     E[i, k] + E[k, j] - E[i, j] is the DD value of a between triple (>= 0 by
@@ -217,7 +239,30 @@ def _scan(D0, DD, stop=None):
     go in ascending i0, so a later block only replaces the witness with a
     strictly larger value.  Once the best value reaches `stop`, no later
     block can exceed it, so the witness found is already the least one and
-    the scan ends there."""
+    the scan ends there.
+
+    The bound.  W is the ball's distance table with each hyperplane weighted
+    by |F(l)| for its label l (cmp_defect).  F(u^-1 w) is a product of one
+    letter image per hyperplane separating u from w, so DD <= W.  For k
+    between i and j the hyperplanes separating i from j are those separating
+    i from k and those separating k from j, so W[i, k] + W[k, j] = W[i, j],
+    and the triple's value is at most W[i, k] + W[k, j] - DD[i, j] =
+    (W - DD)[i, j].  So every cell of row i, the value of its own triple or
+    of a mirror's, is at most reach[i] = max over j of (W - DD)[i, j].  The
+    scan's column k = 0 (p = 1) over all (i, j) is one n x n pass; its
+    maximum `low` is the value of a triple, so the scan's maximum M is at
+    least low.  A block whose rows all have reach < max(low, best + 1) is
+    skipped.  Proof that the answer is unchanged: the answer is the first
+    cell in block and flat order that attains M, since blocks go in order
+    and replace the witness only with a larger value.  A skipped block with
+    reach < low <= M holds no cell that attains M.  One with reach <= best
+    holds none above best: if best < M none attains M, and if best = M the
+    first cell that attains M came in an earlier block.  So the first block
+    that attains M is scanned, sets best = M and keeps its first flat
+    maximum whatever the blocks before it left in best; later blocks
+    cannot replace it.  The stop is reached only there, since stop >= M.
+    The bound costs a third table and an n x n pass, so it is built only
+    once the scan goes on past block 0."""
     import numpy as np
     n = len(D0)
     top0, topd = int(D0.max(initial=0)), int(DD.max(initial=0))
@@ -228,8 +273,23 @@ def _scan(D0, DD, stop=None):
     rows = _block_rows(n)
     vals = np.empty(rows * n * n, dtype=E.dtype)
     tops, sides = E[:, None], E[:, :, None]
-    best, at = -1, None
+    best, at, reach = -1, None, None
     for i0 in range(0, n, rows):
+        if i0:
+            if reach is None:
+                v = vals[:n * n].reshape(n, n)
+                np.add(E[:, :1], E[0], out=v)
+                v -= E
+                low = int(v.max())
+                # W, no larger than the block buffer, stands in for it
+                del v, vals
+                W = weighted()
+                W -= DD
+                reach = np.maximum.reduceat(W.max(axis=1), range(0, n, rows)).tolist()
+                del W
+                vals = np.empty(rows * n * n, dtype=E.dtype)
+            if reach[i0 // rows] < max(low, best + 1):
+                continue
         top, m = tops[i0:i0 + rows], n - i0
         v = vals[:len(top) * m * n].reshape(-1, m, n)
         np.add(top, E[i0:], out=v)
@@ -253,9 +313,13 @@ def _scan_dtype(top0: int, topd: int):
 
 def _scan_bytes(n: int, top0: int, topd: int) -> int:
     """Bytes of the scan's arrays for distance tables with the given largest
-    entries: E, and its block buffer of rows*n*n entries (n*n for one row)."""
+    entries: E, and its block buffer of rows*n*n entries (n*n for one row);
+    and the bound's row and block maxima, at most 8 bytes an entry, and the
+    block maxima as a list, a pointer and an int object each.  W itself is
+    counted with the tables (_check_memory)."""
     import numpy as np
-    return (n * n + _block_rows(n) * n * n) * np.dtype(_scan_dtype(top0, topd)).itemsize
+    return ((n * n + _block_rows(n) * n * n) * np.dtype(_scan_dtype(top0, topd)).itemsize
+            + 56 * n + 64)
 
 
 # bytes of the image trie's Python objects per memoised gate, beyond the
@@ -273,26 +337,33 @@ def _gate_bound(graph, longest: int, letters: int) -> int:
     return letters * min(longest, sum(1 << lk.bit_count() for lk in graph.adj))
 
 
-def _check_memory(graph, ball_trie: _PrefixTrie, images):
+def _check_memory(graph, ball_trie: _PrefixTrie, images, images_map):
     """Raise MemoryLimitError if the arrays of one defect computation would
     not fit in physical memory, before the image trie is built.  Entries
     are bounded by word lengths: a distance is at most the sum of two
-    lengths.  The image trie is bounded from the images alone: its depth is
-    the longest image, it has at most one node and one hyperplane per image
+    lengths, and an entry of the scan's weighted table W at most the sum of
+    two lengths times the longest generator image, the largest weight
+    (_label_weights); W's incidence holds the weights.
+    The image trie is bounded from the images alone: its depth is the
+    longest image, it has at most one node and one hyperplane per image
     letter, at most n nodes on a level, and at most _gate_bound gates."""
     import numpy as np
     n = len(ball_trie.ends)
+    depth = int(ball_trie.depth.max(initial=0))
     longest, letters = max(map(len, images)), sum(map(len, images))
-    sides = ((int(ball_trie.depth.max(initial=0)), ball_trie.hyperplanes,
-              int(np.bincount(ball_trie.depth).max())),
-             (longest, letters, n))
+    ball_side = ball_trie.hyperplanes, int(np.bincount(ball_trie.depth).max())
+    # D0, DD and W: top length, hyperplanes, widest level, weighted incidence
+    heaviest = max(len(images_map[v].codes) for v in graph.vertices)
+    sides = ((depth, *ball_side, False), (longest, letters, n, False),
+             (depth * heaviest, *ball_side, True))
     need, tops = 0, []
-    for top, hyperplanes, widest in sides:
+    for top, hyperplanes, widest, weighted in sides:
         size = np.dtype(_int_dtype(4 * top)).itemsize
+        cell = size if weighted else 1
         tops.append(2 * top)
         # the table, the incidence, and the level rows: parent, child, gather
-        need += n * n * size + hyperplanes * n + widest * n * (2 * size + 1)
-    need += _scan_bytes(n, *tops)
+        need += n * n * size + hyperplanes * n * cell + widest * n * (2 * size + cell)
+    need += _scan_bytes(n, *tops[:2])
     # the image trie's walk: 2|V| step slots of 8 bytes a node; and its gates
     need += 16 * len(graph) * (letters + 1) + _GATE_BYTES * _gate_bound(graph, longest, letters)
     _require_memory(need, "a defect scan over %d ball elements", n)
@@ -499,10 +570,13 @@ def cmp_defect(phi, radius: int) -> DefectReport:
             return DefectReport(radius, ceiling, (identity(graph), *(_nf(graph, w) for w in hit)),
                                 len(ball))
     ball_trie, images = _ball_trie(graph, ball, images_map)
-    _check_memory(graph, ball_trie, images)
-    tries = ball_trie, _prefix_trie(graph, images)
-    best, (i, j, k) = _scan(*map(_distance_table, tries),
-                            None if ceiling is None else 2 * ceiling)
+    _check_memory(graph, ball_trie, images, images_map)
+    tables = map(_distance_table, (ball_trie, _prefix_trie(graph, images)))
+
+    def weighted():
+        return _distance_table(ball_trie, _label_weights(graph, ball, ball_trie, images_map))
+
+    best, (i, j, k) = _scan(*tables, weighted, None if ceiling is None else 2 * ceiling)
     return DefectReport(
         radius,
         best // 2,

@@ -713,9 +713,27 @@ def subalgebra_closure(points, cap: int = DEFAULT_CLOSURE_CAP) -> ClosureResult:
 BALL_CAP = 200_000
 
 
+def _free_ball(ncodes: int, radius: int, cap: int):
+    """(words, letters) of the ball of the given radius in the free group on
+    ncodes / 2 generators, or None once it holds more than `cap` words.  A
+    nonempty canonical word has at most ncodes - 1 canonical one-letter
+    extensions, so no ball over ncodes letter codes is larger."""
+    size, spelt, words = 1, 0, ncodes
+    for length in range(1, radius + 1):
+        size += words
+        spelt += length * words
+        if size > cap:
+            return None
+        words *= ncodes - 1
+    return size, spelt
+
+
 def ball_codes(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:
     """All canonical forms of length <= radius, sorted by (length, codes),
-    by canonical extension (see the module docstring)."""
+    by canonical extension (see the module docstring).  The ball is refused
+    past the cap or the physical memory before any word is listed: sized by
+    the free group's ball (_free_ball) while that stays under the cap, else
+    counted level by level."""
     ncodes = 2 * len(graph)
     # Letters as bitmasks over codes.  After w d, the letters allowed are
     # after[d], those that do not commute with d except d^-1, and those
@@ -726,6 +744,32 @@ def ball_codes(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:
     after = [dependent[d] & ~(1 << (d ^ 1)) for d in range(ncodes)]
     through = [~dependent[d] & ~((2 << d) - 1) for d in range(ncodes)]
     spelled = {}        # allowed-letter mask -> its letters, ascending
+    counted = _free_ball(ncodes, radius, cap)
+    if counted is None:
+        # A word's extensions depend only on its mask, so counting the words
+        # of each level per mask gives the ball's size before any is listed.
+        size, spelt, counts = 1, 0, {(1 << ncodes) - 1: 1}
+        for length in range(1, radius + 1):
+            grown = {}
+            for allowed, count in counts.items():
+                letters = spelled.get(allowed)
+                if letters is None:
+                    letters = spelled[allowed] = [c for c in range(ncodes) if (allowed >> c) & 1]
+                for c in letters:
+                    m = after[c] | (allowed & through[c])
+                    grown[m] = grown.get(m, 0) + count
+            words = sum(grown.values())
+            size += words
+            spelt += length * words
+            if size > cap:
+                raise BallCapExceededError("ball of radius %d exceeds cap %d" % (radius, cap))
+            counts = grown
+        counted = size, spelt
+    size, spelt = counted
+    # a word of L letters is a tuple of 8L + 40 bytes, its list slot, and a
+    # (word, mask) pair while its level is listed: 8L + 50 to 8L + 105 bytes
+    # measured on Z, Z^2, F2 and the path a-b-c
+    _require_memory(8 * spelt + 128 * size, "a ball of up to %d elements", size)
     out = [()]
     level = [((), (1 << ncodes) - 1)]
     for _ in range(radius):

@@ -268,6 +268,7 @@ def _defect_maps():
         "pconj": build_partial_conjugation(path, ["a", "b"], ["b", "c"], ["b"],
                                            normalize(path, "a")),
         "twist": build_transvection(plane, "b", normalize(plane, "a")),
+        "path_twist": build_transvection(path, "a", normalize(path, "b")),
     }
 
 
@@ -285,7 +286,33 @@ SEED_DEFECTS = {
     ("twist", 4): (4, 41, (_power("a^-1", 4), _power("b^-1", 4), "1")),
     ("twist", 8): (8, 145, (_power("a^-1", 8), _power("b^-1", 8), "1")),
     ("twist", 12): (12, 313, (_power("a^-1", 12), _power("b^-1", 12), "1")),
+    # computed before the scan skipped rows by its bound
+    ("twist", 16): (16, 545, (_power("a^-1", 16), _power("b^-1", 16), "1")),
+    ("twist", 24): (24, 1201, (_power("a^-1", 24), _power("b^-1", 24), "1")),
+    ("path_twist", 5): (5, 959, (_power("a^-1", 5), _power("b^-1", 5), "1")),
+    ("path_twist", 6): (6, 2901, (_power("a^-1", 6), _power("b^-1", 6), "1")),
 }
+
+
+# cmp defect --json documents computed before the scan skipped rows by its bound
+SEED_DOCUMENTS = [
+    ("vertices: a b\nedge: a b\n", "twist v=b z=a", 12,
+     '{"ball_size": 313, "defect": 12, "radius": 12, "schema": 1, "witness": '
+     '{"p": "1", "x": "%s", "y": "%s"}}\n' % (_power("a^-1", 12), _power("b^-1", 12))),
+    ("vertices: a b c\nedge: a b\nedge: b c\n", "twist v=a z=b", 5,
+     '{"ball_size": 959, "defect": 5, "radius": 5, "schema": 1, "witness": '
+     '{"p": "1", "x": "%s", "y": "%s"}}\n' % (_power("a^-1", 5), _power("b^-1", 5))),
+]
+
+
+@pytest.mark.parametrize("graph,dls,radius,doc", SEED_DOCUMENTS,
+                         ids=["plane-twist-R12", "path-twist-R5"])
+def test_defect_json_pinned_to_seed(graph, dls, radius, doc, tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(graph)
+    assert main(["cmp", "defect", "--graph", str(path), "--dls", dls,
+                 "--radius", str(radius), "--json"]) == 0
+    assert capsys.readouterr().out == doc
 
 
 @pytest.mark.parametrize("kind,radius", sorted(SEED_DEFECTS),
@@ -343,8 +370,16 @@ def test_scan_matches_reference(gi, monkeypatch):
         want = _reference_scan(d0, dd)
         tables = (_distance_table(_prefix_trie(graph, ball)),
                   _distance_table(_prefix_trie(graph, [w.codes for w in image])))
+        W = _weighted_table(graph, ball, images)
         for rows in _block_budgets(monkeypatch, n):
-            assert _scan(*tables) == want, rows
+            assert _scan(*tables, W.copy) == want, rows
+
+
+def _weighted_table(graph, ball, images_map):
+    """The ball's distance table with each hyperplane weighted by the length
+    of its label's image: the table of _scan's bound."""
+    trie = _prefix_trie(graph, ball)
+    return _distance_table(trie, C._label_weights(graph, ball, trie, images_map))
 
 
 def _random_maps(rng, graph, count):
@@ -369,15 +404,55 @@ def test_scan_stops_at_the_ceiling(monkeypatch):
                 ball_trie, images = C._ball_trie(graph, ball, phi.generator_images)
                 tables = (_distance_table(ball_trie),
                           _distance_table(_prefix_trie(graph, images)))
+                W = _weighted_table(graph, ball, phi.generator_images)
                 stop = 2 * len(phi.twist_element)
                 assert C.defect_ceiling(phi) == len(phi.twist_element)
                 full = _reference_scan(*(t.tolist() for t in tables))
                 assert full[0] <= stop, (phi.describe(), radius)
                 for rows in _block_budgets(monkeypatch, len(ball)):
-                    assert _scan(*tables, stop) == _scan(*tables) == full, rows
+                    assert _scan(*tables, W.copy, stop) == _scan(*tables, W.copy) == full, rows
                 cases += 1
                 attained += full[0] == stop
     assert (cases, attained) == (90, 64)
+
+
+@pytest.mark.parametrize("gi", range(len(CATALOG)), ids=[c[0] for c in CATALOG])
+def test_weighted_table_bounds_the_image_table(gi):
+    # W[i, j] is the sum of |F(l)| over the letters l of a reduced word for
+    # ball[i]^-1 ball[j]; it is at least DD, and additive on between triples
+    graph = catalog_graph(gi)
+    rng = random.Random(7000 + gi)
+    ball = ball_codes(graph, 3 if len(ball_codes(graph, 3)) <= 100 else 2)
+    D0 = _distance_table(_prefix_trie(graph, ball)).astype(np.int64)
+    between = D0[:, :, None] + D0[None] == D0[:, None, :]      # [i, k, j]
+    phis = _random_maps(rng, graph, 4)
+    for images in [phi.generator_images for phi in phis]:
+        size = [len(images[graph.vertices[c >> 1]]) for c in range(2 * len(graph))]
+        W = _weighted_table(graph, ball, images)
+        assert W.tolist() == [[sum(size[c] for c in oracle_reduce(graph.adj, inv_codes(u) + v))
+                               for v in ball] for u in ball]
+        DD = _distance_table(_prefix_trie(graph, C._ball_trie(graph, ball, images)[1]))
+        assert (W >= DD).all()
+        W = W.astype(np.int64)
+        through = W[:, :, None] + W[None]
+        assert (through[between] == np.broadcast_to(W[:, None, :], through.shape)[between]).all()
+
+
+def test_bound_skips_rows_of_the_plane_twist(monkeypatch):
+    # at R = 12 (n = 313, a row a block) column 0 reaches 2R, and no row
+    # before the witness row a^-12 can, so the scan reads few rows
+    rows, add = [], np.add
+
+    def counting(*args, out=None):
+        if out is not None and out.ndim == 3:
+            rows.append(len(out))
+        return add(*args, out=out)
+
+    monkeypatch.setattr(np, "add", counting)
+    rep = cmp_defect(_plane_twist(), 12)
+    monkeypatch.undo()
+    assert (rep.defect, rep.ball_size, C._block_rows(313)) == (12, 313, 1)
+    assert rows[0] == 1 and sum(rows) < 0.05 * 313, rows
 
 
 def test_ball_trie_grows_images_and_distances():
@@ -437,9 +512,9 @@ def test_fused_scan_in_int32(monkeypatch):
     # a -> c^80 a at R = 4: the fused scan values pass int16
     dtypes = []
 
-    def scan(D0, DD, stop=None):
+    def scan(D0, DD, weighted, stop=None):
         dtypes.append(_scan_dtype(int(D0.max()), int(DD.max())))
-        return _scan(D0, DD, stop)
+        return _scan(D0, DD, weighted, stop)
 
     monkeypatch.setattr(C, "_scan", scan)
     free = DefGraph(["a", "c"])
@@ -528,17 +603,24 @@ def test_scan_bytes_cover_what_the_scan_allocates():
         ball_trie, images = C._ball_trie(graph, ball, phi.generator_images)
         image_trie = _prefix_trie(graph, images)
         D0, DD = _distance_table(ball_trie), _distance_table(image_trie)
+        weight = C._label_weights(graph, ball, ball_trie, phi.generator_images)
+        W = _distance_table(ball_trie, weight)
         n, top0, topd = len(ball), int(D0.max()), int(DD.max())
         predicted = C._scan_bytes(n, top0, topd)
-        # _check_memory counts the scan at word-length bounds of the entries
-        assert predicted <= C._scan_bytes(n, 2 * int(ball_trie.depth.max()),
-                                          2 * int(image_trie.depth.max()))
+        # _check_memory counts the scan at word-length bounds of the entries,
+        # and W as a table of the weighted bound
+        depth = int(ball_trie.depth.max())
+        assert predicted <= C._scan_bytes(n, 2 * depth, 2 * int(image_trie.depth.max()))
+        assert W.nbytes <= n * n * np.dtype(C._int_dtype(4 * depth * int(weight.max()))).itemsize
+        built = []
         tracemalloc.start()
         try:
-            _scan(D0, DD)
+            _scan(D0, DD, lambda: built.append(W) or W)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # the bound is on from the second block
+        assert len(built) == (n > C._block_rows(n))
         # besides its arrays, numpy's ufunc loop may buffer up to getbufsize()
         # elements of each of its three operands
         slack = 3 * np.getbufsize() * np.dtype(_scan_dtype(top0, topd)).itemsize

@@ -581,6 +581,40 @@ def test_ball_cap(free2):
         ball_codes(free2, 8, cap=100)
 
 
+def test_ball_cap_is_counted_before_listing(free2, z2):
+    import tracemalloc
+
+    from raagtk.errors import BallCapExceededError
+    from raagtk.graph import DefGraph
+
+    # Z grows by 2 a level, Z^2 by 4R, F2 by 3^R: the sizes are counted per
+    # allowed-letter mask, so no word is listed, even at radius 10^20
+    for graph in (DefGraph(["a"]), z2, free2):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BallCapExceededError) as refused:
+                ball_codes(graph, 10 ** 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "ball of radius %d exceeds cap 200000" % 10 ** 20
+        assert peak < 10 ** 6, (graph, peak)
+
+
+def test_ball_letters_are_counted_before_listing(monkeypatch, z2):
+    from raagtk.errors import MemoryLimitError
+    from raagtk.graph import DefGraph
+
+    # Z at radius 99999 has 199999 words, under the cap, but 10^10 letters;
+    # Z^2 at radius 300 (180601 words, sized by its count, not by the free
+    # group's ball) has about 3.6*10^7
+    monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 8)
+    for graph, radius in ((DefGraph(["a"]), 99_999), (z2, 300)):
+        with pytest.raises(MemoryLimitError):
+            ball_codes(graph, radius)
+    assert len(ball_codes(DefGraph(["a"]), 3000)) == 6001
+
+
 # -- word kernels against their definitions -------------------------------------
 
 def greedy_codes(block, reduced):
