@@ -4,11 +4,14 @@ certification of coarse-median preservation.
 The defect of a map F at radius R is the largest distance from F(p) to the
 median of (F(p), F(x), F(y)) over ball triples with p between x and y.  In a
 median graph that distance is the Gromov product
-(d(Fp,Fx) + d(Fp,Fy) - d(Fx,Fy)) / 2 and p is between x and y iff
-d(x,p) + d(p,y) = d(x,y), so the scan reads two pairwise distance tables:
-one for the ball, one for its image.  Both count hyperplanes: the
-distance between two vertices of the cube complex is the number of
-hyperplanes separating them.  The tables are grown along the prefix trie of
+(d(Fp,Fx) + d(Fp,Fy) - d(Fx,Fy)) / 2, and the scan reads two pairwise
+distance tables: W for the ball, DD for its image.  Both count hyperplanes:
+the distance between two vertices of the cube complex is the number of
+hyperplanes separating them.  W weights each hyperplane of the ball by
+max(1, |F(l)|) for its label l, the length of the label's image; since
+every weight is at least 1, p is between x and y iff
+W(x,p) + W(p,y) = W(x,y), and since W >= DD, W - DD bounds how far from the
+median a triple can sit.  The tables are grown along the prefix trie of
 the words, one depth level at a time, and one builder makes the trie of the
 ball and that of its images.  The ball is prefix-closed, since every prefix
 of a canonical word is canonical, so it is its own trie, and its parent
@@ -16,10 +19,9 @@ pointers also grow the images: the image of a word continues the normal
 form of its parent's image by the image of its last letter.  The scan reads
 one fused table in which "between" and "how far from the median" are a
 single integer, a block of rows at a time.  Past its first block it skips
-every block that cannot hold the witness: a third table W, the ball's
-distances with each hyperplane weighted by the length of its label's image,
-bounds each row's values by max(W - DD) over the row, and the scan's column
-p = 1 bounds the maximum from below (_scan).
+every block that cannot hold the witness: each row's values are at most
+max(W - DD) over the row, and the scan's column p = 1 bounds the maximum
+from below (_scan).
 For folds and partial conjugations the defect never exceeds |z|
 (defect_ceiling), so their scan stops at the first block that reaches it.
 Above radius |z| they first read the scan's row 0, x = 1, where a value
@@ -153,11 +155,13 @@ def _ball_trie(graph, ball, images_map):
 
 
 def _label_weights(graph, ball, trie: _PrefixTrie, images_map):
-    """|F(l)| for each hyperplane of the ball's trie (_ball_trie), where the
-    label l is the vertex of the last letter of any word whose node adds
-    the hyperplane: the weights of _scan's bound."""
+    """max(1, |F(l)|) for each hyperplane of the ball's trie (_ball_trie),
+    where the label l is the vertex of the last letter of any word whose
+    node adds the hyperplane: the weights of the ball's table W (_scan).
+    The floor of 1 keeps W deciding betweenness when a raw map sends a
+    generator to 1."""
     import numpy as np
-    size = np.array([len(images_map[v].codes) for v in graph.vertices])
+    size = np.array([max(1, len(images_map[v].codes)) for v in graph.vertices])
     weight = np.zeros(trie.hyperplanes, dtype=size.dtype)
     weight[trie.column[1:]] = size[[w[-1] >> 1 for w in ball[1:]]]
     return weight
@@ -175,8 +179,8 @@ def _distance_table(trie: _PrefixTrie, weight=None):
 
     With `weight`, an integer array over the hyperplane ids, each hyperplane
     counts its weight instead of 1: the incidence holds the weights, and |H|
-    is read off the diagonal of the shared sums.  This is the weighted table
-    of _scan's bound."""
+    is read off the diagonal of the shared sums.  This is the ball's table W
+    (_scan); the image table DD is unweighted."""
     import numpy as np
     n = len(trie.ends)
     lengths = trie.depth[trie.ends]
@@ -215,17 +219,27 @@ def _block_rows(n: int) -> int:
     return max(1, _SCAN_BLOCK // (n * n))
 
 
-def _scan(D0, DD, weighted, stop=None):
+def _scan(W, DD, stop=None):
     """Least (i, j, k), j >= i, maximising DD[i, k] + DD[k, j] - DD[i, j] over k
-    between i and j (D0[i, k] + D0[k, j] == D0[i, j]), with that maximum.
-    `weighted()` returns the table W of the bound below, which the scan
-    overwrites.  `stop`, if given, must be an upper bound on that maximum;
-    the scan ends after the first block whose best value reaches it.
+    between i and j, with that maximum.  W is the ball's weighted table
+    (_label_weights): it decides betweenness and bounds the rows, both
+    below.  `stop`, if given, must be an upper bound on that maximum; the
+    scan ends after the first block whose best value reaches it.
 
-    The scan reads one table E = DD - c*D0 with c = 2*max(DD) + 1, where
-    E[i, k] + E[k, j] - E[i, j] is the DD value of a between triple (>= 0 by
-    the triangle inequality) and below 0 for any other triple (its D0 excess
-    is at least 1, which costs c, more than any DD value gains).  (i, i, i)
+    Betweenness.  Call T[i, k] + T[k, j] - T[i, j] the excess of a table T
+    on the triple.  A hyperplane that separates k from both i and j adds its
+    weight to W[i, k] and to W[k, j] and nothing to W[i, j].  One that
+    separates i from j has k on the side of exactly one of them, so it adds
+    its weight to W[i, j] and to exactly one of W[i, k] and W[k, j].  Any
+    other adds nothing to the three.  So W's excess is twice the weight of
+    the hyperplanes that separate k from both i and j: even, 0 iff k is
+    between i and j, and at least 2 otherwise, since every weight is at
+    least 1.  DD's excess, the triple's value, is at least 0 and at most
+    2*max(DD) by the triangle inequality (DD[i, k] <= DD[i, j] + DD[j, k]).
+
+    The scan reads one table E = DD - c*W with c = max(DD) + 1.  E's excess
+    is DD's excess minus c times W's: the triple's value on a between
+    triple, and at most 2*max(DD) - 2c = -2 below 0 on any other.  (i, i, i)
     is between with value 0, so a row's first maximum is its least witness.
 
     Rows go in blocks of _block_rows(n): rows i0 <= i < i1, each over the
@@ -241,12 +255,10 @@ def _scan(D0, DD, weighted, stop=None):
     block can exceed it, so the witness found is already the least one and
     the scan ends there.
 
-    The bound.  W is the ball's distance table with each hyperplane weighted
-    by |F(l)| for its label l (cmp_defect).  F(u^-1 w) is a product of one
-    letter image per hyperplane separating u from w, so DD <= W.  For k
-    between i and j the hyperplanes separating i from j are those separating
-    i from k and those separating k from j, so W[i, k] + W[k, j] = W[i, j],
-    and the triple's value is at most W[i, k] + W[k, j] - DD[i, j] =
+    The bound.  F(u^-1 w) is a product of one letter image per hyperplane
+    separating u from w, and each weight is at least the length of its
+    letter image, so DD <= W.  For k between i and j, W's excess is 0, so
+    the triple's value is at most W[i, k] + W[k, j] - DD[i, j] =
     (W - DD)[i, j].  So every cell of row i, the value of its own triple or
     of a mirror's, is at most reach[i] = max over j of (W - DD)[i, j].  The
     scan's column k = 0 (p = 1) over all (i, j) is one n x n pass; its
@@ -261,14 +273,13 @@ def _scan(D0, DD, weighted, stop=None):
     that attains M is scanned, sets best = M and keeps its first flat
     maximum whatever the blocks before it left in best; later blocks
     cannot replace it.  The stop is reached only there, since stop >= M.
-    The bound costs a third table and an n x n pass, so it is built only
-    once the scan goes on past block 0."""
+    `low` and W - DD are two n x n passes through the block buffer, so the
+    bound is computed only once the scan goes on past block 0."""
     import numpy as np
-    n = len(D0)
-    top0, topd = int(D0.max(initial=0)), int(DD.max(initial=0))
-    c = 2 * topd + 1
-    E = D0.astype(_scan_dtype(top0, topd))
-    E *= -c
+    n = len(W)
+    topd = int(DD.max(initial=0))
+    E = W.astype(_scan_dtype(int(W.max(initial=0)), topd))
+    E *= -(topd + 1)
     E += DD
     rows = _block_rows(n)
     vals = np.empty(rows * n * n, dtype=E.dtype)
@@ -281,13 +292,8 @@ def _scan(D0, DD, weighted, stop=None):
                 np.add(E[:, :1], E[0], out=v)
                 v -= E
                 low = int(v.max())
-                # W, no larger than the block buffer, stands in for it
-                del v, vals
-                W = weighted()
-                W -= DD
-                reach = np.maximum.reduceat(W.max(axis=1), range(0, n, rows)).tolist()
-                del W
-                vals = np.empty(rows * n * n, dtype=E.dtype)
+                np.subtract(W, DD, out=v)
+                reach = np.maximum.reduceat(v.max(axis=1), range(0, n, rows)).tolist()
             if reach[i0 // rows] < max(low, best + 1):
                 continue
         top, m = tops[i0:i0 + rows], n - i0
@@ -305,20 +311,22 @@ def _scan(D0, DD, weighted, stop=None):
     return best, at
 
 
-def _scan_dtype(top0: int, topd: int):
-    """dtype of the fused scan table for distance tables with the given
-    largest entries: a triple value is a sum of three entries of E."""
-    return _int_dtype(3 * ((2 * topd + 1) * top0 + topd))
+def _scan_dtype(topw: int, topd: int):
+    """dtype of the fused scan table for a ball table W and an image table
+    DD with the given largest entries: a triple value is a sum of three
+    entries of E = DD - (topd + 1)*W.  It also holds W - DD."""
+    return _int_dtype(3 * ((topd + 1) * topw + topd))
 
 
-def _scan_bytes(n: int, top0: int, topd: int) -> int:
-    """Bytes of the scan's arrays for distance tables with the given largest
-    entries: E, and its block buffer of rows*n*n entries (n*n for one row);
-    and the bound's row and block maxima, at most 8 bytes an entry, and the
-    block maxima as a list, a pointer and an int object each.  W itself is
-    counted with the tables (_check_memory)."""
+def _scan_bytes(n: int, topw: int, topd: int) -> int:
+    """Bytes of the scan's arrays for tables W and DD with the given largest
+    entries: E, and its block buffer of rows*n*n entries (n*n for one row),
+    which also holds column k = 0 and then W - DD; and the bound's row and
+    block maxima, at most 8 bytes an entry, and the block maxima as a list,
+    a pointer and an int object each.  W and DD themselves are counted with
+    the tables (_check_memory)."""
     import numpy as np
-    return ((n * n + _block_rows(n) * n * n) * np.dtype(_scan_dtype(top0, topd)).itemsize
+    return ((n * n + _block_rows(n) * n * n) * np.dtype(_scan_dtype(topw, topd)).itemsize
             + 56 * n + 64)
 
 
@@ -339,11 +347,12 @@ def _gate_bound(graph, longest: int, letters: int) -> int:
 
 def _check_memory(graph, ball_trie: _PrefixTrie, images, images_map):
     """Raise MemoryLimitError if the arrays of one defect computation would
-    not fit in physical memory, before the image trie is built.  Entries
-    are bounded by word lengths: a distance is at most the sum of two
-    lengths, and an entry of the scan's weighted table W at most the sum of
-    two lengths times the longest generator image, the largest weight
-    (_label_weights); W's incidence holds the weights.
+    not fit in physical memory, before the image trie is built.  It counts
+    two tables, the ball's W and the image table DD, and the scan.  Entries
+    are bounded by word lengths: an entry of DD is at most the sum of two
+    image lengths, and an entry of W at most the sum of two ball lengths
+    times the largest weight (_label_weights); W's incidence holds the
+    weights.
     The image trie is bounded from the images alone: its depth is the
     longest image, it has at most one node and one hyperplane per image
     letter, at most n nodes on a level, and at most _gate_bound gates."""
@@ -351,11 +360,11 @@ def _check_memory(graph, ball_trie: _PrefixTrie, images, images_map):
     n = len(ball_trie.ends)
     depth = int(ball_trie.depth.max(initial=0))
     longest, letters = max(map(len, images)), sum(map(len, images))
-    ball_side = ball_trie.hyperplanes, int(np.bincount(ball_trie.depth).max())
-    # D0, DD and W: top length, hyperplanes, widest level, weighted incidence
-    heaviest = max(len(images_map[v].codes) for v in graph.vertices)
-    sides = ((depth, *ball_side, False), (longest, letters, n, False),
-             (depth * heaviest, *ball_side, True))
+    heaviest = max(1, *(len(images_map[v].codes) for v in graph.vertices))
+    # DD and W: entries of at most 2*top, hyperplanes, widest level, weighted incidence
+    sides = ((longest, letters, n, False),
+             (depth * heaviest, ball_trie.hyperplanes,
+              int(np.bincount(ball_trie.depth).max()), True))
     need, tops = 0, []
     for top, hyperplanes, widest, weighted in sides:
         size = np.dtype(_int_dtype(4 * top)).itemsize
@@ -363,7 +372,8 @@ def _check_memory(graph, ball_trie: _PrefixTrie, images, images_map):
         tops.append(2 * top)
         # the table, the incidence, and the level rows: parent, child, gather
         need += n * n * size + hyperplanes * n * cell + widest * n * (2 * size + cell)
-    need += _scan_bytes(n, *tops[:2])
+    topd, topw = tops
+    need += _scan_bytes(n, topw, topd)
     # the image trie's walk: 2|V| step slots of 8 bytes a node; and its gates
     need += 16 * len(graph) * (letters + 1) + _GATE_BYTES * _gate_bound(graph, longest, letters)
     _require_memory(need, "a defect scan over %d ball elements", n)
@@ -571,12 +581,9 @@ def cmp_defect(phi, radius: int) -> DefectReport:
                                 len(ball))
     ball_trie, images = _ball_trie(graph, ball, images_map)
     _check_memory(graph, ball_trie, images, images_map)
-    tables = map(_distance_table, (ball_trie, _prefix_trie(graph, images)))
-
-    def weighted():
-        return _distance_table(ball_trie, _label_weights(graph, ball, ball_trie, images_map))
-
-    best, (i, j, k) = _scan(*tables, weighted, None if ceiling is None else 2 * ceiling)
+    W = _distance_table(ball_trie, _label_weights(graph, ball, ball_trie, images_map))
+    DD = _distance_table(_prefix_trie(graph, images))
+    best, (i, j, k) = _scan(W, DD, None if ceiling is None else 2 * ceiling)
     return DefectReport(
         radius,
         best // 2,

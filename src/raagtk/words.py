@@ -524,10 +524,10 @@ def parse_word(graph: DefGraph, text: str) -> Word:
     for tok in text.split():
         if tok == "1":
             continue
-        name, _, exp = tok.partition("^")
+        name, caret, exp = tok.partition("^")
         if not name:
             raise WordSyntaxError("bad token %r" % tok)
-        if exp == "":
+        if not caret:
             power = 1
         else:
             try:
@@ -780,10 +780,6 @@ def ball_codes(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:
                 letters = spelled[allowed] = [c for c in range(ncodes) if (allowed >> c) & 1]
             for c in letters:
                 nxt.append((w + (c,), after[c] | (allowed & through[c])))
-            if len(out) + len(nxt) > cap:
-                raise BallCapExceededError(
-                    "ball of radius %d exceeds cap %d" % (radius, cap)
-                )
         out.extend(w for w, _ in nxt)
         level = nxt
     return out

@@ -287,6 +287,12 @@ def test_extra_words_are_syntax_errors(graph_files, capsys, command, words, mess
     assert code == 1 and doc["error"] == "word_syntax" and doc["message"] == message
 
 
+@pytest.mark.parametrize("word", ["a^", "a b^"])
+def test_caret_without_exponent_is_syntax_error(graph_files, capsys, word):
+    code, doc = run_json(capsys, "normalize", "--graph", graph_files["path"], "--word", word)
+    assert code == 1 and doc["error"] == "word_syntax"
+
+
 def test_selftest_jobs_below_one_is_usage_error(monkeypatch):
     def no_criteria(**kw):
         raise AssertionError("a criterion ran")

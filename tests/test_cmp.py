@@ -368,16 +368,15 @@ def test_scan_matches_reference(gi, monkeypatch):
         image = [apply_images(graph, images, w) for w in ball]
         dd = [[dist(x, y) for y in image] for x in image]
         want = _reference_scan(d0, dd)
-        tables = (_distance_table(_prefix_trie(graph, ball)),
-                  _distance_table(_prefix_trie(graph, [w.codes for w in image])))
         W = _weighted_table(graph, ball, images)
+        DD = _distance_table(_prefix_trie(graph, [w.codes for w in image]))
         for rows in _block_budgets(monkeypatch, n):
-            assert _scan(*tables, W.copy) == want, rows
+            assert _scan(W, DD) == want, rows
 
 
 def _weighted_table(graph, ball, images_map):
     """The ball's distance table with each hyperplane weighted by the length
-    of its label's image: the table of _scan's bound."""
+    of its label's image, at least 1: the ball's table of _scan."""
     trie = _prefix_trie(graph, ball)
     return _distance_table(trie, C._label_weights(graph, ball, trie, images_map))
 
@@ -402,15 +401,14 @@ def test_scan_stops_at_the_ceiling(monkeypatch):
                 break
             for phi in phis:
                 ball_trie, images = C._ball_trie(graph, ball, phi.generator_images)
-                tables = (_distance_table(ball_trie),
-                          _distance_table(_prefix_trie(graph, images)))
+                DD = _distance_table(_prefix_trie(graph, images))
                 W = _weighted_table(graph, ball, phi.generator_images)
                 stop = 2 * len(phi.twist_element)
                 assert C.defect_ceiling(phi) == len(phi.twist_element)
-                full = _reference_scan(*(t.tolist() for t in tables))
+                full = _reference_scan(_distance_table(ball_trie).tolist(), DD.tolist())
                 assert full[0] <= stop, (phi.describe(), radius)
                 for rows in _block_budgets(monkeypatch, len(ball)):
-                    assert _scan(*tables, W.copy, stop) == _scan(*tables, W.copy) == full, rows
+                    assert _scan(W, DD, stop) == _scan(W, DD) == full, rows
                 cases += 1
                 attained += full[0] == stop
     assert (cases, attained) == (90, 64)
@@ -418,24 +416,27 @@ def test_scan_stops_at_the_ceiling(monkeypatch):
 
 @pytest.mark.parametrize("gi", range(len(CATALOG)), ids=[c[0] for c in CATALOG])
 def test_weighted_table_bounds_the_image_table(gi):
-    # W[i, j] is the sum of |F(l)| over the letters l of a reduced word for
-    # ball[i]^-1 ball[j]; it is at least DD, and additive on between triples
+    # W[i, j] is the sum of max(1, |F(l)|) over the letters l of a reduced
+    # word for ball[i]^-1 ball[j]; it is at least DD, and additive on a
+    # triple exactly when the triple is between
     graph = catalog_graph(gi)
     rng = random.Random(7000 + gi)
     ball = ball_codes(graph, 3 if len(ball_codes(graph, 3)) <= 100 else 2)
     D0 = _distance_table(_prefix_trie(graph, ball)).astype(np.int64)
     between = D0[:, :, None] + D0[None] == D0[:, None, :]      # [i, k, j]
-    phis = _random_maps(rng, graph, 4)
-    for images in [phi.generator_images for phi in phis]:
-        size = [len(images[graph.vertices[c >> 1]]) for c in range(2 * len(graph))]
+    maps = [phi.generator_images for phi in _random_maps(rng, graph, 4)]
+    # a raw map that sends the first generator to 1
+    maps.append({v: identity(graph) if v == graph.vertices[0] else normalize(graph, v)
+                 for v in graph.vertices})
+    for images in maps:
+        size = [max(1, len(images[graph.vertices[c >> 1]])) for c in range(2 * len(graph))]
         W = _weighted_table(graph, ball, images)
         assert W.tolist() == [[sum(size[c] for c in oracle_reduce(graph.adj, inv_codes(u) + v))
                                for v in ball] for u in ball]
         DD = _distance_table(_prefix_trie(graph, C._ball_trie(graph, ball, images)[1]))
         assert (W >= DD).all()
         W = W.astype(np.int64)
-        through = W[:, :, None] + W[None]
-        assert (through[between] == np.broadcast_to(W[:, None, :], through.shape)[between]).all()
+        assert np.array_equal(W[:, :, None] + W[None] == W[:, None, :], between)
 
 
 def test_bound_skips_rows_of_the_plane_twist(monkeypatch):
@@ -512,9 +513,9 @@ def test_fused_scan_in_int32(monkeypatch):
     # a -> c^80 a at R = 4: the fused scan values pass int16
     dtypes = []
 
-    def scan(D0, DD, weighted, stop=None):
-        dtypes.append(_scan_dtype(int(D0.max()), int(DD.max())))
-        return _scan(D0, DD, weighted, stop)
+    def scan(W, DD, stop=None):
+        dtypes.append(_scan_dtype(int(W.max()), int(DD.max())))
+        return _scan(W, DD, stop)
 
     monkeypatch.setattr(C, "_scan", scan)
     free = DefGraph(["a", "c"])
@@ -555,7 +556,7 @@ def _plane_twist():
     return build_transvection(plane, "b", normalize(plane, "a"))
 
 
-def _no_table(trie):
+def _no_table(*args):
     raise AssertionError("a table was built")
 
 
@@ -602,29 +603,45 @@ def test_scan_bytes_cover_what_the_scan_allocates():
         ball = ball_codes(graph, radius)
         ball_trie, images = C._ball_trie(graph, ball, phi.generator_images)
         image_trie = _prefix_trie(graph, images)
-        D0, DD = _distance_table(ball_trie), _distance_table(image_trie)
         weight = C._label_weights(graph, ball, ball_trie, phi.generator_images)
-        W = _distance_table(ball_trie, weight)
-        n, top0, topd = len(ball), int(D0.max()), int(DD.max())
-        predicted = C._scan_bytes(n, top0, topd)
-        # _check_memory counts the scan at word-length bounds of the entries,
-        # and W as a table of the weighted bound
-        depth = int(ball_trie.depth.max())
-        assert predicted <= C._scan_bytes(n, 2 * depth, 2 * int(image_trie.depth.max()))
-        assert W.nbytes <= n * n * np.dtype(C._int_dtype(4 * depth * int(weight.max()))).itemsize
-        built = []
+        W, DD = _distance_table(ball_trie, weight), _distance_table(image_trie)
+        n, topw, topd = len(ball), int(W.max()), int(DD.max())
+        predicted = C._scan_bytes(n, topw, topd)
+        # _check_memory counts the scan and W at the word-length bounds of
+        # the entries, times the largest weight for W
+        depth, heaviest = int(ball_trie.depth.max()), int(weight.max())
+        assert predicted <= C._scan_bytes(n, 2 * depth * heaviest,
+                                          2 * int(image_trie.depth.max()))
+        assert W.nbytes <= n * n * np.dtype(C._int_dtype(4 * depth * heaviest)).itemsize
         tracemalloc.start()
         try:
-            _scan(D0, DD, lambda: built.append(W) or W)
+            _scan(W, DD)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the bound is on from the second block
-        assert len(built) == (n > C._block_rows(n))
         # besides its arrays, numpy's ufunc loop may buffer up to getbufsize()
         # elements of each of its three operands
-        slack = 3 * np.getbufsize() * np.dtype(_scan_dtype(top0, topd)).itemsize
+        slack = 3 * np.getbufsize() * np.dtype(_scan_dtype(topw, topd)).itemsize
         assert peak <= predicted + slack, (n, peak, predicted)
+
+
+def test_scanned_defect_builds_two_tables(monkeypatch):
+    # the ball's weighted table W and the image table DD, nothing else
+    built = []
+
+    def recording(trie, weight=None):
+        built.append(weight is not None)
+        return _distance_table(trie, weight)
+
+    monkeypatch.setattr(C, "_distance_table", recording)
+    for phi, radius in ((_plane_twist(), 4), (_defect_maps()["path_twist"], 3)):
+        built.clear()
+        cmp_defect(phi, radius)
+        assert built == [True, False]
+    built.clear()
+    with _table_path():
+        cmp_defect(_fold(), 3)
+    assert built == [True, False]
 
 
 def test_memory_check_passes_small_balls(monkeypatch):

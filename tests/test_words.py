@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from raagtk import oracles as O
 from raagtk import words as W
-from raagtk.errors import GraphMismatchError, OutOfRangeError
+from raagtk.errors import GraphMismatchError, OutOfRangeError, WordSyntaxError
 from raagtk.selftest import CATALOG, catalog_graph
 from raagtk.words import (
     DEFAULT_CLOSURE_CAP,
@@ -74,6 +74,13 @@ def test_parse_word_round_trip(path3):
     w = parse_word(path3, "a b^-1 c a^2")
     assert format_codes(path3, w.codes) == "a b^-1 c a a"
     assert str(normalize(path3, "1")) == "1"
+
+
+@pytest.mark.parametrize("token", ["a^", "a^x", "b^-", "^", "^2"])
+def test_parse_word_refuses_a_bad_exponent(path3, token):
+    # a caret needs an integer after it: "a^" is not "a"
+    with pytest.raises(WordSyntaxError):
+        parse_word(path3, "b " + token)
 
 
 # -- normalize ----------------------------------------------------------------
