@@ -11,11 +11,13 @@ from .graph import VertexSet
 from .words import (
     NormalForm,
     _nf,
+    conjugate_codes,
     cyclic_reduce_codes,
     identity,
     inv_codes,
     multiply,
     normal_codes,
+    require_graph,
     vertex_mask,
 )
 
@@ -28,6 +30,8 @@ def gamma(g: NormalForm) -> VertexSet:
 
 def commutes(g: NormalForm, h: NormalForm) -> bool:
     graph = g.graph
+    if h.graph is not graph:
+        require_graph(graph, h)
     return not normal_codes(graph, h.codes + inv_codes(g.codes) + inv_codes(h.codes), g.codes)
 
 
@@ -39,7 +43,19 @@ class LIDecomposition(NamedTuple):
 
 def li_components(g: NormalForm) -> LIDecomposition:
     """Split g into its pairwise-commuting label-irreducible components,
-    grouped by the maximal join decomposition of Gamma(g)."""
+    grouped by the maximal join decomposition of Gamma(g).
+
+    With g = x core x^-1, component i is x sub_i x^-1, where sub_i is the
+    core read on the letters over join factor i.  sub_i is canonical as it
+    stands.  It is reduced: letters between a pair of its letters that the
+    core left uncancelled are over other factors, so they commute with
+    both, and the pair would cancel in the core too.  It is greedy: a
+    letter over another factor commutes with every letter over factor i, so
+    it never blocks one, and the letters of factor i available at a step of
+    the core's greedy run are those available at the matching step of
+    sub_i's.  The least available letter the core's run emits is therefore,
+    when it is over factor i, the least available in sub_i's run, so the
+    core's run restricted to factor i is sub_i's greedy run."""
     if not g:
         raise IdentityElementError("identity has no label-irreducible parts")
     graph = g.graph
@@ -49,7 +65,7 @@ def li_components(g: NormalForm) -> LIDecomposition:
     xinv = inv_codes(xc)
     for fac in factors:
         sub = tuple(c for c in core if fac.mask >> (c >> 1) & 1)
-        comps.append(_nf(graph, normal_codes(graph, sub + xinv, xc)))
+        comps.append(_nf(graph, conjugate_codes(graph, xinv, sub)))
     return LIDecomposition(tuple(comps), tuple(factors), _nf(graph, xc))
 
 
@@ -94,7 +110,7 @@ def primitive_root(g: NormalForm):
                 pref.append(c)
         cand = _nf(graph, normal_codes(graph, pref))
         if cand ** n == core_nf:
-            root = _nf(graph, normal_codes(graph, cand.codes + inv_codes(xc), xc))
+            root = _nf(graph, conjugate_codes(graph, inv_codes(xc), cand.codes))
             return root, n
     return g, 1
 
@@ -142,9 +158,12 @@ def in_structured_product(x: NormalForm, roots, support_mask, h: NormalForm) -> 
     """Decide h in x * (<roots> x A_Delta) * x^-1, Delta = support_mask:
     conjugate by x^-1, accept a conjugate supported in Delta, and otherwise
     split it into label-irreducible components and match each against the
-    root powers or Delta."""
-    graph = h.graph
-    hc = normal_codes(graph, inv_codes(x.codes) + h.codes + x.codes)
+    root powers or Delta.  h must live on x's graph; with x = 1 the
+    canonical h is read as it is."""
+    graph = x.graph
+    if h.graph is not graph:
+        require_graph(graph, h)
+    hc = conjugate_codes(graph, x.codes, h.codes)
     if not (vertex_mask(hc) & ~support_mask):
         return True
     # the components multiply to hc, so without roots they cannot all lie in Delta

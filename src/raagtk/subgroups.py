@@ -16,11 +16,13 @@ from .words import (
     NormalForm,
     _nf,
     ball_codes,
+    conjugate_codes,
     cyclic_reduce_codes,
     identity,
     inv_codes,
     meet_codes,
     normal_codes,
+    require_graph,
     vertex_mask,
 )
 from .elements import in_structured_product, is_label_irreducible, primitive_root
@@ -127,8 +129,7 @@ def _common_conjugator(graph, gens):
     x = gens[0]
     for g in gens:
         x = meet_codes(block, meet_codes(block, x, g), inv_codes(g))
-    xi = inv_codes(x)
-    return x, [normal_codes(graph, xi + g + x) for g in gens]
+    return x, [conjugate_codes(graph, x, g) for g in gens]
 
 
 def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm:
@@ -223,6 +224,8 @@ def parabolic_direction_check(h: NormalForm, g: NormalForm, sf: SubgroupForm) ->
         raise PreconditionError("subgroup form is not parabolic")
     _require_valid(sf)
     graph = sf.graph
+    if h.graph is not graph or g.graph is not graph:
+        require_graph(graph, h, g)
     _, core = cyclic_reduce_codes(graph, h.codes)
     ginv = inv_codes(g.codes)
     conj_core = _nf(graph, normal_codes(graph, core + ginv, g.codes))

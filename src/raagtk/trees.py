@@ -10,17 +10,20 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DegenerateArcError, OutOfRangeError
+from .errors import DegenerateArcError, OutOfRangeError, PreconditionError
 from .graph import DefGraph
 from .words import (
     NormalForm,
     _nf,
+    _read,
     ball_codes,
     count_vertex,
     cyclic_reduce_codes,
     inv_codes,
+    meet_mask,
     normal_codes,
     realize_pair_span,
+    require_graph,
     strip_suffix_in,
     vertex_mask,
 )
@@ -41,6 +44,8 @@ class TreeVertex(NamedTuple):
 
 
 def tree_vertex(graph: DefGraph, v: str, g: NormalForm) -> TreeVertex:
+    if g.graph is not graph:
+        require_graph(graph, g)
     iv = graph.index(v)
     allowed = graph.full & ~(1 << iv)
     return TreeVertex(graph, v, strip_suffix_in(graph, g.codes, allowed))
@@ -48,20 +53,43 @@ def tree_vertex(graph: DefGraph, v: str, g: NormalForm) -> TreeVertex:
 
 def translate_vertex(g: NormalForm, tv: TreeVertex) -> TreeVertex:
     graph = tv.graph
+    if g.graph is not graph:
+        require_graph(graph, g)
     return tree_vertex(graph, tv.label, _nf(graph, normal_codes(graph, tv.rep, g.codes)))
 
 
+def _tree_codes(graph: DefGraph, v: str, g) -> tuple:
+    """A canonical representative of the tree vertex g of T_v: a NormalForm's
+    codes or a TreeVertex's gate, refused from another graph or tree."""
+    if g.graph is not graph:
+        require_graph(graph, g)
+    if isinstance(g, TreeVertex):
+        if g.label != v:
+            raise PreconditionError("vertex of the tree of %s given to the tree of %s"
+                                    % (g.label, v))
+        return g.rep
+    return g.codes
+
+
 def tv_distance(graph: DefGraph, v: str, g, h) -> int:
-    """Number of v-labelled hyperplanes separating the two cosets: the count
-    of v-letters in the reduced form of g^-1 h (any representatives work)."""
+    """Number of v-labelled hyperplanes separating the two cosets, from one
+    meet: count_v(g) + count_v(h) - 2 count_v(g ^ h) for any canonical
+    representatives (see "Distances" in the words module docstring).  The
+    meet is a prefix of both, so it holds no v-letter unless both do."""
     iv = graph.index(v)
-    gc = g.rep if isinstance(g, TreeVertex) else g.codes
-    hc = h.rep if isinstance(h, TreeVertex) else h.codes
-    return count_vertex(normal_codes(graph, inv_codes(gc) + tuple(hc)), iv)
+    gc = _tree_codes(graph, v, g)
+    hc = _tree_codes(graph, v, h)
+    cg, ch = count_vertex(gc, iv), count_vertex(hc, iv)
+    if not (cg and ch):
+        return cg + ch
+    meet = _read(gc, meet_mask(graph.block, gc, hc))
+    return cg + ch - 2 * count_vertex(meet, iv)
 
 
 def tv_translation_length(graph: DefGraph, v: str, g: NormalForm) -> int:
     """Count of v-letters in the cyclic core; positive iff g is loxodromic."""
+    if g.graph is not graph:
+        require_graph(graph, g)
     iv = graph.index(v)
     _, core = cyclic_reduce_codes(graph, g.codes)
     return count_vertex(core, iv)

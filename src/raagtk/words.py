@@ -62,6 +62,24 @@ before i is indexed already (those u letters are matched, by (1)), so the
 next such v letter not yet indexed is the only candidate left.  Once the
 letters refused by (1) block every vertex, the scan of u stops.
 
+Distances.  Let H(g) be the set of hyperplanes separating 1 from g.  A
+geodesic crosses each of them once and no other, so |H(g)| = |g|.  A
+hyperplane separates g from h iff it separates 1 from exactly one of them,
+so d(g, h) = |H(g)| + |H(h)| - 2|H(g) n H(h)|.  The meet g ^ h is the
+median m(1, g, h) (the identity below with x = 1), and a median lies on the
+majority side of every hyperplane, so a hyperplane separates 1 from g ^ h
+iff it separates 1 from both g and h: H(g ^ h) = H(g) n H(h).  Hence
+
+  d(g, h) = |g| + |h| - 2|g ^ h|,
+
+and, counting v-labelled hyperplanes only, the distance of g and h in the
+tree T_v is count_v(g) + count_v(h) - 2 count_v(g ^ h).  No v-labelled
+hyperplane separates g from g a for a in A_{V - v}, so any representatives
+of the two cosets give the same count; a coset's gate (`strip_suffix_in`)
+is canonical, so a tree vertex's representative is a valid input.  `dist`
+and `trees.tv_distance` take both from one `_meet_masks` pass and never
+normalize g^-1 h.
+
 Median.  Rooted at 1, the median of x, y, z is (x ^ y) v (y ^ z) v (z ^ x),
 the median-semilattice identity (Bandelt-Hedlikova, "Median algebras",
 Discrete Math. 45, 1983).  Let A = x ^ y, B = x ^ z, C = y ^ z and
@@ -261,13 +279,27 @@ def _read(codes, mask):
     return out
 
 
+def meet_mask(block, u, v):
+    """Positions of u in the greatest common prefix of the reduced words u
+    and v, as a bitmask over u (one `_meet_masks` pass)."""
+    return _meet_masks(_count_fields(block), block, u, _prefix_index(v))[0]
+
+
 def meet_codes(block, u, v):
     """Greatest common prefix of the reduced words u and v in the trace prefix
-    order: u read on the positions `_meet_masks` finds.  An ideal of a
+    order: u read on the positions `meet_mask` finds.  An ideal of a
     canonical word, read in order, is canonical, so the meet is canonical
     when u is."""
-    mu, _ = _meet_masks(_count_fields(block), block, u, _prefix_index(v))
-    return tuple(_read(u, mu))
+    return tuple(_read(u, meet_mask(block, u, v)))
+
+
+def conjugate_codes(graph: DefGraph, x, w):
+    """Canonical x^-1 w x for canonical w and any word x: w itself when x is
+    empty, since a canonical word is its own normal form.  For x w x^-1
+    pass inv_codes(x)."""
+    if not x:
+        return w
+    return normal_codes(graph, inv_codes(x) + w + x)
 
 
 def vertex_mask(codes):
@@ -278,7 +310,7 @@ def vertex_mask(codes):
 
 
 def count_vertex(codes, iv):
-    return sum(1 for c in codes if c >> 1 == iv)
+    return codes.count(2 * iv) + codes.count(2 * iv + 1)
 
 
 def strip_suffix_in(graph: DefGraph, codes, allowed_mask):
@@ -557,6 +589,15 @@ def format_codes(graph: DefGraph, codes) -> str:
     return " ".join(toks)
 
 
+def require_graph(graph: DefGraph, *elements):
+    """Raise GraphMismatchError unless every element (anything with a
+    `graph`) lives on a graph equal to `graph`.  Callers first test
+    `x.graph is not graph`, which settles the common case without a call."""
+    for x in elements:
+        if x.graph != graph:
+            raise GraphMismatchError("element belongs to a different graph")
+
+
 def _coerce_codes(graph, w):
     if isinstance(w, NormalForm) or isinstance(w, Word):
         if w.graph != graph:
@@ -594,9 +635,7 @@ def cyclic_reduce_codes(graph: DefGraph, codes):
     """Split canonical `codes` g as x a x^-1 with `a` of minimal conjugacy
     length: x is the meet of g and g^-1, and a = g when x is empty."""
     x = meet_codes(graph.block, codes, inv_codes(codes))
-    if not x:
-        return x, tuple(codes)
-    return x, normal_codes(graph, inv_codes(x) + tuple(codes) + x)
+    return x, conjugate_codes(graph, x, tuple(codes))
 
 
 def cyclic_reduce(g: NormalForm) -> CyclicDecomposition:
@@ -642,7 +681,11 @@ def median(x: NormalForm, y: NormalForm, z: NormalForm) -> NormalForm:
 
 
 def dist(g: NormalForm, h: NormalForm) -> int:
-    return len(normal_codes(g.graph, inv_codes(g.codes) + h.codes))
+    """|g| + |h| - 2|g ^ h| (see "Distances" in the module docstring)."""
+    if h.graph is not g.graph:
+        require_graph(g.graph, h)
+    mu = meet_mask(g.graph.block, g.codes, h.codes)
+    return len(g.codes) + len(h.codes) - 2 * mu.bit_count()
 
 
 class ClosureResult(NamedTuple):

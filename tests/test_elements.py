@@ -104,6 +104,66 @@ def test_li_product_and_structure_fuzz():
                         assert ci ** m != cj ** (-n)
 
 
+def test_join_factor_restrictions_are_canonical():
+    # the core read on one join factor's letters is already canonical, and
+    # each component is its conjugate by x
+    from raagtk.selftest import CATALOG, catalog_graph
+    from raagtk.words import cyclic_reduce_codes, vertex_mask
+
+    rng = random.Random(17)
+    graphs = [catalog_graph(gi) for gi in range(1, len(CATALOG))]
+    graphs.append(DefGraph(["a", "b", "c", "d", "e"],
+                           [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e"),
+                            ("a", "e")]))
+    seen_split = 0
+    for t in range(400):
+        graph = rng.choice(graphs)
+        g = rand_nf(rng, graph, rng.choice((5, 30, 120)))
+        if t % 2:
+            x = rand_nf(rng, graph, rng.randrange(1, 20))
+            g = x * g * x.inv()
+        if not g:
+            continue
+        xc, core = cyclic_reduce_codes(graph, g.codes)
+        factors = graph.join_decomposition(graph.vset_mask(vertex_mask(core)))
+        seen_split += len(factors) > 1
+        dec = li_components(g)
+        for fac, comp in zip(factors, dec.components):
+            sub = tuple(c for c in core if fac.mask >> (c >> 1) & 1)
+            assert normal_codes(graph, sub) == sub
+            assert comp.codes == normal_codes(graph, xc + sub + inv_codes(xc))
+    assert seen_split > 50
+
+
+def test_empty_conjugator_membership_reads_h_as_it_is(monkeypatch, path4):
+    from raagtk import elements as E
+    from raagtk import subgroups as S
+    from raagtk import words as W
+
+    g = normalize(path4, "b c")              # cyclically reduced: x = 1
+    cf = centralizer(g)
+    assert not cf.conjugator
+    sf = S.parabolic(path4, ["a", "b"])
+    hs = [normalize(path4, w) for w in ("b c b c", "b^2 c^-3", "a b^-1 a", "c d")]
+    inputs = []
+    real = W.normal_codes
+
+    def recorder(graph, codes, prefix=()):
+        inputs.append(tuple(codes))
+        return real(graph, codes, prefix)
+
+    for mod in (W, E, S):
+        monkeypatch.setattr(mod, "normal_codes", recorder)
+    for h in hs:
+        inputs.clear()
+        membership_centralizer(cf, h)
+        # root powers are normalized, h and its components are not
+        assert h.codes not in inputs
+        inputs.clear()
+        S.member(sf, h)
+        assert inputs == []
+
+
 def test_commutes_iff_componentwise():
     rng = random.Random(13)
     from raagtk.selftest import CATALOG, catalog_graph

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from raagtk.errors import DegenerateArcError, OutOfRangeError, UnknownVertexError
+from raagtk import elements as E
+from raagtk import subgroups as S
+from raagtk import trees as T
+from raagtk import words as W
+from raagtk.errors import (
+    DegenerateArcError,
+    OutOfRangeError,
+    PreconditionError,
+    UnknownVertexError,
+)
 from raagtk.graph import DefGraph
 from raagtk.subgroups import member
 from raagtk.trees import (
@@ -17,7 +26,18 @@ from raagtk.trees import (
     tv_translation_length,
 )
 from raagtk.selftest import CATALOG, catalog_graph
-from raagtk.words import _nf, ball_codes, identity, multiply, normal_codes, normalize
+from raagtk.oracles import oracle_reduce
+from raagtk.words import (
+    _nf,
+    ball_codes,
+    count_vertex,
+    dist,
+    identity,
+    inv_codes,
+    multiply,
+    normal_codes,
+    normalize,
+)
 
 from conftest import rand_nf
 
@@ -78,6 +98,101 @@ def test_tv_distance_agrees_with_coset_graph_bfs():
                 for y in small[::2]:
                     cy = tree_vertex(graph, v, y).rep
                     assert dist[cy] == tv_distance(graph, v, x, y)
+
+
+def _check_distances(graph, g, h):
+    """dist and tv_distance, on elements and on tree vertices, against the
+    oracle reduction of g^-1 h."""
+    diff = oracle_reduce(graph.adj, inv_codes(g.codes) + h.codes)
+    assert dist(g, h) == len(diff)
+    for v in graph.vertices:
+        expect = count_vertex(diff, graph.index(v))
+        p, q = tree_vertex(graph, v, g), tree_vertex(graph, v, h)
+        assert tv_distance(graph, v, g, h) == expect
+        assert tv_distance(graph, v, p, q) == expect
+        assert tv_distance(graph, v, p, h) == expect
+
+
+def test_distances_match_the_oracle_on_catalog_balls():
+    rng = random.Random(71)
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        pts = [_nf(graph, w) for w in ball_codes(graph, 3)]
+        pairs = [(g, h) for g in pts for h in pts]
+        for g, h in rng.sample(pairs, min(len(pairs), 150)):
+            _check_distances(graph, g, h)
+
+
+def test_distances_match_the_oracle_on_long_words_with_shared_prefixes():
+    # 30-240 letters, most of them on a common prefix, so that the meet is
+    # long and g^-1 h cancels deep
+    rng = random.Random(73)
+    graphs = [catalog_graph(gi) for gi in range(1, len(CATALOG))]
+    for _ in range(60):
+        graph = rng.choice(graphs)
+        n = rng.choice((30, 60, 120, 240))
+        p = rand_nf(rng, graph, rng.randrange(n // 2, n))
+        g, h = (_nf(graph, normal_codes(graph, rand_nf(rng, graph, n - len(p)).codes, p.codes))
+                for _ in range(2))
+        _check_distances(graph, g, h)
+
+
+def test_distances_normalize_nothing(monkeypatch, path4):
+    rng = random.Random(79)
+    g, h = rand_nf(rng, path4, 60), rand_nf(rng, path4, 60)
+    p, q = tree_vertex(path4, "b", g), tree_vertex(path4, "b", h)
+    calls, real = [], W.normal_codes
+    for mod in (W, T):
+        monkeypatch.setattr(mod, "normal_codes", lambda *a: calls.append(a) or real(*a))
+    dist(g, h)
+    tv_distance(path4, "b", g, h)
+    tv_distance(path4, "b", p, q)
+    assert calls == []
+
+
+def test_tv_distance_refuses_a_vertex_of_another_tree():
+    path3 = catalog_graph(5)
+    a = normalize(path3, "a")
+    assert tv_distance(path3, "a", a, identity(path3)) == 1
+    with pytest.raises(PreconditionError):
+        tv_distance(path3, "a", tree_vertex(path3, "b", a), identity(path3))
+    with pytest.raises(PreconditionError):
+        tv_distance(path3, "a", a, tree_vertex(path3, "b", a))
+
+
+def _other_graph_calls():
+    c4, p4 = catalog_graph(14), catalog_graph(11)
+    g = normalize(c4, "a d a^-1")
+    h = normalize(p4, "a")
+    return [
+        ("commutes", lambda: E.commutes(g, h)),
+        ("dist", lambda: dist(g, h)),
+        ("tv_distance", lambda: tv_distance(p4, "a", h, g)),
+        ("tv_distance_vertex", lambda: tv_distance(p4, "a", h, tree_vertex(c4, "a", g))),
+        ("tv_translation_length", lambda: tv_translation_length(p4, "a", g)),
+        ("tree_vertex", lambda: tree_vertex(p4, "a", g)),
+        ("translate_vertex", lambda: translate_vertex(g, tree_vertex(p4, "a", h))),
+        ("member", lambda: member(S.parabolic(p4, ["a", "b"]), g)),
+        ("membership_centralizer",
+         lambda: E.membership_centralizer(E.centralizer(h), g)),
+        ("parabolic_direction_check",
+         lambda: S.parabolic_direction_check(g, h, S.parabolic(p4, ["a"]))),
+    ]
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name)
+                                  for name, call in _other_graph_calls()])
+def test_elements_of_another_graph_are_refused(call):
+    with pytest.raises(W.GraphMismatchError):
+        call()
+
+
+def test_equal_graphs_built_twice_mix():
+    one, two = (DefGraph(["a", "b", "c"], [("a", "b"), ("b", "c")]) for _ in range(2))
+    g, h = normalize(one, "a b c"), normalize(two, "c^-1 a")
+    assert dist(g, h) == 5                  # c^-1 a^-1 c^-1 a b^-1
+    assert tv_distance(one, "c", g, tree_vertex(two, "c", h)) == 2
+    assert E.commutes(g, g * g)
 
 
 def test_tv_distance_is_metric(path4):

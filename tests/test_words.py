@@ -735,6 +735,18 @@ def test_cyclic_reduce_codes_long():
         assert normal_codes(graph, x + core + inv_codes(x)) == g
 
 
+def test_conjugate_codes_matches_normal_codes():
+    from raagtk.words import conjugate_codes
+
+    rng = random.Random(59)
+    for graph, w in _long_words(59, 60):
+        x = rand_nf(rng, graph, rng.randrange(0, 80)).codes
+        assert conjugate_codes(graph, x, w) == normal_codes(graph, inv_codes(x) + w + x)
+        assert conjugate_codes(graph, inv_codes(x), w) == normal_codes(graph, x + w + inv_codes(x))
+        # an empty conjugator hands the canonical word back as it is
+        assert conjugate_codes(graph, (), w) is w
+
+
 def test_common_conjugator_recomposes_generators():
     from raagtk.subgroups import _common_conjugator
 
