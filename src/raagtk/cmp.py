@@ -62,10 +62,16 @@ class DefectReport(NamedTuple):
         }
 
 
+_INT_TYPES = None     # ((max, dtype) for int16, int32, int64), on first use
+
+
 def _int_dtype(top: int):
     """The smallest of int16/int32/int64 that holds `top`."""
-    import numpy as np
-    return next(t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+    global _INT_TYPES
+    if _INT_TYPES is None:
+        import numpy as np
+        _INT_TYPES = tuple((int(np.iinfo(t).max), t) for t in (np.int16, np.int32, np.int64))
+    return next(t for top_t, t in _INT_TYPES if top <= top_t)
 
 
 class _PrefixTrie(NamedTuple):

@@ -35,6 +35,15 @@ def commutes(g: NormalForm, h: NormalForm) -> bool:
     return not normal_codes(graph, h.codes + inv_codes(g.codes) + inv_codes(h.codes), g.codes)
 
 
+def _conjugate_back(graph, x, w):
+    """Canonical x w x^-1 for canonical x and w.  The pass continues from x,
+    which is its own normal form, so normal_codes(graph, w + x^-1, x) equals
+    the normal form of x w x^-1 without inserting x's letters again (see
+    "Continuation" in the words module docstring); w itself when x is
+    empty."""
+    return normal_codes(graph, w + inv_codes(x), x) if x else w
+
+
 class LIDecomposition(NamedTuple):
     components: tuple        # NormalForms g_1 ... g_k, pairwise commuting
     supports: tuple          # VertexSets Gamma(g_i), the join factors of Gamma(g)
@@ -62,10 +71,9 @@ def li_components(g: NormalForm) -> LIDecomposition:
     xc, core = cyclic_reduce_codes(graph, g.codes)
     factors = graph.join_decomposition(graph.vset_mask(vertex_mask(core)))
     comps = []
-    xinv = inv_codes(xc)
     for fac in factors:
         sub = tuple(c for c in core if fac.mask >> (c >> 1) & 1)
-        comps.append(_nf(graph, conjugate_codes(graph, xinv, sub)))
+        comps.append(_nf(graph, _conjugate_back(graph, xc, sub)))
     return LIDecomposition(tuple(comps), tuple(factors), _nf(graph, xc))
 
 
@@ -110,7 +118,7 @@ def primitive_root(g: NormalForm):
                 pref.append(c)
         cand = _nf(graph, normal_codes(graph, pref))
         if cand ** n == core_nf:
-            root = _nf(graph, conjugate_codes(graph, inv_codes(xc), cand.codes))
+            root = _nf(graph, _conjugate_back(graph, xc, cand.codes))
             return root, n
     return g, 1
 

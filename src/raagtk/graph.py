@@ -34,7 +34,7 @@ def components(mask: int, nbrs) -> list:
 
 
 class DefGraph:
-    __slots__ = ("vertices", "edges", "_index", "adj", "block", "full", "_hash")
+    __slots__ = ("vertices", "edges", "_index", "adj", "block", "code_block", "full", "_hash")
 
     def __init__(self, vertices, edges=()):
         vertices = tuple(str(v) for v in vertices)
@@ -63,6 +63,12 @@ class DefGraph:
         self.edges = frozenset(edgeset)
         # block[v] = vertices whose occurrences do not commute past v (v itself included)
         self.block = tuple((1 << i) | (self.full & ~adj[i]) for i in range(n))
+        # code_block[c] = block[c >> 1] over letter codes: both codes 2x and
+        # 2x + 1 of every vertex x in the block, so the word kernels test a
+        # letter's code against it directly
+        self.code_block = tuple(
+            sum(3 << (2 * x) for x in range(n) if (self.block[c >> 1] >> x) & 1)
+            for c in range(2 * n))
         self._hash = hash((self.vertices, self.edges))
 
     # -- basic queries ----------------------------------------------------

@@ -12,6 +12,13 @@ the lexicographically least reduced word, and its prefixes are again canonical.
 letter it cannot commute past.  If that is c^-1 it cancels; it blocks nothing
 after it, so it is last in its trace, and deleting a last letter keeps a word
 greedy.  Otherwise c goes in before the first later letter greater than c.
+The graph's per-code table `code_block[c]` is the bitmask over codes of the
+letters c cannot commute past (both codes of every vertex in block[c >> 1]),
+so each scan step tests a code without mapping it to its vertex.  The last
+letter is tested first: when it stops c, c cancels it or is appended, with
+no scan, and this is the case for most letters.  Otherwise the scan back
+also notes the least later position holding a letter greater than c, so one
+loop finds both where c stops and where it goes in.
 
 Continuation.  The pass carries the normal form of what it has read, and a
 canonical p is its own normal form, so `normal_codes(graph, h, p)` equals
@@ -179,26 +186,54 @@ def normal_codes(graph: DefGraph, codes, prefix=()) -> tuple:
     """Canonical form of prefix + codes, built by insertion in one
     left-to-right pass (see the module docstring).  `prefix` must be
     canonical: inserting its letters one by one would append each of them,
-    so the pass starts from it."""
-    block = graph.block
+    so the pass starts from it.
+
+    A letter c is tested against graph.code_block[c], the codes of the
+    letters it cannot commute past.  The last letter is tested first, as
+    most letters stop there: it cancels c or takes c after it.  Otherwise
+    one scan back finds the letter that stops c and, on the way, the first
+    later letter greater than c, before which c goes in."""
+    code_block = graph.code_block
     out = list(prefix)
+    n = len(out)
     for c in codes:
-        bm = block[c >> 1]
-        k = len(out) - 1
-        while k >= 0 and not (bm >> (out[k] >> 1)) & 1:
-            k -= 1
-        if k >= 0 and out[k] == c ^ 1:
-            del out[k]
+        if not n:
+            out.append(c)
+            n = 1
             continue
-        k += 1
-        while k < len(out) and out[k] < c:
-            k += 1
-        out.insert(k, c)
+        bm = code_block[c]
+        d = out[-1]
+        if (bm >> d) & 1:
+            if d == c ^ 1:
+                out.pop()
+                n -= 1
+            else:
+                out.append(c)
+                n += 1
+            continue
+        at = n - 1 if d > c else n
+        k = n - 2
+        while k >= 0:
+            d = out[k]
+            if (bm >> d) & 1:
+                if d == c ^ 1:
+                    del out[k]
+                    n -= 1
+                else:
+                    out.insert(at, c)
+                    n += 1
+                break
+            if d > c:
+                at = k
+            k -= 1
+        else:
+            out.insert(at, c)
+            n += 1
     return tuple(out)
 
 
 def inv_codes(codes):
-    return tuple(c ^ 1 for c in reversed(codes))
+    return tuple([c ^ 1 for c in reversed(codes)])
 
 
 # Letter counts per vertex, packed into one integer: vertex w's count sits in
@@ -296,7 +331,8 @@ def meet_codes(block, u, v):
 def conjugate_codes(graph: DefGraph, x, w):
     """Canonical x^-1 w x for canonical w and any word x: w itself when x is
     empty, since a canonical word is its own normal form.  For x w x^-1
-    pass inv_codes(x)."""
+    with canonical x, continue the pass from x instead:
+    normal_codes(graph, w + inv_codes(x), x)."""
     if not x:
         return w
     return normal_codes(graph, inv_codes(x) + w + x)
@@ -779,13 +815,11 @@ def ball_codes(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:
     counted level by level."""
     ncodes = 2 * len(graph)
     # Letters as bitmasks over codes.  After w d, the letters allowed are
-    # after[d], those that do not commute with d except d^-1, and those
-    # allowed after w that pass d: through[d] holds the letters greater than
-    # d that commute with it.
-    dependent = [sum(3 << (2 * x) for x in range(len(graph))
-                     if (graph.block[d >> 1] >> x) & 1) for d in range(ncodes)]
-    after = [dependent[d] & ~(1 << (d ^ 1)) for d in range(ncodes)]
-    through = [~dependent[d] & ~((2 << d) - 1) for d in range(ncodes)]
+    # after[d], those that do not commute with d (code_block[d]) except d^-1,
+    # and those allowed after w that pass d: through[d] holds the letters
+    # greater than d that commute with it.
+    after = [bm & ~(1 << (d ^ 1)) for d, bm in enumerate(graph.code_block)]
+    through = [~bm & ~((2 << d) - 1) for d, bm in enumerate(graph.code_block)]
     spelled = {}        # allowed-letter mask -> its letters, ascending
     counted = _free_ball(ncodes, radius, cap)
     if counted is None:

@@ -149,3 +149,13 @@ def test_parse_comments_and_errors():
         DefGraph.parse("edge: a b\n")
     with pytest.raises(GraphFormatError):
         DefGraph.parse("vertices: a b\nbogus line\n")
+
+
+def test_code_block_expands_block_over_letter_codes():
+    # code d is in code_block[c] iff vertex d >> 1 is in block[c >> 1]
+    for gi in range(len(CATALOG)):
+        g = catalog_graph(gi)
+        assert len(g.code_block) == 2 * len(g)
+        for c, bm in enumerate(g.code_block):
+            assert bm == sum(1 << d for d in range(2 * len(g))
+                             if (g.block[c >> 1] >> (d >> 1)) & 1), (gi, c)

@@ -919,6 +919,85 @@ def test_normal_codes_continues_from_canonical_prefix():
     assert cancelled > 500
 
 
+def _insertion_reference(graph, codes, prefix=()):
+    """The insertion loop of normal_codes before the per-code table and the
+    last-letter test, kept verbatim as a reference."""
+    block = graph.block
+    out = list(prefix)
+    for c in codes:
+        bm = block[c >> 1]
+        k = len(out) - 1
+        while k >= 0 and not (bm >> (out[k] >> 1)) & 1:
+            k -= 1
+        if k >= 0 and out[k] == c ^ 1:
+            del out[k]
+            continue
+        k += 1
+        while k < len(out) and out[k] < c:
+            k += 1
+        out.insert(k, c)
+    return tuple(out)
+
+
+def _insertion_graphs():
+    """The catalog graphs, the 5-cycle, K5 and the edgeless graph on 5
+    vertices."""
+    from raagtk.graph import DefGraph
+
+    five = ["a", "b", "c", "d", "e"]
+    pairs = [(u, v) for i, u in enumerate(five) for v in five[i + 1:]]
+    return [catalog_graph(gi) for gi in range(len(CATALOG))] + [
+        DefGraph(five, [(five[i], five[(i + 1) % 5]) for i in range(5)]),
+        DefGraph(five, pairs),
+        DefGraph(five),
+    ]
+
+
+def test_normal_codes_matches_reference_insertion_and_oracle():
+    # raw words with and without a canonical prefix; half of them end in the
+    # shuffled inverse of a suffix, so letters cancel deep in the stack
+    rng = random.Random(71)
+    graphs = _insertion_graphs()
+    cancelling = 0
+    for t in range(21_000):
+        graph = graphs[t % len(graphs)]
+        ncodes = 2 * len(graph)
+        codes = [rng.randrange(ncodes) for _ in range(rng.randrange(0, 17))]
+        if t % 2:
+            tail = inv_codes(codes[len(codes) - rng.randrange(len(codes) + 1):])
+            codes += rng.sample(tail, len(tail))
+        prefix = rand_nf(rng, graph, rng.randrange(0, 13)).codes if t % 3 else ()
+        out = normal_codes(graph, codes, prefix)
+        assert out == _insertion_reference(graph, codes, prefix)
+        assert len(out) == len(O.oracle_reduce(graph.adj, prefix + tuple(codes)))
+        cancelling += len(out) <= len(prefix) + len(codes) - 4
+    assert cancelling > 5000
+
+
+def test_normal_codes_edge_cases(path3, z2):
+    # path3 is a - b - c: b commutes with a and c, a and c do not commute
+    a, A, b, B, c, C = range(6)
+    g = normal_codes(path3, (c, a, b))
+    assert g == (b, c, a)
+    # empty codes, empty prefix, both
+    assert normal_codes(path3, ()) == ()
+    assert normal_codes(path3, (), g) == g
+    assert normal_codes(path3, (c, a, b), ()) == g
+    # the last letter cancels
+    assert normal_codes(path3, (A,), g) == (b, c)
+    # B passes a and c and cancels b at the bottom of the stack
+    assert normal_codes(path3, (B,), g) == (c, a)
+    assert normal_codes(path3, (c, a, b, a, A, B, A, C)) == ()
+    # inserted at position 0
+    assert normal_codes(path3, (b,), (c,)) == (b, c)
+    assert normal_codes(z2, (A, A), (b, b)) == (A, A, b, b)
+    # appended after the last letter, which it cannot pass
+    assert normal_codes(path3, (c,), (a,)) == (a, c)
+    assert normal_codes(path3, (C,), g) == (b, c, a, C)
+    # B goes in after a, before c
+    assert normal_codes(path3, (B, a, c, A, C)) == (a, B, c, A, C)
+
+
 def _chain_closure(graph, codes, i):
     """Positions of `codes` that depend on position i, by a search over the
     definition: the positions reached from i by steps p -> q, p < q, whose
