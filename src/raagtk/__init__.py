@@ -19,7 +19,6 @@ from .words import (
     ball,
     cyclic_reduce,
     dist,
-    geodesic_hyperplanes,
     identity,
     invert,
     median,
@@ -34,7 +33,6 @@ from .elements import (
     centralizer,
     commutes,
     gamma,
-    increasing_labels_search,
     is_label_irreducible,
     li_components,
     membership_centralizer,
@@ -57,7 +55,6 @@ from .subgroups import (
     intersect,
     member,
     parabolic,
-    parabolic_direction_check,
     semi_parabolic,
     validate,
 )

@@ -4,18 +4,16 @@ primitive roots, commutation, and structured centralizers."""
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .errors import IdentityElementError, InvalidSubgroupError, OutOfRangeError
+from .errors import IdentityElementError, InvalidSubgroupError
 from .graph import VertexSet
 from .words import (
     NormalForm,
     _nf,
     conjugate_codes,
     cyclic_reduce_codes,
-    identity,
     inv_codes,
-    multiply,
     normal_codes,
     require_graph,
     vertex_mask,
@@ -50,6 +48,51 @@ class LIDecomposition(NamedTuple):
     conjugator: NormalForm   # x with each component of the form x * a_i * x^-1
 
 
+def _core_parts(graph, core):
+    """The join factors of Gamma(core) and the core read on each.  For a
+    cyclically reduced core, each part is canonical (see li_components) and
+    cyclically reduced, so it is not reduced again: x = w ^ w^-1 is empty iff
+    no letter s can be moved to the front of w with s^-1 movable to its end,
+    and the core's letters over other factors commute with part i, so such
+    an s for part i would be one for the core."""
+    factors = graph.join_decomposition(graph.vset_mask(vertex_mask(core)))
+    return factors, [tuple(c for c in core if fac.mask >> (c >> 1) & 1)
+                     for fac in factors]
+
+
+def _core_root(graph, core):
+    """(r, n) with core = r**n and n maximal, for a cyclically reduced
+    canonical core; (core, 1) when it is not a proper power.
+
+    If core = r**n, then r is cyclically reduced and |r**n| = n|r|, so the
+    points 1, r, ..., r**n are collinear and r is a prefix of the core that
+    takes count_v / n of the core's count_v letters over each vertex v;
+    every n has to divide every count.  Occurrences of one vertex never
+    commute, so a prefix of a reduced word is fixed by how many letters it
+    takes over each vertex: r can only be the core read on the first
+    count_v / n occurrences of each v.  That one candidate per n is
+    verified by multiplication, largest n first."""
+    counts = {}
+    for c in core:
+        counts[c >> 1] = counts.get(c >> 1, 0) + 1
+    core_nf = _nf(graph, core)
+    gcd = math.gcd(*counts.values())
+    for n in range(gcd, 1, -1):
+        if gcd % n:
+            continue
+        left = {v: k // n for v, k in counts.items()}
+        pref = []
+        for c in core:
+            if left[c >> 1]:
+                left[c >> 1] -= 1
+                pref.append(c)
+        # pref may be unreduced: F4's core a^-1 a^-1 c^-1 d c d^-3 picks a^-1 c^-1 d d^-1
+        cand = _nf(graph, normal_codes(graph, pref))
+        if cand ** n == core_nf:
+            return cand.codes, n
+    return core, 1
+
+
 def li_components(g: NormalForm) -> LIDecomposition:
     """Split g into its pairwise-commuting label-irreducible components,
     grouped by the maximal join decomposition of Gamma(g).
@@ -69,12 +112,9 @@ def li_components(g: NormalForm) -> LIDecomposition:
         raise IdentityElementError("identity has no label-irreducible parts")
     graph = g.graph
     xc, core = cyclic_reduce_codes(graph, g.codes)
-    factors = graph.join_decomposition(graph.vset_mask(vertex_mask(core)))
-    comps = []
-    for fac in factors:
-        sub = tuple(c for c in core if fac.mask >> (c >> 1) & 1)
-        comps.append(_nf(graph, _conjugate_back(graph, xc, sub)))
-    return LIDecomposition(tuple(comps), tuple(factors), _nf(graph, xc))
+    factors, parts = _core_parts(graph, core)
+    comps = tuple(_nf(graph, _conjugate_back(graph, xc, sub)) for sub in parts)
+    return LIDecomposition(comps, tuple(factors), _nf(graph, xc))
 
 
 def is_label_irreducible(g: NormalForm) -> bool:
@@ -82,45 +122,20 @@ def is_label_irreducible(g: NormalForm) -> bool:
         return False
     graph = g.graph
     _, core = cyclic_reduce_codes(graph, g.codes)
-    return len(graph.join_decomposition(graph.vset_mask(vertex_mask(core)))) == 1
+    return len(_core_parts(graph, core)[0]) == 1
 
 
 def primitive_root(g: NormalForm):
     """Write g = root**n with n maximal; the root is not a proper power.
-
-    Let g = x core x^-1 with the core cyclically reduced.  If core = r**n,
-    then r is cyclically reduced and |r**n| = n|r|, so the points 1, r, ...,
-    r**n are collinear and r is a prefix of the core that takes count_v / n
-    of the core's count_v letters over each vertex v; every n has to divide
-    every count.  Occurrences of one vertex never commute, so a prefix of a
-    reduced word is fixed by how many letters it takes over each vertex:
-    r can only be the core read on the first count_v / n occurrences of each
-    v.  That one candidate per n is verified by multiplication, largest n
-    first, and the root of g is x r x^-1.
-    """
+    For g = x core x^-1 it is x r x^-1 with r the core's root (_core_root)."""
     if not g:
         raise IdentityElementError("identity has no primitive root")
     graph = g.graph
     xc, core = cyclic_reduce_codes(graph, g.codes)
-    counts = {}
-    for c in core:
-        counts[c >> 1] = counts.get(c >> 1, 0) + 1
-    core_nf = _nf(graph, core)
-    gcd = math.gcd(*counts.values())
-    for n in range(gcd, 1, -1):
-        if gcd % n:
-            continue
-        left = {v: k // n for v, k in counts.items()}
-        pref = []
-        for c in core:
-            if left[c >> 1]:
-                left[c >> 1] -= 1
-                pref.append(c)
-        cand = _nf(graph, normal_codes(graph, pref))
-        if cand ** n == core_nf:
-            root = _nf(graph, _conjugate_back(graph, xc, cand.codes))
-            return root, n
-    return g, 1
+    r, n = _core_root(graph, core)
+    if n == 1:
+        return g, 1
+    return _nf(graph, _conjugate_back(graph, xc, r)), n
 
 
 class CentralizerForm(NamedTuple):
@@ -137,14 +152,10 @@ def centralizer(g: NormalForm) -> CentralizerForm:
         )
     graph = g.graph
     xc, core = cyclic_reduce_codes(graph, g.codes)
-    core_nf = _nf(graph, core)
-    dec = li_components(core_nf)
-    roots = []
-    for comp in dec.components:
-        r, _ = primitive_root(comp)
-        roots.append(r)
+    _, parts = _core_parts(graph, core)
+    roots = tuple(_nf(graph, _core_root(graph, sub)[0]) for sub in parts)
     support = graph.perp(graph.vset_mask(vertex_mask(core)))
-    return CentralizerForm(_nf(graph, xc), tuple(roots), support)
+    return CentralizerForm(_nf(graph, xc), roots, support)
 
 
 def _component_matches(comp: NormalForm, roots, support_mask) -> bool:
@@ -190,32 +201,3 @@ def membership_centralizer(cf: CentralizerForm, h: NormalForm) -> bool:
     return in_structured_product(
         cf.conjugator, cf.cyclic_roots, cf.parabolic_support.mask, h
     )
-
-
-def increasing_labels_search(
-    g: NormalForm, h: NormalForm, budget: int
-) -> Optional[NormalForm]:
-    """Breadth-first search for k in <g, h> with Gamma(k) containing
-    Gamma(g) u Gamma(h), over products of at most `budget` factors from
-    {g, g^-1, h, h^-1}.  None signals budget exhaustion, never nonexistence.
-    """
-    if budget < 1:
-        raise OutOfRangeError("budget must be >= 1")
-    graph = g.graph
-    target = gamma(g).mask | gamma(h).mask
-    gens = [g, g.inv(), h, h.inv()]
-    seen = {identity(graph)}
-    frontier = [identity(graph)]
-    for _ in range(budget):
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                k = multiply(w, s)
-                if k in seen:
-                    continue
-                seen.add(k)
-                if target & ~gamma(k).mask == 0:
-                    return k
-                nxt.append(k)
-        frontier = nxt
-    return None

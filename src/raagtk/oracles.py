@@ -51,7 +51,8 @@ def _projections(adj, codes, nverts):
 
 def oracle_equal_words(adj, nverts, w1, w2) -> bool:
     """Same group element?  Reduce both and compare all projections onto
-    dependent vertex pairs."""
+    dependent vertex pairs.  Kept although no library function calls it:
+    the benchmark's elements_long workload checks its answers with it."""
     r1 = oracle_reduce(adj, w1)
     r2 = oracle_reduce(adj, w2)
     if len(r1) != len(r2):

@@ -22,7 +22,6 @@ from .words import (
     inv_codes,
     meet_codes,
     normal_codes,
-    require_graph,
     vertex_mask,
 )
 from .elements import in_structured_product, is_label_irreducible, primitive_root
@@ -215,24 +214,3 @@ def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm
                 "radius %d does not witness a generating set" % radius
             )
     return result
-
-
-def parabolic_direction_check(h: NormalForm, g: NormalForm, sf: SubgroupForm) -> bool:
-    """Necessary condition for parabolicity, checked for one witness: if the
-    conjugated cyclic core of h lies in sf, so must each conjugated letter."""
-    if sf.kind != PARABOLIC:
-        raise PreconditionError("subgroup form is not parabolic")
-    _require_valid(sf)
-    graph = sf.graph
-    if h.graph is not graph or g.graph is not graph:
-        require_graph(graph, h, g)
-    _, core = cyclic_reduce_codes(graph, h.codes)
-    ginv = inv_codes(g.codes)
-    conj_core = _nf(graph, normal_codes(graph, core + ginv, g.codes))
-    if not _contains(sf, conj_core):
-        raise PreconditionError("conjugated core does not lie in the subgroup")
-    for c in core:
-        one = _nf(graph, normal_codes(graph, (c,) + ginv, g.codes))
-        if not _contains(sf, one):
-            return False
-    return True

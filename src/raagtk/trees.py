@@ -130,10 +130,14 @@ def arc(graph: DefGraph, v: str, start: NormalForm, end: NormalForm) -> TreeArc:
 def arc_vertex(beta: TreeArc, k: int) -> TreeVertex:
     """The k-th tree vertex along the arc, 0 <= k <= length: one normal form
     of start.rep and the word up to its k-th crossing, then one gate."""
-    graph = beta.graph
-    word, vpos = beta.crossings()
+    return _crossed_vertex(beta, *beta.crossings(), k)
+
+
+def _crossed_vertex(beta: TreeArc, word, vpos, k: int) -> TreeVertex:
+    """arc_vertex(beta, k) from the word and positions of beta.crossings()."""
     if not 0 <= k <= len(vpos):
         raise OutOfRangeError("k must satisfy 0 <= k <= %d" % len(vpos))
+    graph = beta.graph
     rep = normal_codes(graph, word[:vpos[k - 1] + 1] if k else (), beta.start.rep)
     return tree_vertex(graph, beta.label, _nf(graph, rep))
 
@@ -197,7 +201,9 @@ def classify_almost_stabilizer(beta: TreeArc, result: AlmostStabilizerResult) ->
     graph = beta.graph
     v = beta.label
     t = result.s // 2
-    p1, q1 = arc_vertex(beta, t), arc_vertex(beta, beta.length - t)
+    word, vpos = beta.crossings()
+    p1 = _crossed_vertex(beta, word, vpos, t)
+    q1 = _crossed_vertex(beta, word, vpos, len(vpos) - t)
     fixers = []
     loxo = []
     roots = set()

@@ -528,9 +528,6 @@ class Hyperplane:
     def __hash__(self):
         return self._hash
 
-    def rep_nf(self) -> NormalForm:
-        return _nf(self.graph, self.rep)
-
     def __repr__(self):
         return "Hyperplane(%s @ %s)" % (self.label, format_codes(self.graph, self.rep) )
 
@@ -677,17 +674,6 @@ def cyclic_reduce_codes(graph: DefGraph, codes):
 def cyclic_reduce(g: NormalForm) -> CyclicDecomposition:
     xc, core = cyclic_reduce_codes(g.graph, g.codes)
     return CyclicDecomposition(_nf(g.graph, xc), _nf(g.graph, core))
-
-
-def geodesic_hyperplanes(g: NormalForm) -> list:
-    """Hyperplanes crossed by the canonical geodesic from 1 to g, in order."""
-    graph = g.graph
-    out = []
-    prefix = []
-    for c in g.codes:
-        out.append(hyperplane_at(graph, tuple(prefix), c))
-        prefix.append(c)
-    return out
 
 
 def median_codes(graph: DefGraph, x, y, z):

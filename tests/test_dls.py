@@ -21,7 +21,6 @@ from raagtk.dls import (
     verify_automorphism,
 )
 from raagtk.cmp import cmp_defect
-from raagtk.elements import increasing_labels_search
 from raagtk.errors import (
     InvalidSplittingError,
     MemoryLimitError,
@@ -280,13 +279,11 @@ def test_random_dls_draws_pinned():
     (lambda z2: outer_order_certificate(
         build_transvection(z2, "b", normalize(z2, "a")), [normalize(z2, "a")], 10 ** 8),
      OutOfRangeError),
-    (lambda z2: increasing_labels_search(normalize(z2, "a"), normalize(z2, "b"), 0),
-     OutOfRangeError),
     (lambda z2: verify_automorphism({"a": normalize(z2, "a"), "b": normalize(z2, "b")}),
      PreconditionError),
 ], ids=["cmp_defect_radius_0", "certificate_without_probes",
         "certificate_max_power_0", "certificate_max_power_-1", "certificate_max_power_1e8",
-        "search_budget_0", "raw_map_without_graph"])
+        "raw_map_without_graph"])
 def test_domain_errors_are_raag_errors(z2, call, error):
     with pytest.raises(error):
         call(z2)

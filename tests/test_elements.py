@@ -1,13 +1,16 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from raagtk.elements import (
+    CentralizerForm,
+    LIDecomposition,
+    _conjugate_back,
     centralizer,
     commutes,
     gamma,
-    increasing_labels_search,
     is_label_irreducible,
     li_components,
     membership_centralizer,
@@ -19,12 +22,14 @@ from raagtk.words import (
     _nf,
     ball_codes,
     cyclic_reduce,
+    cyclic_reduce_codes,
     identity,
     inv_codes,
     invert,
     multiply,
     normal_codes,
     normalize,
+    vertex_mask,
 )
 
 from conftest import first_code_set, graph_and_word, rand_nf
@@ -357,38 +362,107 @@ def test_centralizer_membership_matches_commutation_radius4(path3):
         assert membership_centralizer(cf, h) == commutes(g, h)
 
 
-# -- increasing labels search ---------------------------------------------------------
+# -- one cyclic reduction per query ---------------------------------------------
 
-def test_increasing_labels_free(free2):
-    k = increasing_labels_search(normalize(free2, "a"), normalize(free2, "b"), 4)
-    assert k is not None and gamma(k) == {"a", "b"}
-
-
-def test_increasing_labels_path(path3):
-    k = increasing_labels_search(normalize(path3, "a"), normalize(path3, "c"), 4)
-    assert k is not None and gamma(k) == {"a", "c"}
-
-
-def test_increasing_labels_nested_support(z2):
-    g = normalize(z2, "a b")
-    h = normalize(z2, "a")
-    k = increasing_labels_search(g, h, 3)
-    assert k is not None and gamma(k) == {"a", "b"}
-
-
-def test_increasing_labels_fuzz():
-    rng = random.Random(23)
+def test_centralizer_reduces_the_core_once(monkeypatch):
+    # the core's parts are cyclically reduced, so neither the components nor
+    # their roots are reduced again
+    from raagtk import elements as E
     from raagtk.selftest import catalog_graph
 
-    found = 0
-    for _ in range(60):
-        graph = catalog_graph(rng.randrange(1, 7))
-        g = rand_nf(rng, graph, rng.randrange(1, 4))
-        h = rand_nf(rng, graph, rng.randrange(1, 4))
-        if not g or not h:
+    calls = []
+    reduce = E.cyclic_reduce_codes
+    monkeypatch.setattr(E, "cyclic_reduce_codes",
+                        lambda graph, codes: calls.append(codes) or reduce(graph, codes))
+    p4, e4 = catalog_graph(11), catalog_graph(7)
+    for graph, text in ((p4, "a c a^-1"), (p4, "d a c a c d^-1"),
+                        (p4, "b a b a d c d c b^-1 a^-1"), (e4, "a b a b"), (e4, "c")):
+        calls.clear()
+        cf = centralizer(normalize(graph, text))
+        assert len(calls) == 1, text
+        assert cf.cyclic_roots
+
+
+def _reference_li_components(g):
+    """li_components as it stood with three reductions per centralizer."""
+    graph = g.graph
+    xc, core = cyclic_reduce_codes(graph, g.codes)
+    factors = graph.join_decomposition(graph.vset_mask(vertex_mask(core)))
+    comps = []
+    for fac in factors:
+        sub = tuple(c for c in core if fac.mask >> (c >> 1) & 1)
+        comps.append(_nf(graph, _conjugate_back(graph, xc, sub)))
+    return LIDecomposition(tuple(comps), tuple(factors), _nf(graph, xc))
+
+
+def _reference_is_label_irreducible(g):
+    if not g:
+        return False
+    graph = g.graph
+    _, core = cyclic_reduce_codes(graph, g.codes)
+    return len(graph.join_decomposition(graph.vset_mask(vertex_mask(core)))) == 1
+
+
+def _reference_primitive_root(g):
+    graph = g.graph
+    xc, core = cyclic_reduce_codes(graph, g.codes)
+    counts = {}
+    for c in core:
+        counts[c >> 1] = counts.get(c >> 1, 0) + 1
+    core_nf = _nf(graph, core)
+    gcd = math.gcd(*counts.values())
+    for n in range(gcd, 1, -1):
+        if gcd % n:
             continue
-        k = increasing_labels_search(g, h, 4)
-        if k is not None:
-            found += 1
-            assert (gamma(g).mask | gamma(h).mask) & ~gamma(k).mask == 0
-    assert found >= 40
+        left = {v: k // n for v, k in counts.items()}
+        pref = []
+        for c in core:
+            if left[c >> 1]:
+                left[c >> 1] -= 1
+                pref.append(c)
+        cand = _nf(graph, normal_codes(graph, pref))
+        if cand ** n == core_nf:
+            root = _nf(graph, _conjugate_back(graph, xc, cand.codes))
+            return root, n
+    return g, 1
+
+
+def _reference_centralizer(g):
+    graph = g.graph
+    xc, core = cyclic_reduce_codes(graph, g.codes)
+    core_nf = _nf(graph, core)
+    dec = _reference_li_components(core_nf)
+    roots = []
+    for comp in dec.components:
+        r, _ = _reference_primitive_root(comp)
+        roots.append(r)
+    support = graph.perp(graph.vset_mask(vertex_mask(core)))
+    return CentralizerForm(_nf(graph, xc), tuple(roots), support)
+
+
+def test_element_queries_match_the_reference_copies():
+    from raagtk.selftest import CATALOG, catalog_graph
+
+    rng = random.Random(2027)
+    graphs = [catalog_graph(gi) for gi in range(len(CATALOG))]
+    graphs.append(DefGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"),
+                                     ("e", "a")]))
+    done = powers = 0
+    while done < 20_000:
+        graph = graphs[done % len(graphs)]
+        if done % 3:
+            b = rand_nf(rng, graph, rng.randrange(1, 7))
+            x = rand_nf(rng, graph, rng.randrange(0, 5))
+            k = rng.choice((1, 2, 3, 4, 6))
+            g = x * b ** k * x.inv()
+            powers += k > 1
+        else:
+            g = rand_nf(rng, graph, rng.randrange(1, 24))
+        if not g:
+            continue
+        done += 1
+        assert centralizer(g) == _reference_centralizer(g)
+        assert li_components(g) == _reference_li_components(g)
+        assert primitive_root(g) == _reference_primitive_root(g)
+        assert is_label_irreducible(g) == _reference_is_label_irreducible(g)
+    assert powers > 5000

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from raagtk import subgroups as S
-from raagtk.errors import OutOfRangeError, PreconditionError, RadiusTooSmallError
+from raagtk.errors import OutOfRangeError, RadiusTooSmallError
 from raagtk.subgroups import (
     intersect,
     member,
     parabolic,
-    parabolic_direction_check,
     semi_parabolic,
     validate,
 )
@@ -18,7 +17,6 @@ from raagtk.words import (
     identity,
     invert,
     multiply,
-    normal_codes,
     normalize,
 )
 
@@ -256,56 +254,3 @@ def test_chain_length_bound():
                 h = _nf(graph, codes)
                 if member(sub, h):
                     assert member(sup, h)
-
-
-def test_parabolic_direction_check_positive(path3):
-    sf = parabolic(path3, ["a", "b"])
-    h = normalize(path3, "a b a")
-    assert parabolic_direction_check(h, identity(path3), sf)
-
-
-def test_parabolic_direction_check_validates_once(path3, monkeypatch):
-    # one validate call for a 40-letter core, not one per membership test
-    calls = []
-    monkeypatch.setattr(S, "validate", lambda sf: calls.append(sf) or validate(sf))
-    sf = parabolic(path3, ["a", "b"])
-    assert parabolic_direction_check(normalize(path3, "a b " * 20), identity(path3), sf)
-    assert calls == [sf]
-
-
-def test_parabolic_direction_check_precondition(free2):
-    sf = parabolic(free2, ["a"])
-    with pytest.raises(PreconditionError):
-        parabolic_direction_check(
-            normalize(free2, "a"), normalize(free2, "b"), sf
-        )
-
-
-def test_parabolic_direction_check_random_instances():
-    # the necessary direction always holds for genuine parabolic membership
-    rng = random.Random(61)
-    from raagtk.selftest import catalog_graph
-
-    done = 0
-    while done < 30:
-        graph = catalog_graph(rng.randrange(1, 18))
-        names = [v for v in graph.vertices if rng.random() < 0.7]
-        if not names:
-            continue
-        sf = parabolic(graph, names)
-        # h with core inside the support, conjugator g arbitrary with the
-        # precondition satisfied
-        core_letters = [
-            2 * graph.index(v) + s for v in names for s in (0, 1)
-        ]
-        w = tuple(rng.choice(core_letters) for _ in range(rng.randrange(1, 5)))
-        h = _nf(graph, normal_codes(graph, w))
-        if not h:
-            continue
-        g = rand_nf(rng, graph, rng.randrange(0, 3))
-        try:
-            ok = parabolic_direction_check(h, g, sf)
-        except PreconditionError:
-            continue
-        done += 1
-        assert ok

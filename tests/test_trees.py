@@ -175,8 +175,6 @@ def _other_graph_calls():
         ("member", lambda: member(S.parabolic(p4, ["a", "b"]), g)),
         ("membership_centralizer",
          lambda: E.membership_centralizer(E.centralizer(h), g)),
-        ("parabolic_direction_check",
-         lambda: S.parabolic_direction_check(g, h, S.parabolic(p4, ["a"]))),
     ]
 
 
@@ -372,3 +370,15 @@ def test_almost_stabilizer_dichotomy_root_with_commuting_letters(path4):
     assert len(rep.loxodromics) == 2
     assert rep.ok
     assert rep.shared_root == r
+
+
+def test_classify_normalizes_the_arc_word_once(monkeypatch, path4):
+    # both trimmed endpoints are read from one crossings() call
+    beta = arc(path4, "d", normalize(path4, "c"), normalize(path4, "a b d") ** 6)
+    res = almost_stabilizer(beta, 2, 2)
+    arc_input = inv_codes(beta.start.rep) + beta.end.rep
+    calls, real = [], T.normal_codes
+    monkeypatch.setattr(T, "normal_codes", lambda *a: calls.append(a) or real(*a))
+    rep = classify_almost_stabilizer(beta, res)
+    assert calls.count((path4, arc_input)) == 1
+    assert rep.trimmed_endpoints == (arc_vertex(beta, 1), arc_vertex(beta, beta.length - 1))

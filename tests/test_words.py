@@ -16,7 +16,7 @@ from raagtk.words import (
     cyclic_reduce,
     dist,
     format_codes,
-    geodesic_hyperplanes,
+    hyperplane_at,
     identity,
     inv_codes,
     invert,
@@ -272,10 +272,16 @@ def test_cyclic_reduce_reaches_conjugacy_minimum(gw):
 
 # -- geodesics and hyperplanes --------------------------------------------------
 
+def crossed_hyperplanes(g):
+    """Hyperplanes crossed by the canonical geodesic from 1 to g, in order:
+    hyperplane_at on each prefix and the letter that follows it."""
+    return [hyperplane_at(g.graph, g.codes[:k], c) for k, c in enumerate(g.codes)]
+
+
 def test_geodesic_hyperplanes_basic(z2):
-    hs = geodesic_hyperplanes(normalize(z2, "a b"))
+    hs = crossed_hyperplanes(normalize(z2, "a b"))
     assert [h.label for h in hs] == ["a", "b"]
-    assert geodesic_hyperplanes(identity(z2)) == []
+    assert crossed_hyperplanes(identity(z2)) == []
 
 
 def test_geodesic_hyperplanes_distinct_exhaustive():
@@ -287,17 +293,17 @@ def test_geodesic_hyperplanes_distinct_exhaustive():
         graph = catalog_graph(gi)
         for _ in range(200):
             g = rand_nf(rng, graph, rng.randrange(0, 9))
-            hs = geodesic_hyperplanes(g)
+            hs = crossed_hyperplanes(g)
             assert len(set(hs)) == len(hs) == len(g)
 
 
 def test_parallel_edges_same_hyperplane(z2):
     # edges (1, a) and (b, ba) are dual to the same wall
-    h1 = geodesic_hyperplanes(normalize(z2, "a"))[0]
-    h2 = [h for h in geodesic_hyperplanes(normalize(z2, "b a")) if h.label == "a"][0]
+    h1 = crossed_hyperplanes(normalize(z2, "a"))[0]
+    h2 = [h for h in crossed_hyperplanes(normalize(z2, "b a")) if h.label == "a"][0]
     assert h1 == h2
     # but (a, aa) is a different parallel wall
-    h3 = [h for h in geodesic_hyperplanes(normalize(z2, "a a")) if h.label == "a"][1]
+    h3 = [h for h in crossed_hyperplanes(normalize(z2, "a a")) if h.label == "a"][1]
     assert h1 != h3
 
 
@@ -306,7 +312,7 @@ def test_hyperplane_rep_is_complete_coset_invariant():
     # bases differ by an element supported in lk v; the canonical stripped
     # representative must separate cosets exactly
     from raagtk.selftest import catalog_graph
-    from raagtk.words import hyperplane_at, normal_codes, inv_codes, vertex_mask
+    from raagtk.words import vertex_mask
 
     for gi in (2, 5, 6, 12, 14):
         graph = catalog_graph(gi)
@@ -332,7 +338,7 @@ def test_wall_counts_match_tree_distances():
     for _ in range(100):
         graph = catalog_graph(rng.randrange(1, 18))
         g = rand_nf(rng, graph, rng.randrange(0, 8))
-        hs = geodesic_hyperplanes(g)
+        hs = crossed_hyperplanes(g)
         for v in graph.vertices:
             assert sum(1 for h in hs if h.label == v) == tv_distance(
                 graph, v, identity(graph), g
