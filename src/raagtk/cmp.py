@@ -26,8 +26,9 @@ For folds and partial conjugations the defect never exceeds |z|
 (defect_ceiling), so their scan stops at the first block that reaches it.
 Above radius |z| they first read the scan's row 0, x = 1, where a value
 needs only the lengths of three images; when it reaches 2|z| that is the
-answer, and no table is built (cmp_defect).  The tables and the scan are
-exact integer numpy code; row 0 is plain Python and loads no numpy.
+answer, no table is built and the ball is counted, not listed (cmp_defect).
+The tables and the scan are exact integer numpy code; row 0 is plain Python
+and loads no numpy.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidSplittingError, OutOfRangeError, RaagError
-from .words import (NormalForm, _nf, _require_memory, ball_codes, dist,
-                    hyperplane_columns, identity, inv_codes, median, normal_codes,
-                    normalize)
+from .words import (NormalForm, _nf, _require_memory, ball_codes, ball_count, dist,
+                    hyperplane_columns, identity, inv_codes, iter_ball_codes, median,
+                    normal_codes, normalize)
 from . import dls as D
 
 # numpy is most of a command's start-up and only the tables need it, so the
@@ -504,11 +505,18 @@ def defect_ceiling(phi):
 def _row_zero(graph, ball, images_map, top):
     """The least (y, p) in ball order with p <= y and
     |F(p)| + |F(p^-1 y)| - |F(y)| = top, or None: the first cell of row 0 of
-    the scan that reaches `top` (see cmp_defect).  The images are grown as in
-    _ball_trie, but only for the words the row reads, memoised on codes."""
+    the scan that reaches `top` (see cmp_defect).  `ball` is read in order
+    and no further than the witness's y.  The images are grown as in
+    _ball_trie, but only for the words the row reads, memoised on codes.
+
+    When top > 0, words of fewer than 2 letters and the ideals p = 1 and
+    p = y are skipped: each of these cells has value 0, since F(1) = 1.  At
+    top = 0 (z = 1) the answer is the first cell, (1, 1, 1), so nothing is
+    skipped there."""
     letters = _letter_images(graph, images_map)
     block = graph.block
     images = {(): ()}
+    least = 2 if top else 0
 
     def image(w):
         img = images.get(w)
@@ -517,6 +525,8 @@ def _row_zero(graph, ball, images_map, top):
         return img
 
     for y in ball:
+        if len(y) < least:
+            continue
         need = len(image(y)) + top
         # the ideals of y's positions, as bitmasks and readings: position j
         # joins an ideal of the earlier positions iff it holds every earlier
@@ -524,8 +534,13 @@ def _row_zero(graph, ball, images_map, top):
         ideals = [(0, ())]
         for j, c in enumerate(y):
             bm = block[c >> 1]
-            below = sum(1 << i for i in range(j) if (bm >> (y[i] >> 1)) & 1)
+            below = 0
+            for i in range(j):
+                if (bm >> (y[i] >> 1)) & 1:
+                    below |= 1 << i
             ideals += [(m | 1 << j, p + (c,)) for m, p in ideals if m & below == below]
+        if top:
+            ideals = ideals[1:-1]
         hits = []
         for m, p in ideals:
             fp = len(image(p))
@@ -566,7 +581,17 @@ def cmp_defect(phi, radius: int) -> DefectReport:
     the least j, then the least k, that is the first y in ball order and
     then its least p by (length, codes), the ball's order.  So _row_zero's
     (1, y, p) and the defect c are the scan's witness and value.  If no
-    cell of row 0 reaches 2c, the tables are built and scanned as before.
+    cell of row 0 reaches 2c, the ball is listed and the tables are built
+    and scanned as before.
+
+    No ball is listed for row 0.  ball_size comes from ball_count, which
+    also makes ball_codes' cap and memory checks, and _row_zero reads
+    iter_ball_codes, the same words in the same order, only up to its
+    witness: word 8 for the fold a -> c a and word 11 for the path's partial
+    conjugation, at every radius above 1.  So these defects cost the count
+    and a few words, not the ball.  At c = 0 (z = 1) every value is 0 and
+    the witness is the first cell, (1, 1, 1); _row_zero skips the cells it
+    knows to be 0 only when 2c > 0.
 
     Why R > c.  The fold's ceiling pair x' = v, y' = z needs
     |x'| + |y'| = |z| + 1 <= R to lie in row 0.  At R <= c row 0 would
@@ -579,12 +604,15 @@ def cmp_defect(phi, radius: int) -> DefectReport:
     else:
         graph, images_map = phi
     ceiling = defect_ceiling(phi)
-    ball = ball_codes(graph, radius)
     if ceiling is not None and radius > ceiling:
-        hit = _row_zero(graph, ball, images_map, 2 * ceiling)
+        size = ball_count(graph, radius)[0]
+        hit = _row_zero(graph, iter_ball_codes(graph, radius), images_map, 2 * ceiling)
         if hit is not None:
             return DefectReport(radius, ceiling, (identity(graph), *(_nf(graph, w) for w in hit)),
-                                len(ball))
+                                size)
+        ball = list(iter_ball_codes(graph, radius))
+    else:
+        ball = ball_codes(graph, radius)
     ball_trie, images = _ball_trie(graph, ball, images_map)
     _check_memory(graph, ball_trie, images, images_map)
     W = _distance_table(ball_trie, _label_weights(graph, ball, ball_trie, images_map))

@@ -26,6 +26,7 @@ from .words import (
     NormalForm,
     _nf,
     ball_codes,
+    ball_count,
     cyclic_reduce,
     identity,
     inv_codes,
@@ -239,8 +240,8 @@ def _c2_graph(gi):
 def criterion_2(seed, jobs):
     tasks = [CATALOG_INDEX[name] for name in C2_GRAPHS]
     # one task per graph, largest ball first: the largest runs while the
-    # other workers take the rest
-    tasks.sort(key=lambda gi: -len(ball_codes(catalog_graph(gi), C2_RADIUS)))
+    # other workers take the rest; ball_count sizes each ball unlisted
+    tasks.sort(key=lambda gi: -ball_count(catalog_graph(gi), C2_RADIUS)[0])
     results = _map(_c2_graph, tasks, default_jobs(jobs))
     checked = sum(r[0] for r in results)
     bad = sum(r[1] for r in results)

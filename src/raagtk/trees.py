@@ -28,7 +28,7 @@ from .words import (
     vertex_mask,
 )
 from . import subgroups as S
-from .elements import li_components, primitive_root
+from .elements import _conjugate_back, _core_parts, _core_root
 
 
 class TreeVertex(NamedTuple):
@@ -200,6 +200,7 @@ def classify_almost_stabilizer(beta: TreeArc, result: AlmostStabilizerResult) ->
     with all their loxodromic parts powers of one primitive root."""
     graph = beta.graph
     v = beta.label
+    iv = graph.index(v)
     t = result.s // 2
     word, vpos = beta.crossings()
     p1 = _crossed_vertex(beta, word, vpos, t)
@@ -209,7 +210,13 @@ def classify_almost_stabilizer(beta: TreeArc, result: AlmostStabilizerResult) ->
     roots = set()
     ok = True
     for g in result.elements:
-        ell = tv_translation_length(graph, v, g)
+        if g.graph is not graph:
+            require_graph(graph, g)
+        # g = x core x^-1, reduced once: its translation length is the core's
+        # v-count, and its label-irreducible components are x part x^-1 for
+        # the core's parts, each cyclically reduced (elements._core_parts)
+        xc, core = cyclic_reduce_codes(graph, g.codes)
+        ell = count_vertex(core, iv)
         if ell == 0:
             if translate_vertex(g, p1) == p1 and translate_vertex(g, q1) == q1:
                 fixers.append(g)
@@ -222,12 +229,13 @@ def classify_almost_stabilizer(beta: TreeArc, result: AlmostStabilizerResult) ->
             )
             if not on_axis:
                 ok = False
-            lox_parts = [c for c in li_components(g).components
-                         if tv_translation_length(graph, v, c)]
+            lox_parts = [sub for sub in _core_parts(graph, core)[1] if count_vertex(sub, iv)]
             if len(lox_parts) != 1:
                 ok = False
             else:
-                r, _ = primitive_root(lox_parts[0])
+                # the primitive root of x part x^-1 is x r x^-1 for the part's
+                # root r (elements.primitive_root)
+                r = _nf(graph, _conjugate_back(graph, xc, _core_root(graph, lox_parts[0])[0]))
                 roots.add(min(r, r.inv(), key=lambda x: x.codes))
             loxo.append(g)
     ok = ok and len(roots) <= 1

@@ -33,9 +33,11 @@ not c^-1.  Every element of length r + 1 then arises exactly once, from its
 canonical prefix of length r.  The letters allowed after w d follow from
 those allowed after w: a letter that does not commute with d is allowed
 unless it is d^-1, and one that does is allowed iff it is greater than d and
-allowed after w.  `ball_codes` keeps that set as a bitmask over codes, so it
-never normalizes a candidate; taking a level in sorted order and its letters
-in ascending order yields the (length, codes) order without a sort.
+allowed after w.  `iter_ball_codes` keeps that set as a bitmask over codes,
+so it never normalizes a candidate; taking a level in sorted order and its
+letters in ascending order yields the (length, codes) order without a sort.
+The set depends on w only through its mask, so counting a level's words per
+mask sizes the ball without listing it (`ball_count`).
 
 Meets.  The prefix order on elements (p <= g iff |p| + |p^-1 g| = |g|) is the
 prefix order of traces: the prefixes of a reduced word u are the ideals of
@@ -793,59 +795,85 @@ def _free_ball(ncodes: int, radius: int, cap: int):
     return size, spelt
 
 
-def ball_codes(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:
-    """All canonical forms of length <= radius, sorted by (length, codes),
-    by canonical extension (see the module docstring).  The ball is refused
-    past the cap or the physical memory before any word is listed: sized by
-    the free group's ball (_free_ball) while that stays under the cap, else
-    counted level by level."""
+def _extensions(graph: DefGraph):
+    """Letters as bitmasks over codes, for canonical extension (see the
+    module docstring).  After w d, the letters allowed are after[d], those
+    that do not commute with d (code_block[d]) except d^-1, and those allowed
+    after w that pass d: through[d] holds the letters greater than d that
+    commute with it.  letters(allowed) lists a mask's codes, ascending."""
     ncodes = 2 * len(graph)
-    # Letters as bitmasks over codes.  After w d, the letters allowed are
-    # after[d], those that do not commute with d (code_block[d]) except d^-1,
-    # and those allowed after w that pass d: through[d] holds the letters
-    # greater than d that commute with it.
     after = [bm & ~(1 << (d ^ 1)) for d, bm in enumerate(graph.code_block)]
     through = [~bm & ~((2 << d) - 1) for d, bm in enumerate(graph.code_block)]
-    spelled = {}        # allowed-letter mask -> its letters, ascending
-    counted = _free_ball(ncodes, radius, cap)
-    if counted is None:
-        # A word's extensions depend only on its mask, so counting the words
-        # of each level per mask gives the ball's size before any is listed.
-        size, spelt, counts = 1, 0, {(1 << ncodes) - 1: 1}
-        for length in range(1, radius + 1):
-            grown = {}
-            for allowed, count in counts.items():
-                letters = spelled.get(allowed)
-                if letters is None:
-                    letters = spelled[allowed] = [c for c in range(ncodes) if (allowed >> c) & 1]
-                for c in letters:
-                    m = after[c] | (allowed & through[c])
-                    grown[m] = grown.get(m, 0) + count
-            words = sum(grown.values())
-            size += words
-            spelt += length * words
-            if size > cap:
-                raise BallCapExceededError("ball of radius %d exceeds cap %d" % (radius, cap))
-            counts = grown
-        counted = size, spelt
-    size, spelt = counted
+    spelled = {}
+
+    def letters(allowed):
+        codes = spelled.get(allowed)
+        if codes is None:
+            codes = spelled[allowed] = [c for c in range(ncodes) if (allowed >> c) & 1]
+        return codes
+
+    return after, through, letters
+
+
+def _require_ball_memory(size: int, spelt: int):
     # a word of L letters is a tuple of 8L + 40 bytes, its list slot, and a
     # (word, mask) pair while its level is listed: 8L + 50 to 8L + 105 bytes
     # measured on Z, Z^2, F2 and the path a-b-c
     _require_memory(8 * spelt + 128 * size, "a ball of up to %d elements", size)
-    out = [()]
-    level = [((), (1 << ncodes) - 1)]
+
+
+def ball_count(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> tuple:
+    """(words, letters) of the ball of the given radius, exact, with no word
+    listed; refused past the cap, or past the physical memory that listing
+    it would take.  A word's extensions depend only on its allowed-letter
+    mask, so the loop counts each level's words per mask."""
+    after, through, letters = _extensions(graph)
+    size, spelt, counts = 1, 0, {(1 << 2 * len(graph)) - 1: 1}
+    for length in range(1, radius + 1):
+        grown = {}
+        for allowed, count in counts.items():
+            for c in letters(allowed):
+                m = after[c] | (allowed & through[c])
+                grown[m] = grown.get(m, 0) + count
+        words = sum(grown.values())
+        size += words
+        spelt += length * words
+        if size > cap:
+            raise BallCapExceededError("ball of radius %d exceeds cap %d" % (radius, cap))
+        counts = grown
+    _require_ball_memory(size, spelt)
+    return size, spelt
+
+
+def iter_ball_codes(graph: DefGraph, radius: int):
+    """The canonical forms of length <= radius one at a time, in ball_codes'
+    (length, codes) order, with no size check: each word is made as it is
+    read, so a reader that stops early pays only for the words it read."""
+    after, through, letters = _extensions(graph)
+    yield ()
+    level = [((), (1 << 2 * len(graph)) - 1)]
     for _ in range(radius):
         nxt = []
         for w, allowed in level:
-            letters = spelled.get(allowed)
-            if letters is None:
-                letters = spelled[allowed] = [c for c in range(ncodes) if (allowed >> c) & 1]
-            for c in letters:
-                nxt.append((w + (c,), after[c] | (allowed & through[c])))
-        out.extend(w for w, _ in nxt)
+            for c in letters(allowed):
+                u = w + (c,)
+                yield u
+                nxt.append((u, after[c] | (allowed & through[c])))
         level = nxt
-    return out
+
+
+def ball_codes(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:
+    """All canonical forms of length <= radius, sorted by (length, codes),
+    by canonical extension (see the module docstring): iter_ball_codes,
+    listed.  The ball is refused past the cap or the physical memory before
+    any word is listed: sized by the free group's ball (_free_ball) while
+    that stays under the cap, else counted exactly (ball_count)."""
+    counted = _free_ball(2 * len(graph), radius, cap)
+    if counted is None:
+        ball_count(graph, radius, cap)
+    else:
+        _require_ball_memory(*counted)
+    return list(iter_ball_codes(graph, radius))
 
 
 def ball(graph: DefGraph, radius: int, cap: int = BALL_CAP) -> list:

@@ -857,11 +857,24 @@ def test_row_zero_with_z_trivial_and_a_loose_ceiling():
     assert tuple(map(str, rep.witness)) == ("1", "a c^-1", "a")
 
 
+# too large for the tables: the documents computed when the ball was listed
+# before row 0 was read
+ROW_ZERO_DOCUMENTS = {
+    ("fold v=a z=c", 10):
+    '{"ball_size": 118097, "defect": 1, "radius": 10, "schema": 1, "witness": '
+    '{"p": "a^-1", "x": "1", "y": "a^-1 c"}}\n',
+    ("pconj A=a,b B=b,c C=b z=a", 9):
+    '{"ball_size": 78711, "defect": 1, "radius": 9, "schema": 1, "witness": '
+    '{"p": "a^-1", "x": "1", "y": "a^-1 c^-1"}}\n',
+}
+
+
 @pytest.mark.parametrize("dls,radius", [
     ("fold v=a z=c", 5),
     ("pconj A=a,b B=b,c C=b z=a", 6),
     ("pconj A=a,b B=b,c C=b z=a^-1,b,b", 4),
     ("pconj A=a,b B=b,c C=b z=1", 2),
+    *ROW_ZERO_DOCUMENTS,
 ])
 def test_row_zero_defect_json_is_byte_identical(dls, radius, tmp_path, capsys):
     path = tmp_path / "g.graph"
@@ -871,6 +884,39 @@ def test_row_zero_defect_json_is_byte_identical(dls, radius, tmp_path, capsys):
             "--radius", str(radius), "--json"]
     assert main(argv) == 0
     doc = capsys.readouterr().out
+    if (dls, radius) in ROW_ZERO_DOCUMENTS:
+        assert doc == ROW_ZERO_DOCUMENTS[dls, radius]
+        return
     with _table_path():
         assert main(argv) == 0
     assert capsys.readouterr().out == doc
+
+
+@pytest.mark.parametrize("radius", range(2, 10))
+def test_row_zero_reads_a_few_ball_words(radius, monkeypatch):
+    # criterion 7's maps find their witness at ball word 8 (the fold) and 11
+    # (the partial conjugation) whatever the radius; ball_size is counted
+    free = DefGraph(["a", "c"])
+    path = DefGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    listing = C.iter_ball_codes
+    read = []
+
+    def counted(graph, r):
+        read.append(0)
+        for w in listing(graph, r):
+            read[-1] += 1
+            yield w
+
+    def unlisted(*args):
+        raise AssertionError("the ball was listed")
+
+    monkeypatch.setattr(C, "iter_ball_codes", counted)
+    monkeypatch.setattr(C, "ball_codes", unlisted)
+    for phi, words in ((build_transvection(free, "a", normalize(free, "c")), 8),
+                       (build_partial_conjugation(path, ["a", "b"], ["b", "c"], ["b"],
+                                                  normalize(path, "a")), 11)):
+        read.clear()
+        rep = cmp_defect(phi, radius)
+        assert read == [words]
+        assert rep.defect == 1
+        assert rep.ball_size == W.ball_count(phi.graph, radius)[0]

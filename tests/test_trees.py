@@ -382,3 +382,66 @@ def test_classify_normalizes_the_arc_word_once(monkeypatch, path4):
     rep = classify_almost_stabilizer(beta, res)
     assert calls.count((path4, arc_input)) == 1
     assert rep.trimmed_endpoints == (arc_vertex(beta, 1), arc_vertex(beta, beta.length - 1))
+
+
+def test_classify_reduces_each_element_once(monkeypatch, path4):
+    # one cyclic reduction per element gives its translation length, its
+    # loxodromic part and that part's root
+    beta = arc(path4, "d", identity(path4), normalize(path4, "a b d") ** 4)
+    res = almost_stabilizer(beta, 1, 3)
+    assert len(res.elements) == 3
+    calls, real = [], W.cyclic_reduce_codes
+    for module in (T, E):
+        monkeypatch.setattr(module, "cyclic_reduce_codes",
+                            lambda graph, codes: calls.append(codes) or real(graph, codes))
+    rep = classify_almost_stabilizer(beta, res)
+    assert len(calls) == 3
+    assert (len(rep.fixers), len(rep.loxodromics)) == (1, 2)
+    assert rep.shared_root == normalize(path4, "a b d")
+
+
+def _reference_classify(beta, result):
+    """classify_almost_stabilizer's verdicts from the public element
+    functions: translation lengths, li_components and primitive_root."""
+    graph, v = beta.graph, beta.label
+    p1, q1 = T.classify_almost_stabilizer(beta, result).trimmed_endpoints
+    fixers, loxo, roots, ok = [], [], set(), True
+    for g in result.elements:
+        ell = tv_translation_length(graph, v, g)
+        if ell == 0:
+            if translate_vertex(g, p1) == p1 and translate_vertex(g, q1) == q1:
+                fixers.append(g)
+            else:
+                ok = False
+            continue
+        ok &= (tv_distance(graph, v, p1, translate_vertex(g, p1)) == ell
+               and tv_distance(graph, v, q1, translate_vertex(g, q1)) == ell)
+        parts = [c for c in E.li_components(g).components if tv_translation_length(graph, v, c)]
+        if len(parts) != 1:
+            ok = False
+        else:
+            r, _ = E.primitive_root(parts[0])
+            roots.add(min(r, r.inv(), key=lambda x: x.codes))
+        loxo.append(g)
+    shared = min(roots, key=lambda x: x.codes) if roots else None
+    return tuple(fixers), tuple(loxo), shared, ok and len(roots) <= 1
+
+
+def test_classify_matches_the_element_functions_on_catalog_arcs():
+    rng = random.Random(2817)
+    checked = 0
+    for gi in range(1, len(CATALOG)):
+        graph = catalog_graph(gi)
+        for _ in range(3):
+            v = rng.choice(graph.vertices)
+            end = multiply(rand_nf(rng, graph, rng.randrange(0, 3)),
+                           normalize(graph, v) ** rng.randrange(3, 6))
+            beta = arc(graph, v, identity(graph), end)
+            if beta.length < 3:
+                continue
+            res = almost_stabilizer(beta, 1, 2)
+            rep = classify_almost_stabilizer(beta, res)
+            assert (rep.fixers, rep.loxodromics, rep.shared_root, rep.ok) \
+                == _reference_classify(beta, res), (CATALOG[gi][0], v, str(end))
+            checked += len(res.elements)
+    assert checked > 100

@@ -623,9 +623,35 @@ def test_ball_letters_are_counted_before_listing(monkeypatch, z2):
     # group's ball) has about 3.6*10^7
     monkeypatch.setattr(W, "_physical_memory", lambda: 10 ** 8)
     for graph, radius in ((DefGraph(["a"]), 99_999), (z2, 300)):
-        with pytest.raises(MemoryLimitError):
-            ball_codes(graph, radius)
+        for size in (ball_codes, W.ball_count):
+            with pytest.raises(MemoryLimitError):
+                size(graph, radius)
     assert len(ball_codes(DefGraph(["a"]), 3000)) == 6001
+
+
+def test_ball_count_and_lazy_listing_match_ball_codes(free2):
+    # the count and the lazy listing against the listed ball, on every
+    # catalog graph at R <= 4 and on F2 at R <= 7
+    from raagtk.words import ball_count, iter_ball_codes
+
+    cases = [(catalog_graph(gi), r) for gi in range(len(CATALOG)) for r in range(5)]
+    for graph, radius in cases + [(free2, r) for r in range(8)]:
+        ball = ball_codes(graph, radius)
+        assert list(iter_ball_codes(graph, radius)) == ball
+        assert ball_count(graph, radius) == (len(ball), sum(map(len, ball)))
+
+
+def test_ball_count_refuses_past_the_cap(free2):
+    from raagtk.errors import BallCapExceededError
+    from raagtk.words import ball_count
+
+    # F2 at R = 10 holds 118097 words, at R = 11 354293
+    assert ball_count(free2, 10)[0] == 118_097
+    for refuse in (ball_count, ball_codes):
+        with pytest.raises(BallCapExceededError) as refused:
+            refuse(free2, 11)
+        assert refused.value.code == "ball_cap_exceeded"
+        assert str(refused.value) == "ball of radius 11 exceeds cap 200000"
 
 
 # -- word kernels against their definitions -------------------------------------
