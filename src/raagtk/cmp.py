@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidSplittingError, OutOfRangeError, RaagError
 from .words import (NormalForm, _nf, _require_memory, ball_codes, ball_count, dist,
-                    hyperplane_columns, identity, inv_codes, iter_ball_codes, median,
-                    normal_codes, normalize)
+                    hyperplane_columns, identity, iter_ball_codes, median, normal_codes,
+                    normalize)
 from . import dls as D
 
 # numpy is most of a command's start-up and only the tables need it, so the
@@ -134,24 +134,14 @@ def _prefix_trie(graph, words) -> _PrefixTrie:
     return _trie(graph, parent, letter, depth, ends)
 
 
-def _letter_images(graph, images_map) -> dict:
-    """The image codes of every letter code, from the generator images."""
-    letters = {}
-    for iv, v in enumerate(graph.vertices):
-        img = images_map[v].codes
-        letters[2 * iv + 1], letters[2 * iv] = img, inv_codes(img)
-    return letters
-
-
-def _ball_trie(graph, ball, images_map):
+def _ball_trie(graph, ball, letters):
     """The prefix trie of a ball from ball_codes, whose node i is ball[i],
-    and the images of its words.  ball_codes lists shorter words first, and
-    every prefix of a canonical word is canonical, so the parent of ball[i]
-    is ball[i][:-1], an earlier word of the ball.  The image of a word is
-    its parent's image times the image of its last letter, and the parent's
-    image is canonical, so its normal form continues the insertion from
-    there."""
-    letters = _letter_images(graph, images_map)
+    and the images of its words under the map with this dls.letter_images
+    table.  ball_codes lists shorter words first, and every prefix of a
+    canonical word is canonical, so the parent of ball[i] is ball[i][:-1],
+    an earlier word of the ball.  The image of a word is its parent's image
+    times the image of its last letter, and the parent's image is
+    canonical, so its normal form continues the insertion from there."""
     index = {w: i for i, w in enumerate(ball)}
     parent = [0] + [index[w[:-1]] for w in ball[1:]]
     last = [0] + [w[-1] for w in ball[1:]]
@@ -161,16 +151,16 @@ def _ball_trie(graph, ball, images_map):
     return _trie(graph, parent, last, list(map(len, ball)), range(len(ball))), images
 
 
-def _label_weights(graph, ball, trie: _PrefixTrie, images_map):
+def _label_weights(ball, trie: _PrefixTrie, letters):
     """max(1, |F(l)|) for each hyperplane of the ball's trie (_ball_trie),
-    where the label l is the vertex of the last letter of any word whose
-    node adds the hyperplane: the weights of the ball's table W (_scan).
-    The floor of 1 keeps W deciding betweenness when a raw map sends a
-    generator to 1."""
+    where l is the last letter of any word whose node adds the hyperplane
+    and |F(l)| is read from the dls.letter_images table: the weights of the
+    ball's table W (_scan).  The floor of 1 keeps W deciding betweenness
+    when a raw map sends a generator to 1."""
     import numpy as np
-    size = np.array([max(1, len(images_map[v].codes)) for v in graph.vertices])
+    size = np.array([max(1, len(img)) for img in letters])
     weight = np.zeros(trie.hyperplanes, dtype=size.dtype)
-    weight[trie.column[1:]] = size[[w[-1] >> 1 for w in ball[1:]]]
+    weight[trie.column[1:]] = size[[w[-1] for w in ball[1:]]]
     return weight
 
 
@@ -352,7 +342,7 @@ def _gate_bound(graph, longest: int, letters: int) -> int:
     return letters * min(longest, sum(1 << lk.bit_count() for lk in graph.adj))
 
 
-def _check_memory(graph, ball_trie: _PrefixTrie, images, images_map):
+def _check_memory(graph, ball_trie: _PrefixTrie, images, letters):
     """Raise MemoryLimitError if the arrays of one defect computation would
     not fit in physical memory, before the image trie is built.  It counts
     two tables, the ball's W and the image table DD, and the scan.  Entries
@@ -366,10 +356,10 @@ def _check_memory(graph, ball_trie: _PrefixTrie, images, images_map):
     import numpy as np
     n = len(ball_trie.ends)
     depth = int(ball_trie.depth.max(initial=0))
-    longest, letters = max(map(len, images)), sum(map(len, images))
-    heaviest = max(1, *(len(images_map[v].codes) for v in graph.vertices))
+    longest, spelt = max(map(len, images)), sum(map(len, images))
+    heaviest = max(1, *map(len, letters))
     # DD and W: entries of at most 2*top, hyperplanes, widest level, weighted incidence
-    sides = ((longest, letters, n, False),
+    sides = ((longest, spelt, n, False),
              (depth * heaviest, ball_trie.hyperplanes,
               int(np.bincount(ball_trie.depth).max()), True))
     need, tops = 0, []
@@ -382,7 +372,7 @@ def _check_memory(graph, ball_trie: _PrefixTrie, images, images_map):
     topd, topw = tops
     need += _scan_bytes(n, topw, topd)
     # the image trie's walk: 2|V| step slots of 8 bytes a node; and its gates
-    need += 16 * len(graph) * (letters + 1) + _GATE_BYTES * _gate_bound(graph, longest, letters)
+    need += 16 * len(graph) * (spelt + 1) + _GATE_BYTES * _gate_bound(graph, longest, spelt)
     _require_memory(need, "a defect scan over %d ball elements", n)
 
 
@@ -502,18 +492,18 @@ def defect_ceiling(phi):
     return None
 
 
-def _row_zero(graph, ball, images_map, top):
+def _row_zero(graph, ball, letters, top):
     """The least (y, p) in ball order with p <= y and
     |F(p)| + |F(p^-1 y)| - |F(y)| = top, or None: the first cell of row 0 of
     the scan that reaches `top` (see cmp_defect).  `ball` is read in order
     and no further than the witness's y.  The images are grown as in
-    _ball_trie, but only for the words the row reads, memoised on codes.
+    _ball_trie, from the same letter table, but only for the words the row
+    reads, memoised on codes.
 
     When top > 0, words of fewer than 2 letters and the ideals p = 1 and
     p = y are skipped: each of these cells has value 0, since F(1) = 1.  At
     top = 0 (z = 1) the answer is the first cell, (1, 1, 1), so nothing is
     skipped there."""
-    letters = _letter_images(graph, images_map)
     block = graph.block
     images = {(): ()}
     least = 2 if top else 0
@@ -603,19 +593,20 @@ def cmp_defect(phi, radius: int) -> DefectReport:
         images_map = phi.generator_images
     else:
         graph, images_map = phi
+    letters = D.letter_images(graph, images_map)
     ceiling = defect_ceiling(phi)
     if ceiling is not None and radius > ceiling:
         size = ball_count(graph, radius)[0]
-        hit = _row_zero(graph, iter_ball_codes(graph, radius), images_map, 2 * ceiling)
+        hit = _row_zero(graph, iter_ball_codes(graph, radius), letters, 2 * ceiling)
         if hit is not None:
             return DefectReport(radius, ceiling, (identity(graph), *(_nf(graph, w) for w in hit)),
                                 size)
         ball = list(iter_ball_codes(graph, radius))
     else:
         ball = ball_codes(graph, radius)
-    ball_trie, images = _ball_trie(graph, ball, images_map)
-    _check_memory(graph, ball_trie, images, images_map)
-    W = _distance_table(ball_trie, _label_weights(graph, ball, ball_trie, images_map))
+    ball_trie, images = _ball_trie(graph, ball, letters)
+    _check_memory(graph, ball_trie, images, letters)
+    W = _distance_table(ball_trie, _label_weights(ball, ball_trie, letters))
     DD = _distance_table(_prefix_trie(graph, images))
     best, (i, j, k) = _scan(W, DD, None if ceiling is None else 2 * ceiling)
     return DefectReport(

@@ -19,11 +19,12 @@ from .words import (
     Hyperplane,
     NormalForm,
     _nf,
+    conjugate_back_codes,
     hyperplane_at,
-    inv_codes,
     normal_codes,
     realize_pair_span,
     reduce_codes,
+    require_graph,
     vertex_mask,
 )
 from . import trees as T
@@ -49,7 +50,10 @@ def chain_constant(q: int, vertex_count: int) -> int:
 
 
 def _reduced_codes(graph: DefGraph, word) -> tuple:
-    """The codes of a word or NormalForm; raises if the word is not reduced."""
+    """The codes of a word or NormalForm; raises if the word is not reduced
+    or lives on another graph."""
+    if hasattr(word, "codes"):
+        require_graph(graph, word)
     codes = word.codes if hasattr(word, "codes") else tuple(word)
     if len(reduce_codes(graph.adj, codes)) != len(codes):
         raise UnreducedWordError("word is not reduced")
@@ -89,6 +93,8 @@ def pair_from_word(
     if i > j:
         i, j = j, i
     word_codes = _reduced_codes(graph, word_codes)
+    if base is not None and base.graph is not graph:
+        require_graph(graph, base)
     bcodes, acodes = realize_pair_span(graph, word_codes, i, j)
     start = base.codes if base is not None else ()
     b = _nf(graph, normal_codes(graph, bcodes, start))
@@ -294,11 +300,8 @@ def classify_decent_pair(pair: HyperplanePair) -> PairClassification:
     x = inv.delta.names()[0]
     if zz != graph.star(x):
         raise PreconditionError("double centralizer is not the star of %s" % x)
-    ix = graph.index(x)
-    sign = 1 if pair.between[0] & 1 else -1
-    base = pair.base.codes
-    letter = 2 * ix + (1 if sign > 0 else 0)
-    g = _nf(graph, normal_codes(graph, (letter,) + inv_codes(base), base))
+    # the span's one label is x: g is its first letter, conjugated by the base
+    g = _nf(graph, conjugate_back_codes(graph, pair.base.codes, pair.between[:1]))
     total = len(pair.between)
     stats = {
         "walls": total,

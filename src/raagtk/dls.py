@@ -6,10 +6,11 @@ non-innerness certificates via conjugacy-length growth.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
+from .elements import commutes
 from .errors import (
-    GraphMismatchError,
     InvalidSplittingError,
     NotInCentralizerError,
     OutOfRangeError,
@@ -21,9 +22,11 @@ from .words import (
     NormalForm,
     _nf,
     _require_memory,
+    conjugate_back_codes,
     cyclic_reduce_codes,
     inv_codes,
     normal_codes,
+    require_graph,
     vertex_mask,
 )
 
@@ -106,8 +109,8 @@ def build_transvection(graph: DefGraph, v: str, z: NormalForm) -> DlsAutomorphis
     the centre of the edge group, a fold when it has no letter there, mixed
     otherwise.
     """
-    if z.graph != graph:
-        raise GraphMismatchError("z belongs to a different graph")
+    if z.graph is not graph:
+        require_graph(graph, z)
     iv = graph.index(v)
     allowed = transvection_centralizer_mask(graph, v)
     zmask = vertex_mask(z.codes)
@@ -147,8 +150,8 @@ def build_partial_conjugation(
                 raise InvalidSplittingError(
                     "edge %s-%s crosses the splitting" % (u, w)
                 )
-    if z.graph != graph:
-        raise GraphMismatchError("z belongs to a different graph")
+    if z.graph is not graph:
+        require_graph(graph, z)
     allowed = da.mask & graph.perp_closed(dc).mask
     zmask = vertex_mask(z.codes)
     if zmask & ~allowed:
@@ -157,10 +160,8 @@ def build_partial_conjugation(
             "z uses %r outside the centralizer of the edge group in the A side" % bad
         )
     images = _identity_images(graph)
-    zinv = inv_codes(z.codes)
     for u in db - dc:
-        iu = graph.index(u)
-        images[u] = _nf(graph, normal_codes(graph, (2 * iu + 1,) + zinv, z.codes))
+        images[u] = _nf(graph, conjugate_back_codes(graph, z.codes, images[u].codes))
     split = SplittingData.amalgam(graph, da, db, dc)
     return DlsAutomorphism(graph, split, z, PARTIAL_CONJUGATION, images)
 
@@ -169,26 +170,34 @@ def build_partial_conjugation(
 # applying, composing, inverting
 # ---------------------------------------------------------------------------
 
+def letter_images(graph: DefGraph, images: dict) -> list:
+    """The image codes of every letter code under the map with these
+    generator images: vertex i's image at 2i + 1 and its inverse at 2i.
+    Images from another graph are refused."""
+    table = []
+    for v in graph.vertices:
+        img = images[v]
+        if img.graph is not graph:
+            require_graph(graph, img)
+        table += (inv_codes(img.codes), img.codes)
+    return table
+
+
 def apply_images(graph: DefGraph, images: dict, g) -> NormalForm:
-    """The image of g under the map with these generator images.  The
-    letters of g's generator images are counted before they are
-    concatenated, and a concatenation that would need more than the physical
+    """The image of g under the map with these generator images, read from
+    their letter_images table.  The letters of the image are counted before
+    they are normalised, and an image that would need more than the physical
     memory at LETTER_BYTES a letter raises MemoryLimitError."""
     codes = g.codes if isinstance(g, NormalForm) else tuple(g)
-    # image length by letter code: codes 2i and 2i + 1 are vertex i's
-    lengths = [len(images[v].codes) for v in graph.vertices for _ in (0, 1)]
-    letters = sum(map(lengths.__getitem__, codes))
+    parts = list(map(letter_images(graph, images).__getitem__, codes))
+    letters = sum(map(len, parts))
     _require_memory(letters * LETTER_BYTES, "an image of %d letters", letters)
-    out = []
-    for c in codes:
-        img = images[graph.vertices[c >> 1]].codes
-        out.extend(img if c & 1 else inv_codes(img))
-    return _nf(graph, normal_codes(graph, out))
+    return _nf(graph, normal_codes(graph, chain.from_iterable(parts)))
 
 
 def apply(phi: DlsAutomorphism, g: NormalForm) -> NormalForm:
-    if g.graph != phi.graph:
-        raise GraphMismatchError("element belongs to a different graph")
+    if g.graph is not phi.graph:
+        require_graph(phi.graph, g)
     return apply_images(phi.graph, phi.generator_images, g)
 
 
@@ -199,8 +208,8 @@ def _compose_images(graph: DefGraph, outer: dict, inner: dict) -> dict:
 
 def compose(phi: DlsAutomorphism, psi: DlsAutomorphism) -> dict:
     """Generator-image map of phi o psi (first psi, then phi)."""
-    if phi.graph != psi.graph:
-        raise GraphMismatchError("automorphisms on different graphs")
+    if psi.graph is not phi.graph:
+        require_graph(phi.graph, psi)
     return _compose_images(phi.graph, phi.generator_images, psi.generator_images)
 
 
@@ -235,10 +244,9 @@ def verify_automorphism(phi, inverse_images: dict = None, graph: DefGraph = None
         images = phi
         if graph is None:
             raise PreconditionError("graph required for raw image maps")
+        require_graph(graph, *images.values())
     for i, j in sorted(graph.edges):
-        u = images[graph.vertices[i]].codes
-        w = images[graph.vertices[j]].codes
-        if normal_codes(graph, w + inv_codes(u) + inv_codes(w), u):
+        if not commutes(images[graph.vertices[i]], images[graph.vertices[j]]):
             return False
     if inverse_images is not None:
         for outer, inner in ((images, inverse_images), (inverse_images, images)):

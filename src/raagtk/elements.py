@@ -11,6 +11,7 @@ from .graph import VertexSet
 from .words import (
     NormalForm,
     _nf,
+    conjugate_back_codes,
     conjugate_codes,
     cyclic_reduce_codes,
     inv_codes,
@@ -31,15 +32,6 @@ def commutes(g: NormalForm, h: NormalForm) -> bool:
     if h.graph is not graph:
         require_graph(graph, h)
     return not normal_codes(graph, h.codes + inv_codes(g.codes) + inv_codes(h.codes), g.codes)
-
-
-def _conjugate_back(graph, x, w):
-    """Canonical x w x^-1 for canonical x and w.  The pass continues from x,
-    which is its own normal form, so normal_codes(graph, w + x^-1, x) equals
-    the normal form of x w x^-1 without inserting x's letters again (see
-    "Continuation" in the words module docstring); w itself when x is
-    empty."""
-    return normal_codes(graph, w + inv_codes(x), x) if x else w
 
 
 class LIDecomposition(NamedTuple):
@@ -113,7 +105,7 @@ def li_components(g: NormalForm) -> LIDecomposition:
     graph = g.graph
     xc, core = cyclic_reduce_codes(graph, g.codes)
     factors, parts = _core_parts(graph, core)
-    comps = tuple(_nf(graph, _conjugate_back(graph, xc, sub)) for sub in parts)
+    comps = tuple(_nf(graph, conjugate_back_codes(graph, xc, sub)) for sub in parts)
     return LIDecomposition(comps, tuple(factors), _nf(graph, xc))
 
 
@@ -135,7 +127,7 @@ def primitive_root(g: NormalForm):
     r, n = _core_root(graph, core)
     if n == 1:
         return g, 1
-    return _nf(graph, _conjugate_back(graph, xc, r)), n
+    return _nf(graph, conjugate_back_codes(graph, xc, r)), n
 
 
 class CentralizerForm(NamedTuple):

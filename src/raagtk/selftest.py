@@ -25,6 +25,7 @@ from .graph import DefGraph, components
 from .words import (
     NormalForm,
     _nf,
+    ball,
     ball_codes,
     ball_count,
     cyclic_reduce,
@@ -265,7 +266,7 @@ def criterion_3(seed, jobs):
         g = _random_nontrivial(rng, graph, rng.randrange(2, 7))
         cf = E.centralizer(g)
         if gi not in balls:
-            balls[gi] = [_nf(graph, w) for w in ball_codes(graph, 4)]
+            balls[gi] = ball(graph, 4)
         for h in balls[gi]:
             checked += 1
             if E.membership_centralizer(cf, h) != E.commutes(g, h):
@@ -576,12 +577,12 @@ def criterion_11(seed, jobs):
 
         key = (graph.vertices, tuple(sorted(graph.edges)))
         if key not in ball_cache:
-            ball_cache[key] = [_nf(graph, c) for c in ball_codes(graph, 4)]
-        ball = ball_cache[key]
+            ball_cache[key] = ball(graph, 4)
+        near = ball_cache[key]
 
         # stabilizer of both walls, found directly by acting on them
         stab = set()
-        for h in ball:
+        for h in near:
             if (
                 translate_hyperplane(h, pair0.u) == pair0.u
                 and translate_hyperplane(h, pair0.w) == pair0.w
@@ -597,7 +598,7 @@ def criterion_11(seed, jobs):
                 (s for s in subset if len(s.codes) == 1), key=lambda s: s.codes
             )
             out = set()
-            for h in ball:
+            for h in near:
                 if all(E.commutes(h, s) for s in letters):
                     out.add(h)
             longer = sorted(
@@ -617,7 +618,7 @@ def criterion_11(seed, jobs):
             if z2 != stab:
                 bad += 1
         else:
-            expected = {h for h in ball if E.commutes(h, cls.element)}
+            expected = {h for h in near if E.commutes(h, cls.element)}
             if z2 != expected:
                 bad += 1
     return bad == 0 and cases[DC.CYCLIC_CASE] > 0, (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidSubgroupError, OutOfRangeError, PreconditionError, RadiusTooSmallError
+from .errors import InvalidSubgroupError, OutOfRangeError, RadiusTooSmallError
 from .graph import DefGraph, VertexSet
 from .words import (
     NormalForm,
@@ -22,6 +22,7 @@ from .words import (
     inv_codes,
     meet_codes,
     normal_codes,
+    require_graph,
     vertex_mask,
 )
 from .elements import in_structured_product, is_label_irreducible, primitive_root
@@ -50,15 +51,17 @@ class SubgroupForm(NamedTuple):
 
 
 def parabolic(graph: DefGraph, support, conjugator: NormalForm = None) -> SubgroupForm:
-    if conjugator is None:
-        conjugator = identity(graph)
-    return SubgroupForm(PARABOLIC, conjugator, (), graph.vset(support))
+    return semi_parabolic(graph, (), support, conjugator)._replace(kind=PARABOLIC)
 
 
 def semi_parabolic(graph, roots, support, conjugator: NormalForm = None) -> SubgroupForm:
+    """The form x * (<roots> x A_support) * x^-1; x = 1 by default.  Roots
+    and conjugator from another graph are refused."""
     if conjugator is None:
         conjugator = identity(graph)
-    return SubgroupForm(SEMI_PARABOLIC, conjugator, tuple(roots), graph.vset(support))
+    roots = tuple(roots)
+    require_graph(graph, conjugator, *roots)
+    return SubgroupForm(SEMI_PARABOLIC, conjugator, roots, graph.vset(support))
 
 
 class ValidationReport(NamedTuple):
@@ -141,8 +144,8 @@ def intersect(sf1: SubgroupForm, sf2: SubgroupForm, radius: int) -> SubgroupForm
     if radius < 1:
         raise OutOfRangeError("radius must be >= 1")
     graph = sf1.graph
-    if graph != sf2.graph:
-        raise PreconditionError("subgroups on different graphs")
+    if sf2.graph is not graph:
+        require_graph(graph, sf2)
     _require_valid(sf1)
     _require_valid(sf2)
 

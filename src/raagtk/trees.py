@@ -17,6 +17,7 @@ from .words import (
     _nf,
     _read,
     ball_codes,
+    conjugate_back_codes,
     count_vertex,
     cyclic_reduce_codes,
     inv_codes,
@@ -28,7 +29,7 @@ from .words import (
     vertex_mask,
 )
 from . import subgroups as S
-from .elements import _conjugate_back, _core_parts, _core_root
+from .elements import _core_parts, _core_root
 
 
 class TreeVertex(NamedTuple):
@@ -235,7 +236,7 @@ def classify_almost_stabilizer(beta: TreeArc, result: AlmostStabilizerResult) ->
             else:
                 # the primitive root of x part x^-1 is x r x^-1 for the part's
                 # root r (elements.primitive_root)
-                r = _nf(graph, _conjugate_back(graph, xc, _core_root(graph, lox_parts[0])[0]))
+                r = _nf(graph, conjugate_back_codes(graph, xc, _core_root(graph, lox_parts[0])[0]))
                 roots.add(min(r, r.inv(), key=lambda x: x.codes))
             loxo.append(g)
     ok = ok and len(roots) <= 1

@@ -23,8 +23,10 @@ loop finds both where c stops and where it goes in.
 Continuation.  The pass carries the normal form of what it has read, and a
 canonical p is its own normal form, so `normal_codes(graph, h, p)` equals
 `normal_codes(graph, p + h)` without reinserting p.  Products whose left
-factor is canonical (g h, g h g^-1, a base and new letters) continue from
-it; `inv_codes(g)` on the left is not canonical and is read letter by letter.
+factor is canonical (g h, a base and new letters) continue from it, and so
+does `conjugate_back_codes`, x w x^-1 for canonical x.  `conjugate_codes`,
+x^-1 w x, starts with `inv_codes(x)`, which is not canonical and is read
+letter by letter.
 
 Ball by canonical extension.  For canonical w, w + (c,) is canonical iff the
 insertion above appends c: scanning back from the end, c passes only letters
@@ -332,12 +334,17 @@ def meet_codes(block, u, v):
 
 def conjugate_codes(graph: DefGraph, x, w):
     """Canonical x^-1 w x for canonical w and any word x: w itself when x is
-    empty, since a canonical word is its own normal form.  For x w x^-1
-    with canonical x, continue the pass from x instead:
-    normal_codes(graph, w + inv_codes(x), x)."""
+    empty, since a canonical word is its own normal form.  Its twin
+    conjugate_back_codes gives x w x^-1."""
     if not x:
         return w
     return normal_codes(graph, inv_codes(x) + w + x)
+
+
+def conjugate_back_codes(graph: DefGraph, x, w):
+    """Canonical x w x^-1 for canonical x and w, continued from x (see
+    "Continuation" in the module docstring): w itself when x is empty."""
+    return normal_codes(graph, w + inv_codes(x), x) if x else w
 
 
 def vertex_mask(codes):
@@ -506,32 +513,16 @@ class CyclicDecomposition(NamedTuple):
     core: NormalForm         # cyclically reduced a, with g = x a x^-1 reduced
 
 
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """A wall of the cube complex, named by its label and the canonical
     representative of the coset base*A_{lk(label)} of its positively
     oriented dual edges."""
-
-    __slots__ = ("graph", "label", "rep", "_hash")
-
-    def __init__(self, graph, label, rep_codes):
-        self.graph = graph
-        self.label = label
-        self.rep = rep_codes
-        self._hash = hash((label, rep_codes))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Hyperplane)
-            and self.label == other.label
-            and self.rep == other.rep
-            and self.graph == other.graph
-        )
-
-    def __hash__(self):
-        return self._hash
+    graph: DefGraph
+    label: str
+    rep: tuple
 
     def __repr__(self):
-        return "Hyperplane(%s @ %s)" % (self.label, format_codes(self.graph, self.rep) )
+        return "Hyperplane(%s @ %s)" % (self.label, format_codes(self.graph, self.rep))
 
 
 def hyperplane_at(graph: DefGraph, base_codes, code) -> Hyperplane:
@@ -548,6 +539,8 @@ def hyperplane_at(graph: DefGraph, base_codes, code) -> Hyperplane:
 
 def translate_hyperplane(g: NormalForm, h: Hyperplane) -> Hyperplane:
     graph = h.graph
+    if g.graph is not graph:
+        require_graph(graph, g)
     moved = normal_codes(graph, h.rep, g.codes)
     rep = strip_suffix_in(graph, moved, graph.link_mask(graph.index(h.label)))
     return Hyperplane(graph, h.label, rep)
@@ -635,8 +628,8 @@ def require_graph(graph: DefGraph, *elements):
 
 def _coerce_codes(graph, w):
     if isinstance(w, NormalForm) or isinstance(w, Word):
-        if w.graph != graph:
-            raise GraphMismatchError("word belongs to a different graph")
+        if w.graph is not graph:
+            require_graph(graph, w)
         return w.codes
     if isinstance(w, str):
         return parse_word(graph, w).codes
@@ -653,8 +646,8 @@ def normalize(graph: DefGraph, word) -> NormalForm:
 
 
 def multiply(g: NormalForm, h: NormalForm) -> NormalForm:
-    if g.graph != h.graph:
-        raise GraphMismatchError("factors live on different graphs")
+    if h.graph is not g.graph:
+        require_graph(g.graph, h)
     return _nf(g.graph, normal_codes(g.graph, h.codes, g.codes))
 
 
@@ -695,8 +688,8 @@ def median(x: NormalForm, y: NormalForm, z: NormalForm) -> NormalForm:
     """The cubical median m(x, y, z) = (x ^ y) v (y ^ z) v (z ^ x), the join
     of the three meets rooted at 1, by median_codes (see "Median" in the
     module docstring)."""
-    if x.graph != y.graph or x.graph != z.graph:
-        raise GraphMismatchError("median arguments on different graphs")
+    if y.graph is not x.graph or z.graph is not x.graph:
+        require_graph(x.graph, y, z)
     if x == y or x == z:
         return x
     if y == z:

@@ -29,6 +29,7 @@ from raagtk.dls import (
     apply_images,
     build_partial_conjugation,
     build_transvection,
+    letter_images,
     twist_split,
 )
 from raagtk.graph import DefGraph
@@ -378,7 +379,7 @@ def _weighted_table(graph, ball, images_map):
     """The ball's distance table with each hyperplane weighted by the length
     of its label's image, at least 1: the ball's table of _scan."""
     trie = _prefix_trie(graph, ball)
-    return _distance_table(trie, C._label_weights(graph, ball, trie, images_map))
+    return _distance_table(trie, C._label_weights(ball, trie, letter_images(graph, images_map)))
 
 
 def _random_maps(rng, graph, count):
@@ -400,7 +401,8 @@ def test_scan_stops_at_the_ceiling(monkeypatch):
             if len(ball) > 100:
                 break
             for phi in phis:
-                ball_trie, images = C._ball_trie(graph, ball, phi.generator_images)
+                letters = letter_images(graph, phi.generator_images)
+                ball_trie, images = C._ball_trie(graph, ball, letters)
                 DD = _distance_table(_prefix_trie(graph, images))
                 W = _weighted_table(graph, ball, phi.generator_images)
                 stop = 2 * len(phi.twist_element)
@@ -433,7 +435,8 @@ def test_weighted_table_bounds_the_image_table(gi):
         W = _weighted_table(graph, ball, images)
         assert W.tolist() == [[sum(size[c] for c in oracle_reduce(graph.adj, inv_codes(u) + v))
                                for v in ball] for u in ball]
-        DD = _distance_table(_prefix_trie(graph, C._ball_trie(graph, ball, images)[1]))
+        _, image = C._ball_trie(graph, ball, letter_images(graph, images))
+        DD = _distance_table(_prefix_trie(graph, image))
         assert (W >= DD).all()
         W = W.astype(np.int64)
         assert np.array_equal(W[:, :, None] + W[None] == W[:, None, :], between)
@@ -467,7 +470,7 @@ def test_ball_trie_grows_images_and_distances():
         maps = [{v: normalize(graph, v) for v in graph.vertices}]
         maps += [phi.generator_images for phi in phis]
         for images in maps:
-            trie, grown = C._ball_trie(graph, ball, images)
+            trie, grown = C._ball_trie(graph, ball, letter_images(graph, images))
             assert grown == [apply_images(graph, images, w).codes for w in ball]
             assert trie.ends.tolist() == list(range(len(ball)))
         table = _distance_table(trie)
@@ -601,9 +604,10 @@ def test_scan_bytes_cover_what_the_scan_allocates():
     for phi, radius in ((_fold(), 1), (twist, 4), (twist, 8), (_fold(), 5), (long_fold, 4)):
         graph = phi.graph
         ball = ball_codes(graph, radius)
-        ball_trie, images = C._ball_trie(graph, ball, phi.generator_images)
+        letters = letter_images(graph, phi.generator_images)
+        ball_trie, images = C._ball_trie(graph, ball, letters)
         image_trie = _prefix_trie(graph, images)
-        weight = C._label_weights(graph, ball, ball_trie, phi.generator_images)
+        weight = C._label_weights(ball, ball_trie, letters)
         W, DD = _distance_table(ball_trie, weight), _distance_table(image_trie)
         n, topw, topd = len(ball), int(W.max()), int(DD.max())
         predicted = C._scan_bytes(n, topw, topd)
@@ -679,7 +683,8 @@ def test_image_bounds_cover_the_image_trie():
     for phi in maps:
         for radius in (1, 2, 3):
             ball = ball_codes(phi.graph, radius)
-            _, images = C._ball_trie(phi.graph, ball, phi.generator_images)
+            letters = letter_images(phi.graph, phi.generator_images)
+            _, images = C._ball_trie(phi.graph, ball, letters)
             trie = _prefix_trie(phi.graph, images)
             assert int(trie.depth.max()) == max(map(len, images))
             assert trie.hyperplanes <= len(trie.parent) - 1 <= sum(map(len, images))
@@ -703,7 +708,7 @@ def test_long_image_fold_is_linear_in_the_image():
     rep = cmp_defect(fold, 3)
     assert (rep.defect, rep.ball_size) == (640, 53)
     assert tuple(str(w) for w in rep.witness) == ("1", "a^-1 c^-1 a", "a^-1 c^-1")
-    _, images = C._ball_trie(free, ball_codes(free, 3), fold.generator_images)
+    _, images = C._ball_trie(free, ball_codes(free, 3), letter_images(free, fold.generator_images))
     trie = _prefix_trie(free, images)
     assert trie.gates <= _gate_limit(free, trie)
     assert trie.gates == len(trie.parent) - 1
@@ -746,7 +751,8 @@ def test_columns_match_the_strip_reference(gi):
     identity_images = {v: normalize(graph, v) for v in graph.vertices}
     for radius in (1, 2, 3):
         ball = ball_codes(graph, radius)
-        _assert_columns_match_strip(graph, C._ball_trie(graph, ball, identity_images)[0], ball)
+        trie, _ = C._ball_trie(graph, ball, letter_images(graph, identity_images))
+        _assert_columns_match_strip(graph, trie, ball)
         _assert_columns_match_strip(graph, _prefix_trie(graph, ball), ball)
     for _ in range(30):
         words = [_reduced_word(rng, graph, rng.randrange(0, 25))
@@ -754,7 +760,7 @@ def test_columns_match_the_strip_reference(gi):
         _assert_columns_match_strip(graph, _prefix_trie(graph, words), words)
     ball = ball_codes(graph, 3 if len(graph) <= 2 else 2)
     for phi in _random_maps(rng, graph, 4):
-        _, images = C._ball_trie(graph, ball, phi.generator_images)
+        _, images = C._ball_trie(graph, ball, letter_images(graph, phi.generator_images))
         _assert_columns_match_strip(graph, _prefix_trie(graph, images), images)
 
 
@@ -762,7 +768,7 @@ def test_columns_match_the_strip_reference(gi):
 def test_long_fold_columns_match_the_strip_reference(k):
     free = DefGraph(["a", "c"])
     fold = build_transvection(free, "a", normalize(free, _power("c", k)))
-    _, images = C._ball_trie(free, ball_codes(free, 3), fold.generator_images)
+    _, images = C._ball_trie(free, ball_codes(free, 3), letter_images(free, fold.generator_images))
     _assert_columns_match_strip(free, _prefix_trie(free, images), images)
 
 
@@ -796,8 +802,9 @@ def _answers_from_row_zero(phi, radius):
     by row 0 and by the tables."""
     graph = phi.graph
     ceiling = C.defect_ceiling(phi)
+    letters = letter_images(graph, phi.generator_images)
     hit = radius > ceiling and C._row_zero(graph, ball_codes(graph, radius),
-                                           phi.generator_images, 2 * ceiling) is not None
+                                           letters, 2 * ceiling) is not None
     with _table_path():
         tables = cmp_defect(phi, radius)
     return hit, cmp_defect(phi, radius), tables

@@ -12,6 +12,7 @@ from raagtk.dls import (
     PARTIAL_CONJUGATION,
     TWIST,
     apply,
+    apply_images,
     build_partial_conjugation,
     build_transvection,
     certificate_work,
@@ -29,6 +30,7 @@ from raagtk.errors import (
     PreconditionError,
 )
 from raagtk.graph import DefGraph
+from raagtk.oracles import oracle_equal_words
 from raagtk.selftest import CATALOG, catalog_graph, random_dls
 from raagtk.words import identity, multiply, normalize
 
@@ -118,6 +120,29 @@ def test_apply_compose_inverse(z2):
 def test_apply_twist_substitution(z2):
     phi = build_transvection(z2, "a", normalize(z2, "b"))
     assert apply(phi, normalize(z2, "a a")) == normalize(z2, "b a b a")
+
+
+@pytest.mark.parametrize("gi", range(len(CATALOG)), ids=[c[0] for c in CATALOG])
+def test_apply_images_substitutes_each_letter(gi):
+    # raw maps, the first generator sent to 1: the image read from the
+    # letter table is the word with each letter replaced by its image, an
+    # inverse letter by the inverse image
+    graph = catalog_graph(gi)
+    rng = random.Random(4400 + gi)
+    inverse_letters = 0
+    for _ in range(6):
+        images = {v: rand_nf(rng, graph, rng.randrange(0, 5)) for v in graph.vertices}
+        images[graph.vertices[0]] = identity(graph)
+        for _ in range(8):
+            g = rand_nf(rng, graph, rng.randrange(0, 9))
+            spelled = []
+            for c in g.codes:
+                img = images[graph.vertices[c >> 1]].codes
+                spelled += img if c & 1 else [d ^ 1 for d in reversed(img)]
+                inverse_letters += not c & 1
+            got = apply_images(graph, images, g).codes
+            assert oracle_equal_words(graph.adj, len(graph), got, spelled), (images, g)
+    assert inverse_letters
 
 
 def test_verify_bad_map(free2):

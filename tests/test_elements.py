@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from raagtk.elements import (
     CentralizerForm,
     LIDecomposition,
-    _conjugate_back,
     centralizer,
     commutes,
     gamma,
@@ -21,6 +20,7 @@ from raagtk.graph import DefGraph
 from raagtk.words import (
     _nf,
     ball_codes,
+    conjugate_back_codes,
     cyclic_reduce,
     cyclic_reduce_codes,
     identity,
@@ -391,7 +391,7 @@ def _reference_li_components(g):
     comps = []
     for fac in factors:
         sub = tuple(c for c in core if fac.mask >> (c >> 1) & 1)
-        comps.append(_nf(graph, _conjugate_back(graph, xc, sub)))
+        comps.append(_nf(graph, conjugate_back_codes(graph, xc, sub)))
     return LIDecomposition(tuple(comps), tuple(factors), _nf(graph, xc))
 
 
@@ -422,7 +422,7 @@ def _reference_primitive_root(g):
                 pref.append(c)
         cand = _nf(graph, normal_codes(graph, pref))
         if cand ** n == core_nf:
-            root = _nf(graph, _conjugate_back(graph, xc, cand.codes))
+            root = _nf(graph, conjugate_back_codes(graph, xc, cand.codes))
             return root, n
     return g, 1
 

@@ -4,9 +4,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
+from raagtk import decomp as DC
+from raagtk import dls as D
 from raagtk import oracles as O
+from raagtk import subgroups as S
 from raagtk import words as W
+from raagtk.cmp import cmp_defect
 from raagtk.errors import GraphMismatchError, OutOfRangeError, WordSyntaxError
+from raagtk.graph import DefGraph
 from raagtk.selftest import CATALOG, catalog_graph
 from raagtk.words import (
     DEFAULT_CLOSURE_CAP,
@@ -233,6 +238,33 @@ def test_multiply_commuting(z2):
 def test_multiply_graph_mismatch(z2, path3):
     with pytest.raises(GraphMismatchError):
         multiply(normalize(z2, "a"), normalize(path3, "a"))
+
+
+_P4 = DefGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+_C4 = DefGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+_C4_IDENTITY = {v: normalize(_C4, v) for v in _C4.vertices}
+
+# one call per entry point that takes a value of another graph: P4 values
+# with C4 ones, or P4 words on the one-vertex graph
+_MIXED_GRAPH_CALLS = {
+    "translate_hyperplane": lambda: W.translate_hyperplane(
+        normalize(_C4, "a"), hyperplane_at(_P4, (), 1)),
+    "is_decent": lambda: DC.is_decent(DefGraph("a"), normalize(_P4, "a b c d")),
+    "decompose_good": lambda: DC.decompose_good(DefGraph("a"), normalize(_P4, "a b c d")),
+    "pair_from_word": lambda: DC.pair_from_word(
+        _P4, normalize(_P4, "a c a").codes, 0, 2, base=normalize(_C4, "a")),
+    "parabolic": lambda: S.parabolic(_P4, "a", normalize(_C4, "b")),
+    "semi_parabolic": lambda: S.semi_parabolic(_P4, [normalize(_C4, "a")], ()),
+    "cmp_defect": lambda: cmp_defect((_P4, _C4_IDENTITY), 2),
+    "verify_automorphism": lambda: D.verify_automorphism(_C4_IDENTITY, graph=_P4),
+    "intersect": lambda: S.intersect(S.parabolic(_P4, "a"), S.parabolic(_C4, "a"), 2),
+}
+
+
+@pytest.mark.parametrize("call", _MIXED_GRAPH_CALLS.values(), ids=_MIXED_GRAPH_CALLS)
+def test_entry_points_refuse_another_graphs_values(call):
+    with pytest.raises(GraphMismatchError):
+        call()
 
 
 @settings(max_examples=80, deadline=None)
