@@ -54,7 +54,9 @@ def _reduced_codes(graph: DefGraph, word) -> tuple:
     or lives on another graph."""
     if hasattr(word, "codes"):
         require_graph(graph, word)
-    codes = word.codes if hasattr(word, "codes") else tuple(word)
+        codes = word.codes
+    else:
+        codes = tuple(word)
     if len(reduce_codes(graph.adj, codes)) != len(codes):
         raise UnreducedWordError("word is not reduced")
     return codes

@@ -192,7 +192,7 @@ def apply_images(graph: DefGraph, images: dict, g) -> NormalForm:
     parts = list(map(letter_images(graph, images).__getitem__, codes))
     letters = sum(map(len, parts))
     _require_memory(letters * LETTER_BYTES, "an image of %d letters", letters)
-    return _nf(graph, normal_codes(graph, chain.from_iterable(parts)))
+    return _nf(graph, normal_codes(graph, tuple(chain.from_iterable(parts))))
 
 
 def apply(phi: DlsAutomorphism, g: NormalForm) -> NormalForm:

@@ -516,7 +516,9 @@ class CyclicDecomposition(NamedTuple):
 class Hyperplane(NamedTuple):
     """A wall of the cube complex, named by its label and the canonical
     representative of the coset base*A_{lk(label)} of its positively
-    oriented dual edges."""
+    oriented dual edges.  It compares and hashes as its three fields, so it
+    equals a trees.TreeVertex with the same fields although the two name
+    different cosets: keep them out of one set or dict."""
     graph: DefGraph
     label: str
     rep: tuple

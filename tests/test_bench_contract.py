@@ -7,7 +7,9 @@ non-finite metric, or by renaming a traced function.
 """
 
 import ast
+import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,12 @@ from pathlib import Path
 import pytest
 
 import raagtk
+from raagtk import dls, elements, trees, words
+from raagtk.cmp import cmp_defect
+from raagtk.graph import DefGraph
+from raagtk.selftest import random_dls
+
+from conftest import rand_nf
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench" / "run.py"
@@ -39,6 +47,32 @@ def test_traced_run_ends_with_a_strict_json_result():
     result = _strict_json(lines[-1])
     assert result["correct"] is True and result["failed"] == 0
     assert record["absent"] == []
+
+
+@pytest.mark.skipif(not BENCH.is_file(), reason="no perfbench/ in this checkout")
+def test_traced_kernels_take_each_library_call():
+    # the tracer measures a kernel's word argument with len(), so a library
+    # path that hands a traced kernel a bare iterator fails only when traced
+    spec = importlib.util.spec_from_file_location("tracing", BENCH.parent / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    rng = random.Random(3)
+    graph = DefGraph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    with tracing.Tracer(raagtk) as tracer:
+        for _ in range(4):
+            phi = random_dls(rng, graph)
+            g = rand_nf(rng, graph, 12)
+            dls.apply(phi, g)
+            dls.compose(phi, phi)
+            assert dls.verify_automorphism(phi)
+            cmp_defect(phi, 2)
+            elements.li_components(g)
+            elements.primitive_root(g)
+            elements.membership_centralizer(elements.centralizer(g), g)
+            trees.tv_translation_length(graph, "a", g)
+            words.median(g, words.identity(graph), rand_nf(rng, graph, 6))
+    assert tracer.absent == []
+    assert tracer.stats["dls.apply_images"].calls > 0
 
 
 def test_library_keeps_stdout_to_the_cli():

@@ -267,6 +267,13 @@ def test_entry_points_refuse_another_graphs_values(call):
         call()
 
 
+def test_hyperplane_compares_as_its_fields():
+    # a Hyperplane is a plain NamedTuple: the wall dual to the a-edge at 1
+    # equals the a-tree's vertex A_{V-a}, a different coset with the same fields
+    from raagtk.trees import tree_vertex
+    assert hyperplane_at(_P4, (), 1) == tree_vertex(_P4, "a", W.identity(_P4))
+
+
 @settings(max_examples=80, deadline=None)
 @given(graph_and_words(2))
 def test_multiply_agrees_with_oracle(gw):
