@@ -11,12 +11,14 @@ hyperplanes separating them.  W weights each hyperplane of the ball by
 max(1, |F(l)|) for its label l, the length of the label's image; since
 every weight is at least 1, p is between x and y iff
 W(x,p) + W(p,y) = W(x,y), and since W >= DD, W - DD bounds how far from the
-median a triple can sit.  The tables are grown along the prefix trie of
-the words, one depth level at a time, and one builder makes the trie of the
-ball and that of its images.  The ball is prefix-closed, since every prefix
-of a canonical word is canonical, so it is its own trie, and its parent
-pointers also grow the images: the image of a word continues the normal
-form of its parent's image by the image of its last letter.  The scan reads
+median a triple can sit.  A table's rows are sums along the prefix trie of
+the words, taken by ancestor doubling in ceil(log2 depth) rounds, or one
+depth level at a time for a trie of long images with more than two nodes a
+word (_distance_table); one function makes the trie of the ball and that
+of its images.  The ball is prefix-closed, since every prefix of a canonical
+word is canonical, so it is its own trie, and its parent pointers also
+grow the images: the image of a word continues the normal form of its
+parent's image by the image of its last letter.  The scan reads
 one fused table in which "between" and "how far from the median" are a
 single integer, a block of rows at a time.  Past its first block it skips
 every block that cannot hold the witness: each row's values are at most
@@ -80,12 +82,12 @@ class _PrefixTrie(NamedTuple):
     word; node t > 0 extends node parent[t] by one letter, whose edge crosses
     the hyperplane with id column[t].  Prefixes of canonical words are
     canonical, so every node is a geodesic and crosses each hyperplane at
-    most once."""
-    parent: np.ndarray
+    most once: H(t), the set of hyperplanes separating 1 from node t, holds
+    the columns of t and of its ancestors."""
+    parent: np.ndarray      # parent[0] = 0
     column: np.ndarray
     depth: np.ndarray
     ends: np.ndarray        # node of each word
-    crossings: tuple        # (hyperplane ids, word indices): H(w) for every w
     hyperplanes: int
     gates: int              # gates memoised by words.hyperplane_columns
 
@@ -93,23 +95,11 @@ class _PrefixTrie(NamedTuple):
 def _trie(graph, parent, letter, depth, ends) -> _PrefixTrie:
     """The trie with these parent, last-letter and depth lists (parent[t] < t)
     and these word nodes.  Each edge's hyperplane is resolved by
-    words.hyperplane_columns.  H(w) is the column of every node on the path
-    from w's node up to the root, so the crossings are read off the parent
-    pointers one depth at a time, every word at once."""
+    words.hyperplane_columns."""
     import numpy as np
     col, hyperplanes, gates = hyperplane_columns(graph, parent, letter)
-    parent, col = np.array(parent, dtype=np.intp), np.array(col, dtype=np.intp)
-    ends = np.array(ends, dtype=np.intp)
-    node, owner = ends, np.arange(len(ends))
-    hits, owners = [], []
-    while len(node):
-        below = node != 0
-        node, owner = node[below], owner[below]
-        hits.append(col[node])
-        owners.append(owner)
-        node = parent[node]
-    return _PrefixTrie(parent, col, np.array(depth), ends,
-                       (np.concatenate(hits), np.concatenate(owners)), hyperplanes, gates)
+    return _PrefixTrie(np.array(parent, dtype=np.intp), np.array(col, dtype=np.intp),
+                       np.array(depth), np.array(ends, dtype=np.intp), hyperplanes, gates)
 
 
 def _prefix_trie(graph, words) -> _PrefixTrie:
@@ -164,47 +154,150 @@ def _label_weights(ball, trie: _PrefixTrie, letters):
     return weight
 
 
+# nodes a word up to which _distance_table sums a trie's rows by ancestor
+# doubling; every ball trie doubles, since its nodes are its words
+_DOUBLING_NODES = 2
+
+
+def _doubles(nodes: int, words: int) -> bool:
+    """Whether _distance_table sums the rows of a trie of `nodes` nodes and
+    `words` words by ancestor doubling, rather than level by level."""
+    return nodes <= _DOUBLING_NODES * words
+
+
 def _distance_table(trie: _PrefixTrie, weight=None):
     """Pairwise distances between the trie's words, counted as separating
-    hyperplanes: d(u, v) = |H(u)| + |H(v)| - 2|H(u) & H(v)|, where H(w) is the
-    set of hyperplanes crossed by the geodesic from 1 to w.  A node adds one
-    hyperplane to its parent's set, so its row of |H(node) & H(w)| over all
-    words w is its parent's row plus the hyperplane's row of the
-    hyperplane x word incidence; one depth level is one gathered add.  The
-    table has the smallest dtype that holds twice its largest entry, since the
-    scan adds two entries.
+    hyperplanes: d(u, v) = |H(u)| + |H(v)| - 2|H(u) & H(v)|.  A node's row
+    of |H(node) & H(w)| over all words w is the sum, over the node and its
+    ancestors, of the incidence row of each one's column: the words w whose
+    H(w) holds it.  The rows are summed by ancestor doubling (_doubled_rows)
+    when the trie has at most _DOUBLING_NODES nodes a word: after round r a
+    node's row holds the node and its 2^r - 1 nearest ancestors, chains that
+    reach the root add zero, and ceil(log2 depth) rounds finish.  Otherwise
+    they are summed one depth level at a time (_level_rows).  The rule is
+    one of memory: doubling holds a row and the hyperplane bits of every
+    node, so under it the rows hold at most 2n*n entries for n words, while
+    a deep trie of long images over few words would hold N*n for its
+    N >> n nodes and N*N/8 bytes of bits.  Doubling such a trie was
+    measured about 8x slower than its level loop (the image trie of
+    a -> c^40 a at R = 5, 6884 nodes for 485 words).  The table has the
+    smallest dtype that holds twice its largest entry, since the scan adds
+    two entries.
 
     With `weight`, an integer array over the hyperplane ids, each hyperplane
-    counts its weight instead of 1: the incidence holds the weights, and |H|
-    is read off the diagonal of the shared sums.  This is the ball's table W
+    counts its weight instead of 1: the incidence row a node adds is that of
+    its own column, so it is multiplied by that column's weight, and |H| is
+    read off the diagonal of the shared sums.  This is the ball's table W
     (_scan); the image table DD is unweighted."""
     import numpy as np
-    n = len(trie.ends)
-    lengths = trie.depth[trie.ends]
-    longest = int(lengths.max(initial=0))
+    longest = int(trie.depth[trie.ends].max(initial=0))
     top = longest if weight is None else longest * int(weight.max(initial=0))
     # every entry, and the sum |H(u)| + |H(v)| on the way to it, is at most 2*top
     dtype = _int_dtype(4 * top)
-    crosses = np.zeros((trie.hyperplanes, n), dtype=np.bool_ if weight is None else dtype)
-    crosses[trie.crossings] = True if weight is None else weight[trie.crossings[0]]
-    shared = np.zeros((n, n), dtype=dtype)
-    order = np.argsort(trie.depth, kind="stable")
-    starts = np.searchsorted(trie.depth[order], np.arange(longest + 2))
-    pos = np.zeros(len(trie.depth), dtype=np.intp)     # node -> row in its level
-    rows = np.zeros((1, n), dtype=dtype)                # level 0: the root
-    for d in range(1, longest + 1):
-        nodes = order[starts[d]:starts[d + 1]]
-        pos[nodes] = np.arange(len(nodes))
-        rows = rows[pos[trie.parent[nodes]]]
-        rows += crosses[trie.column[nodes]]
-        done = np.flatnonzero(lengths == d)
-        shared[done] = rows[pos[trie.ends[done]]]
-    del rows, crosses
+    scale = None if weight is None else weight.astype(dtype)[trie.column[1:], None]
+    sums = _doubled_rows if _doubles(len(trie.parent), len(trie.ends)) else _level_rows
+    shared = sums(trie, longest, dtype, scale)
     sizes = shared.diagonal().copy()
     shared *= -2
     shared += sizes[:, None]
     shared += sizes
     return shared.astype(_int_dtype(2 * int(shared.max(initial=0))), copy=False)
+
+
+def _doubled_rows(trie: _PrefixTrie, longest: int, dtype, scale):
+    """The words' rows of |H(w) & H(w')| by ancestor doubling (pointer
+    jumping: J. C. Wyllie, The Complexity of Parallel Computations, 1979).
+    up sends each node to its 2^r-th ancestor after r rounds, or to the
+    root if it has fewer, and the root's entries are zero.  A round adds to
+    each node's entries those of up[node] and then sets up = up[up]; after
+    round r a node holds the sum over itself and its 2^r - 1 nearest
+    ancestors, and a chain that reaches the root adds zero.  So
+    ceil(log2 longest) rounds sum every node's path to the root.
+
+    The same ladder of up arrays sums twice.  First H(node) as bits over the
+    hyperplanes, with OR for +, which gives the hyperplane x word incidence;
+    then the rows, where node t > 0 starts from the incidence row of
+    column[t], times its weight when `scale` (per node t > 0) is given."""
+    import numpy as np
+    parent, column, ends = trie.parent, trie.column[1:], trie.ends
+    nodes, hyperplanes = len(parent), trie.hyperplanes
+    ladder, up = [], parent
+    for _ in range(max(longest - 1, 0).bit_length()):
+        ladder.append(up)
+        up = up[up]
+    bits = np.zeros((nodes, (hyperplanes + 7) >> 3), dtype=np.uint8)
+    bits[np.arange(1, nodes), column >> 3] = 1 << (column & 7)
+    for up in ladder:
+        bits |= bits[up]
+    incidence = np.ascontiguousarray(
+        np.unpackbits(bits[ends], axis=1, count=hyperplanes, bitorder="little").T)
+    del bits
+    rows = np.empty((nodes, len(ends)), dtype=dtype)
+    rows[0] = 0
+    if scale is None:
+        rows[1:] = incidence[column]
+    else:
+        np.multiply(incidence[column], scale, out=rows[1:])
+    del incidence
+    for up in ladder:
+        rows += rows[up]
+    return rows[ends]
+
+
+def _level_rows(trie: _PrefixTrie, longest: int, dtype, scale):
+    """The words' rows of |H(w) & H(w')|, grown one depth level at a time: a
+    node's row is its parent's row plus the incidence row of its column
+    (times its weight when `scale`, per node t > 0, is given).  Each
+    level's parent rows, columns and finished words are located before the
+    loop, so a level costs a gather of parent rows, a gather of incidence
+    rows and an add."""
+    import numpy as np
+    parent, depth, ends = trie.parent, trie.depth, trie.ends
+    n = len(ends)
+    incidence = _crossings(trie, longest)
+    order = np.argsort(depth, kind="stable")
+    starts = np.searchsorted(depth[order], np.arange(longest + 2))
+    pos = np.empty(len(parent), dtype=np.intp)      # node -> row in its level
+    pos[order] = np.arange(len(parent)) - starts[depth[order]]
+    up, column = pos[parent[order]], trie.column[order]
+    if scale is not None:
+        scale = scale[order[1:] - 1]
+    lengths = depth[ends]
+    done = np.argsort(lengths, kind="stable")       # words by length
+    finished = np.searchsorted(lengths[done], np.arange(longest + 2)).tolist()
+    at = pos[ends[done]]
+    starts = starts.tolist()
+    shared = np.zeros((n, n), dtype=dtype)
+    rows = np.zeros((1, n), dtype=dtype)            # level 0: the root
+    for d in range(1, longest + 1):
+        a, b = starts[d], starts[d + 1]
+        rows = rows[up[a:b]]
+        if scale is None:
+            rows += incidence[column[a:b]]
+        else:
+            rows += incidence[column[a:b]] * scale[a - 1:b - 1]
+        w, x = finished[d], finished[d + 1]
+        if w < x:
+            shared[done[w:x]] = rows[at[w:x]]
+    return shared
+
+
+def _crossings(trie: _PrefixTrie, longest: int):
+    """The hyperplane x word incidence, whether H(w) holds each hyperplane,
+    read off the parent pointers one depth at a time, every word at once:
+    with the words longest first, those still below the root after k steps
+    up are the first m, for m the number of words longer than k."""
+    import numpy as np
+    lengths = trie.depth[trie.ends]
+    owner = np.argsort(-lengths, kind="stable")
+    node = trie.ends[owner]
+    climbing = len(owner) - np.searchsorted(np.sort(lengths), np.arange(longest), side="right")
+    incidence = np.zeros((trie.hyperplanes, len(owner)), dtype=np.bool_)
+    for m in climbing.tolist():
+        node = node[:m]
+        incidence[trie.column[node], owner[:m]] = True
+        node = trie.parent[node]
+    return incidence
 
 
 # entries in one block of the scan, which holds _block_rows(n) rows of n*n
@@ -342,36 +435,62 @@ def _gate_bound(graph, longest: int, letters: int) -> int:
     return letters * min(longest, sum(1 << lk.bit_count() for lk in graph.adj))
 
 
-def _check_memory(graph, ball_trie: _PrefixTrie, images, letters):
-    """Raise MemoryLimitError if the arrays of one defect computation would
-    not fit in physical memory, before the image trie is built.  It counts
-    two tables, the ball's W and the image table DD, and the scan.  Entries
-    are bounded by word lengths: an entry of DD is at most the sum of two
-    image lengths, and an entry of W at most the sum of two ball lengths
-    times the largest weight (_label_weights); W's incidence holds the
-    weights.
-    The image trie is bounded from the images alone: its depth is the
-    longest image, it has at most one node and one hyperplane per image
-    letter, at most n nodes on a level, and at most _gate_bound gates."""
+def _table_bytes(words: int, nodes: int, hyperplanes: int, longest: int, size: int) -> int:
+    """Upper bound on the bytes _distance_table allocates for a trie of
+    these sizes, its words at most `longest` letters, whose rows take `size`
+    bytes an entry, in the regime _doubles picks.  Both hold the shared sums
+    and the table cast from them.  Doubling holds its ladder, the nodes'
+    hyperplane bits and their gather, the words' bits unpacked to one byte a
+    hyperplane, the gathered incidence, the node weights, and the rows and
+    their gather.  The level loop holds the bool incidence, a few index
+    arrays per node, and one level of at most `words` nodes: the parent
+    rows, the child rows, the gathered incidence and its weighted copy.
+    Array headers and the level loop's offset lists add a few kilobytes."""
+    table = 2 * words * words * size + (1 << 14) + 112 * longest
+    if _doubles(nodes, words):
+        packed = (hyperplanes + 7) >> 3
+        return (table + 8 * nodes * (max(longest - 1, 0).bit_length() + 1)
+                + 2 * nodes * packed + words * (packed + hyperplanes)
+                + nodes * (words + 2 * size) + 2 * nodes * words * size)
+    return (table + hyperplanes * words + (64 + size) * nodes + 64 * words
+            + words * words * (3 * size + 1))
+
+
+def _tables_bytes(ball_trie: _PrefixTrie, longest: int, spelt: int, heaviest: int):
+    """Upper bounds on the bytes _distance_table allocates for the ball's W
+    and for the image table DD (_table_bytes), and on the largest entries of
+    W and DD: (W bytes, DD bytes, W top, DD top).  The images are known by
+    their longest length and their total letters, the map by the length of
+    its longest letter image.  Entries are bounded by word lengths: an
+    entry of DD is at most the sum of two image lengths, and an entry of W
+    at most the sum of two ball lengths times the largest weight
+    (_label_weights).  The image trie is bounded from the images alone: its
+    depth is the longest image, and it has at most one node and one
+    hyperplane per image letter besides the root.  DD counts the larger of
+    the doubling at up to _DOUBLING_NODES nodes a word and the level loop at
+    the most nodes the trie can have, since the trie decides which runs."""
     import numpy as np
     n = len(ball_trie.ends)
     depth = int(ball_trie.depth.max(initial=0))
+    topw, topd = 2 * depth * heaviest, 2 * longest
+    size = lambda top: np.dtype(_int_dtype(2 * top)).itemsize
+    need_w = _table_bytes(n, len(ball_trie.parent), ball_trie.hyperplanes, depth, size(topw))
+    need_d = max(_table_bytes(n, nodes, min(spelt, nodes - 1), longest, size(topd))
+                 for nodes in (min(spelt + 1, _DOUBLING_NODES * n), spelt + 1))
+    return need_w, need_d, topw, topd
+
+
+def _check_memory(graph, ball_trie: _PrefixTrie, images, letters):
+    """Raise MemoryLimitError if the arrays of one defect computation would
+    not fit in physical memory, before the image trie is built.  It counts
+    the two tables with what builds them (_tables_bytes), the scan, and the
+    image trie, whose walk has 2|V| step slots a node and at most
+    _gate_bound gates."""
+    n = len(ball_trie.ends)
     longest, spelt = max(map(len, images)), sum(map(len, images))
-    heaviest = max(1, *map(len, letters))
-    # DD and W: entries of at most 2*top, hyperplanes, widest level, weighted incidence
-    sides = ((longest, spelt, n, False),
-             (depth * heaviest, ball_trie.hyperplanes,
-              int(np.bincount(ball_trie.depth).max()), True))
-    need, tops = 0, []
-    for top, hyperplanes, widest, weighted in sides:
-        size = np.dtype(_int_dtype(4 * top)).itemsize
-        cell = size if weighted else 1
-        tops.append(2 * top)
-        # the table, the incidence, and the level rows: parent, child, gather
-        need += n * n * size + hyperplanes * n * cell + widest * n * (2 * size + cell)
-    topd, topw = tops
-    need += _scan_bytes(n, topw, topd)
-    # the image trie's walk: 2|V| step slots of 8 bytes a node; and its gates
+    need_w, need_d, topw, topd = _tables_bytes(ball_trie, longest, spelt,
+                                               max(1, *map(len, letters)))
+    need = need_w + need_d + _scan_bytes(n, topw, topd)
     need += 16 * len(graph) * (spelt + 1) + _GATE_BYTES * _gate_bound(graph, longest, spelt)
     _require_memory(need, "a defect scan over %d ball elements", n)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import PreconditionError, UnreducedWordError
+from .errors import PreconditionError, UnreducedWordError, WordSyntaxError
 from .graph import DefGraph, VertexSet
 from .words import (
     Hyperplane,
@@ -50,13 +50,19 @@ def chain_constant(q: int, vertex_count: int) -> int:
 
 
 def _reduced_codes(graph: DefGraph, word) -> tuple:
-    """The codes of a word or NormalForm; raises if the word is not reduced
-    or lives on another graph."""
+    """The codes of a word or NormalForm; raises if the word is not reduced,
+    lives on another graph, or is a code tuple with a code that names no
+    letter of the graph (0 <= code < 2|V|)."""
     if hasattr(word, "codes"):
         require_graph(graph, word)
         codes = word.codes
     else:
         codes = tuple(word)
+        letters = 2 * len(graph)
+        if codes and not 0 <= min(codes) <= max(codes) < letters:
+            bad = next(c for c in codes if not 0 <= c < letters)
+            raise WordSyntaxError("code %r names no letter of a graph on %d vertices"
+                                  % (bad, len(graph)))
     if len(reduce_codes(graph.adj, codes)) != len(codes):
         raise UnreducedWordError("word is not reduced")
     return codes

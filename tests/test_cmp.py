@@ -532,9 +532,8 @@ def test_fused_scan_in_int32(monkeypatch):
 def _path_trie(m):
     """The prefix trie of the words 1 and a^m in Z: one path of m nodes, each
     crossing its own hyperplane."""
-    return C._PrefixTrie(parent=np.arange(-1, m), column=np.arange(-1, m),
+    return C._PrefixTrie(parent=np.maximum(np.arange(-1, m), 0), column=np.arange(-1, m),
                          depth=np.arange(m + 1), ends=np.array([0, m]),
-                         crossings=(np.arange(m), np.ones(m, dtype=np.intp)),
                          hyperplanes=m, gates=0)
 
 
@@ -547,6 +546,136 @@ def test_distance_table_dtype_follows_twice_the_largest_entry():
         table = _distance_table(_path_trie(m))
         assert table.dtype == dtype
         assert table.tolist() == [[0, m], [m, 0]]
+
+
+def _reference_table(trie, weight=None):
+    """_distance_table as it was before ancestor doubling, kept as the
+    reference: H(w) walked up from every word one depth at a time, an
+    incidence that holds the weights in the table's dtype, and the rows
+    grown one level at a time with about a dozen numpy calls a level."""
+    n = len(trie.ends)
+    node, owner = trie.ends, np.arange(n)
+    hits, owners = [], []
+    while len(node):
+        below = node != 0
+        node, owner = node[below], owner[below]
+        hits.append(trie.column[node])
+        owners.append(owner)
+        node = trie.parent[node]
+    crossings = (np.concatenate(hits), np.concatenate(owners))
+    lengths = trie.depth[trie.ends]
+    longest = int(lengths.max(initial=0))
+    top = longest if weight is None else longest * int(weight.max(initial=0))
+    dtype = C._int_dtype(4 * top)
+    crosses = np.zeros((trie.hyperplanes, n), dtype=np.bool_ if weight is None else dtype)
+    crosses[crossings] = True if weight is None else weight[crossings[0]]
+    shared = np.zeros((n, n), dtype=dtype)
+    order = np.argsort(trie.depth, kind="stable")
+    starts = np.searchsorted(trie.depth[order], np.arange(longest + 2))
+    pos = np.zeros(len(trie.depth), dtype=np.intp)
+    rows = np.zeros((1, n), dtype=dtype)
+    for d in range(1, longest + 1):
+        nodes = order[starts[d]:starts[d + 1]]
+        pos[nodes] = np.arange(len(nodes))
+        rows = rows[pos[trie.parent[nodes]]]
+        rows += crosses[trie.column[nodes]]
+        done = np.flatnonzero(lengths == d)
+        shared[done] = rows[pos[trie.ends[done]]]
+    sizes = shared.diagonal().copy()
+    shared *= -2
+    shared += sizes[:, None]
+    shared += sizes
+    return shared.astype(C._int_dtype(2 * int(shared.max(initial=0))), copy=False)
+
+
+def _long_fold(k):
+    free = DefGraph(["a", "c"])
+    return build_transvection(free, "a", normalize(free, _power("c", k)))
+
+
+def _trie_cases():
+    """(name, trie, weight) for the tables of both regimes: every catalog
+    ball at R <= 3, unweighted and weighted by a random map, with that
+    map's image trie; the plane twist's ball and image tries at R = 4, 8
+    and 12; and the image tries of the folds a -> c^k a at R = 3, k = 40,
+    160 and 640, deep tries of more than two nodes a word."""
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        rng = random.Random(8000 + gi)
+        # the first map drawn, or the identity where none is
+        phis = _random_maps(rng, graph, 6) + [None]
+        images_map = {v: normalize(graph, v) for v in graph.vertices} if phis[0] is None \
+            else phis[0].generator_images
+        letters = letter_images(graph, images_map)
+        for radius in (1, 2, 3):
+            ball = ball_codes(graph, radius)
+            trie, images = C._ball_trie(graph, ball, letters)
+            name = "%s R%d %s" % (CATALOG[gi][0], radius, phis[0] and phis[0].describe())
+            yield name, trie, None
+            yield name, trie, C._label_weights(ball, trie, letters)
+            yield name + " image", _prefix_trie(graph, images), None
+    twist = _plane_twist()
+    letters = letter_images(twist.graph, twist.generator_images)
+    for radius in (4, 8, 12):
+        ball = ball_codes(twist.graph, radius)
+        trie, images = C._ball_trie(twist.graph, ball, letters)
+        yield "twist R%d" % radius, trie, C._label_weights(ball, trie, letters)
+        yield "twist R%d image" % radius, _prefix_trie(twist.graph, images), None
+    for k in (40, 160, 640):
+        fold = _long_fold(k)
+        ball = ball_codes(fold.graph, 3)
+        _, images = C._ball_trie(fold.graph, ball, letter_images(fold.graph, fold.generator_images))
+        yield "fold k=%d R3 image" % k, _prefix_trie(fold.graph, images), None
+
+
+@pytest.mark.parametrize("doubling", [True, False], ids=["doubling", "levels"])
+def test_both_regimes_match_the_level_loop(doubling, monkeypatch):
+    # each regime, forced, gives the reference's table in value and dtype;
+    # the real rule doubles every ball trie and the twist's image tries, and
+    # walks the levels of the three folds' and four catalog maps' image tries
+    real = C._doubles
+    doubled = []
+    monkeypatch.setattr(C, "_doubles", lambda nodes, words: doubling)
+    for name, trie, weight in _trie_cases():
+        doubled.append(real(len(trie.parent), len(trie.ends)))
+        want, got = _reference_table(trie, weight), _distance_table(trie, weight)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (doubled.count(False), doubled.count(True)) == (7, 164)
+
+
+def test_table_bytes_cover_what_the_tables_allocate(monkeypatch):
+    # in each regime, _distance_table's peak stays within _table_bytes of its
+    # trie, and within _check_memory's bounds for W and DD (_tables_bytes),
+    # which know the image trie only by the images
+    cases = ((_fold(), 1), (_plane_twist(), 8), (_defect_maps()["path_twist"], 3),
+             (_defect_maps()["pconj"], 3), (_long_fold(160), 3))
+    for doubling in (True, False):
+        monkeypatch.setattr(C, "_doubles", lambda nodes, words: doubling)
+        for phi, radius in cases:
+            graph = phi.graph
+            ball = ball_codes(graph, radius)
+            letters = letter_images(graph, phi.generator_images)
+            ball_trie, images = C._ball_trie(graph, ball, letters)
+            image_trie = _prefix_trie(graph, images)
+            weight = C._label_weights(ball, ball_trie, letters)
+            bounds = C._tables_bytes(ball_trie, max(map(len, images)), sum(map(len, images)),
+                                     max(1, *map(len, letters)))
+            for trie, wt, bound in ((ball_trie, weight, bounds[0]), (image_trie, None, bounds[1])):
+                longest = int(trie.depth.max())
+                top = longest * (1 if wt is None else int(wt.max()))
+                size = np.dtype(C._int_dtype(4 * top)).itemsize
+                exact = C._table_bytes(len(ball), len(trie.parent), trie.hyperplanes, longest, size)
+                tracemalloc.start()
+                try:
+                    table = _distance_table(trie, wt)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # besides its arrays, numpy's ufunc loops may buffer up to
+                # getbufsize() elements of each of three operands
+                slack = 3 * np.getbufsize() * 8
+                assert peak <= exact + slack and exact <= bound, (phi.describe(), radius, doubling)
+                assert table.nbytes <= exact
 
 
 def _fold():

@@ -20,7 +20,7 @@ from raagtk.decomp import (
     pair_is_decent,
     pieces_bound,
 )
-from raagtk.errors import TransverseHyperplanesError, UnreducedWordError
+from raagtk.errors import TransverseHyperplanesError, UnreducedWordError, WordSyntaxError
 from raagtk.graph import DefGraph
 from raagtk.trees import arc
 from raagtk.words import (
@@ -111,6 +111,18 @@ def test_pair_from_word_and_decompose_good_reject_unreduced(path3):
         pair_from_word(path3, (1, 2, 0), 0, 2)  # a b^-1 a^-1, a and b commute
     with pytest.raises(UnreducedWordError):
         decompose_good(path3, (1, 2, 0))
+
+
+@pytest.mark.parametrize("codes", [(-1,), (-2, 3), (4,), (0, 2, 5)])
+def test_raw_codes_outside_the_graph_are_refused(codes):
+    # DefGraph(["a", "b"]) has the codes 0-3; a code past either end names
+    # no letter, and is refused before the word is read
+    free = DefGraph(["a", "b"])
+    bad = next(c for c in codes if not 0 <= c < 4)
+    for call in (lambda: is_decent(free, codes), lambda: decompose_good(free, codes),
+                 lambda: pair_from_word(free, codes + (0,), 0, len(codes))):
+        with pytest.raises(WordSyntaxError, match="code %d names no letter" % bad):
+            call()
 
 
 def test_decompose_good_single_good_piece(path3):
