@@ -12,10 +12,10 @@ max(1, |F(l)|) for its label l, the length of the label's image; since
 every weight is at least 1, p is between x and y iff
 W(x,p) + W(p,y) = W(x,y), and since W >= DD, W - DD bounds how far from the
 median a triple can sit.  A table's rows are sums along the prefix trie of
-the words, taken by ancestor doubling in ceil(log2 depth) rounds, or one
-depth level at a time for a trie of long images with more than two nodes a
-word (_distance_table); one function makes the trie of the ball and that
-of its images.  The ball is prefix-closed, since every prefix of a canonical
+the words, taken by ancestor doubling in ceil(log2 depth) rounds over a
+trie of long images whose single-child chains are contracted first
+(_distance_table); one function makes the trie of the ball and that of its
+images.  The ball is prefix-closed, since every prefix of a canonical
 word is canonical, so it is its own trie, and its parent pointers also
 grow the images: the image of a word continues the normal form of its
 parent's image by the image of its last letter.  The scan reads
@@ -104,7 +104,14 @@ def _trie(graph, parent, letter, depth, ends) -> _PrefixTrie:
 
 def _prefix_trie(graph, words) -> _PrefixTrie:
     """Walk every word through its prefix trie, adding a node for each new
-    prefix, and resolve the hyperplanes of the trie's edges (_trie)."""
+    prefix, and resolve the hyperplanes of the trie's edges (_trie).
+
+    Chains.  A node t that ends no word and has exactly one child has the
+    child t + 1.  t was made by the walk of some word w, as a new node with
+    no children, and w does not end at t, so the walk's next step leaves t
+    by a letter that t has no edge for yet and makes the next node, t + 1,
+    its child.  So the single-child chains that _contraction removes are
+    runs of consecutive ids."""
     nc = 2 * len(graph)
     step = [0] * nc     # [node * nc + code]: node of the prefix extended by code, or 0
     parent, letter, depth, ends = [0], [0], [0], []
@@ -154,15 +161,9 @@ def _label_weights(ball, trie: _PrefixTrie, letters):
     return weight
 
 
-# nodes a word up to which _distance_table sums a trie's rows by ancestor
-# doubling; every ball trie doubles, since its nodes are its words
+# nodes a word above which _doubled_rows contracts a trie's single-child
+# chains; ball tries never contract, since their nodes are their words
 _DOUBLING_NODES = 2
-
-
-def _doubles(nodes: int, words: int) -> bool:
-    """Whether _distance_table sums the rows of a trie of `nodes` nodes and
-    `words` words by ancestor doubling, rather than level by level."""
-    return nodes <= _DOUBLING_NODES * words
 
 
 def _distance_table(trie: _PrefixTrie, weight=None):
@@ -170,17 +171,9 @@ def _distance_table(trie: _PrefixTrie, weight=None):
     hyperplanes: d(u, v) = |H(u)| + |H(v)| - 2|H(u) & H(v)|.  A node's row
     of |H(node) & H(w)| over all words w is the sum, over the node and its
     ancestors, of the incidence row of each one's column: the words w whose
-    H(w) holds it.  The rows are summed by ancestor doubling (_doubled_rows)
-    when the trie has at most _DOUBLING_NODES nodes a word: after round r a
-    node's row holds the node and its 2^r - 1 nearest ancestors, chains that
-    reach the root add zero, and ceil(log2 depth) rounds finish.  Otherwise
-    they are summed one depth level at a time (_level_rows).  The rule is
-    one of memory: doubling holds a row and the hyperplane bits of every
-    node, so under it the rows hold at most 2n*n entries for n words, while
-    a deep trie of long images over few words would hold N*n for its
-    N >> n nodes and N*N/8 bytes of bits.  Doubling such a trie was
-    measured about 8x slower than its level loop (the image trie of
-    a -> c^40 a at R = 5, 6884 nodes for 485 words).  The table has the
+    H(w) holds it.  The rows are summed by ancestor doubling in
+    ceil(log2 depth) rounds over at most 2n nodes for n words, once
+    single-child chains are contracted (_doubled_rows).  The table has the
     smallest dtype that holds twice its largest entry, since the scan adds
     two entries.
 
@@ -189,19 +182,38 @@ def _distance_table(trie: _PrefixTrie, weight=None):
     its own column, so it is multiplied by that column's weight, and |H| is
     read off the diagonal of the shared sums.  This is the ball's table W
     (_scan); the image table DD is unweighted."""
-    import numpy as np
     longest = int(trie.depth[trie.ends].max(initial=0))
     top = longest if weight is None else longest * int(weight.max(initial=0))
     # every entry, and the sum |H(u)| + |H(v)| on the way to it, is at most 2*top
     dtype = _int_dtype(4 * top)
     scale = None if weight is None else weight.astype(dtype)[trie.column[1:], None]
-    sums = _doubled_rows if _doubles(len(trie.parent), len(trie.ends)) else _level_rows
-    shared = sums(trie, longest, dtype, scale)
+    shared = _doubled_rows(trie, longest, dtype, scale)
     sizes = shared.diagonal().copy()
     shared *= -2
     shared += sizes[:, None]
     shared += sizes
     return shared.astype(_int_dtype(2 * int(shared.max(initial=0))), copy=False)
+
+
+def _contraction(trie: _PrefixTrie):
+    """The trie with its single-child chains contracted, for _doubled_rows:
+    (parent, ends, starts, lengths).  It keeps the root, the word ends and
+    every node with other than one child, at most 2n nodes for n >= 1
+    words: its leaves are word ends, and a tree has fewer nodes of two or
+    more children than leaves.  Every other node ends no word and has one
+    child, the next id (_prefix_trie), so the nodes between two kept ids
+    k' < k form a chain from k' + 1 down to k, and k takes that segment
+    k' + 1..k of ids; its parent is the kept parent of k' + 1.  Kept node
+    j > 0 has the segment of lengths[j - 1] nodes that starts at position
+    starts[j - 1] of column[1:]."""
+    import numpy as np
+    parent, ends = trie.parent, trie.ends
+    keep = np.bincount(parent[1:], minlength=len(parent)) != 1
+    keep[0] = keep[ends] = True
+    index = np.cumsum(keep) - 1       # [t]: the last kept node at or before t
+    starts = np.flatnonzero(keep)[:-1]
+    up = np.concatenate(([0], index[parent[starts + 1]]))
+    return up, index[ends], starts, np.diff(starts, append=len(parent) - 1)
 
 
 def _doubled_rows(trie: _PrefixTrie, longest: int, dtype, scale):
@@ -212,21 +224,36 @@ def _doubled_rows(trie: _PrefixTrie, longest: int, dtype, scale):
     each node's entries those of up[node] and then sets up = up[up]; after
     round r a node holds the sum over itself and its 2^r - 1 nearest
     ancestors, and a chain that reaches the root adds zero.  So
-    ceil(log2 longest) rounds sum every node's path to the root.
+    ceil(log2 longest) rounds sum every node's path to the root; a
+    contracted trie is shallower and stops once up sends all to the root.
 
     The same ladder of up arrays sums twice.  First H(node) as bits over the
     hyperplanes, with OR for +, which gives the hyperplane x word incidence;
     then the rows, where node t > 0 starts from the incidence row of
-    column[t], times its weight when `scale` (per node t > 0) is given."""
+    column[t], times its weight when `scale` (per node t > 0) is given.  An
+    unweighted trie of more than _DOUBLING_NODES nodes a word is contracted
+    first (_contraction): a kept node starts from its segment's columns, the
+    OR of their bits and the sum of their incidence rows, summed for all
+    segments of one length at once.  (A weighted trie is the ball's, whose
+    nodes are its words.)"""
     import numpy as np
     parent, column, ends = trie.parent, trie.column[1:], trie.ends
+    starts = None
+    if scale is None and len(parent) > _DOUBLING_NODES * len(ends):
+        parent, ends, starts, lengths = _contraction(trie)
     nodes, hyperplanes = len(parent), trie.hyperplanes
     ladder, up = [], parent
     for _ in range(max(longest - 1, 0).bit_length()):
+        if starts is not None and not up.any():
+            break
         ladder.append(up)
         up = up[up]
     bits = np.zeros((nodes, (hyperplanes + 7) >> 3), dtype=np.uint8)
-    bits[np.arange(1, nodes), column >> 3] = 1 << (column & 7)
+    if starts is None:
+        bits[np.arange(1, nodes), column >> 3] = 1 << (column & 7)
+    else:
+        np.bitwise_or.at(bits, (np.repeat(np.arange(1, nodes), lengths), column >> 3),
+                         (1 << (column & 7)).astype(np.uint8))
     for up in ladder:
         bits |= bits[up]
     incidence = np.ascontiguousarray(
@@ -234,7 +261,12 @@ def _doubled_rows(trie: _PrefixTrie, longest: int, dtype, scale):
     del bits
     rows = np.empty((nodes, len(ends)), dtype=dtype)
     rows[0] = 0
-    if scale is None:
+    if starts is not None:
+        for length in np.flatnonzero(np.bincount(lengths)).tolist():
+            group = np.flatnonzero(lengths == length)
+            at = column[(starts[group, None] + np.arange(length)).ravel()]
+            rows[group + 1] = incidence[at].reshape(len(group), length, -1).sum(axis=1, dtype=dtype)
+    elif scale is None:
         rows[1:] = incidence[column]
     else:
         np.multiply(incidence[column], scale, out=rows[1:])
@@ -242,62 +274,6 @@ def _doubled_rows(trie: _PrefixTrie, longest: int, dtype, scale):
     for up in ladder:
         rows += rows[up]
     return rows[ends]
-
-
-def _level_rows(trie: _PrefixTrie, longest: int, dtype, scale):
-    """The words' rows of |H(w) & H(w')|, grown one depth level at a time: a
-    node's row is its parent's row plus the incidence row of its column
-    (times its weight when `scale`, per node t > 0, is given).  Each
-    level's parent rows, columns and finished words are located before the
-    loop, so a level costs a gather of parent rows, a gather of incidence
-    rows and an add."""
-    import numpy as np
-    parent, depth, ends = trie.parent, trie.depth, trie.ends
-    n = len(ends)
-    incidence = _crossings(trie, longest)
-    order = np.argsort(depth, kind="stable")
-    starts = np.searchsorted(depth[order], np.arange(longest + 2))
-    pos = np.empty(len(parent), dtype=np.intp)      # node -> row in its level
-    pos[order] = np.arange(len(parent)) - starts[depth[order]]
-    up, column = pos[parent[order]], trie.column[order]
-    if scale is not None:
-        scale = scale[order[1:] - 1]
-    lengths = depth[ends]
-    done = np.argsort(lengths, kind="stable")       # words by length
-    finished = np.searchsorted(lengths[done], np.arange(longest + 2)).tolist()
-    at = pos[ends[done]]
-    starts = starts.tolist()
-    shared = np.zeros((n, n), dtype=dtype)
-    rows = np.zeros((1, n), dtype=dtype)            # level 0: the root
-    for d in range(1, longest + 1):
-        a, b = starts[d], starts[d + 1]
-        rows = rows[up[a:b]]
-        if scale is None:
-            rows += incidence[column[a:b]]
-        else:
-            rows += incidence[column[a:b]] * scale[a - 1:b - 1]
-        w, x = finished[d], finished[d + 1]
-        if w < x:
-            shared[done[w:x]] = rows[at[w:x]]
-    return shared
-
-
-def _crossings(trie: _PrefixTrie, longest: int):
-    """The hyperplane x word incidence, whether H(w) holds each hyperplane,
-    read off the parent pointers one depth at a time, every word at once:
-    with the words longest first, those still below the root after k steps
-    up are the first m, for m the number of words longer than k."""
-    import numpy as np
-    lengths = trie.depth[trie.ends]
-    owner = np.argsort(-lengths, kind="stable")
-    node = trie.ends[owner]
-    climbing = len(owner) - np.searchsorted(np.sort(lengths), np.arange(longest), side="right")
-    incidence = np.zeros((trie.hyperplanes, len(owner)), dtype=np.bool_)
-    for m in climbing.tolist():
-        node = node[:m]
-        incidence[trie.column[node], owner[:m]] = True
-        node = trie.parent[node]
-    return incidence
 
 
 # entries in one block of the scan, which holds _block_rows(n) rows of n*n
@@ -438,22 +414,19 @@ def _gate_bound(graph, longest: int, letters: int) -> int:
 def _table_bytes(words: int, nodes: int, hyperplanes: int, longest: int, size: int) -> int:
     """Upper bound on the bytes _distance_table allocates for a trie of
     these sizes, its words at most `longest` letters, whose rows take `size`
-    bytes an entry, in the regime _doubles picks.  Both hold the shared sums
-    and the table cast from them.  Doubling holds its ladder, the nodes'
-    hyperplane bits and their gather, the words' bits unpacked to one byte a
-    hyperplane, the gathered incidence, the node weights, and the rows and
-    their gather.  The level loop holds the bool incidence, a few index
-    arrays per node, and one level of at most `words` nodes: the parent
-    rows, the child rows, the gathered incidence and its weighted copy.
-    Array headers and the level loop's offset lists add a few kilobytes."""
-    table = 2 * words * words * size + (1 << 14) + 112 * longest
-    if _doubles(nodes, words):
-        packed = (hyperplanes + 7) >> 3
-        return (table + 8 * nodes * (max(longest - 1, 0).bit_length() + 1)
-                + 2 * nodes * packed + words * (packed + hyperplanes)
-                + nodes * (words + 2 * size) + 2 * nodes * words * size)
-    return (table + hyperplanes * words + (64 + size) * nodes + 64 * words
-            + words * words * (3 * size + 1))
+    bytes an entry.  It holds the shared sums and the table cast from them.
+    _doubled_rows runs over at most min(nodes, 2 * words + 1) kept nodes
+    (_contraction), each with its ladder entries, its hyperplane bits and
+    their gather, and its rows and their gather; the words' bits, unpacked
+    to one byte a hyperplane and copied once transposed; and, for every
+    node of the trie, its gathered incidence row and a few index arrays.
+    Array headers add a few kilobytes."""
+    kept = min(nodes, 2 * words + 1)
+    packed = (hyperplanes + 7) >> 3
+    return (2 * words * words * size + (1 << 14)
+            + kept * (8 * (max(longest - 1, 0).bit_length() + 1) + 2 * packed
+                      + 2 * words * size)
+            + words * (packed + 2 * hyperplanes) + nodes * (64 + words))
 
 
 def _tables_bytes(ball_trie: _PrefixTrie, longest: int, spelt: int, heaviest: int):
@@ -466,17 +439,14 @@ def _tables_bytes(ball_trie: _PrefixTrie, longest: int, spelt: int, heaviest: in
     at most the sum of two ball lengths times the largest weight
     (_label_weights).  The image trie is bounded from the images alone: its
     depth is the longest image, and it has at most one node and one
-    hyperplane per image letter besides the root.  DD counts the larger of
-    the doubling at up to _DOUBLING_NODES nodes a word and the level loop at
-    the most nodes the trie can have, since the trie decides which runs."""
+    hyperplane per image letter besides the root."""
     import numpy as np
     n = len(ball_trie.ends)
     depth = int(ball_trie.depth.max(initial=0))
     topw, topd = 2 * depth * heaviest, 2 * longest
     size = lambda top: np.dtype(_int_dtype(2 * top)).itemsize
     need_w = _table_bytes(n, len(ball_trie.parent), ball_trie.hyperplanes, depth, size(topw))
-    need_d = max(_table_bytes(n, nodes, min(spelt, nodes - 1), longest, size(topd))
-                 for nodes in (min(spelt + 1, _DOUBLING_NODES * n), spelt + 1))
+    need_d = _table_bytes(n, spelt + 1, spelt, longest, size(topd))
     return need_w, need_d, topw, topd
 
 

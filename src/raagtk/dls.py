@@ -173,13 +173,17 @@ def build_partial_conjugation(
 def letter_images(graph: DefGraph, images: dict) -> list:
     """The image codes of every letter code under the map with these
     generator images: vertex i's image at 2i + 1 and its inverse at 2i.
-    Images from another graph are refused."""
+    Images from another graph are refused, and a vertex with no image or
+    with one that is no NormalForm raises PreconditionError."""
     table = []
-    for v in graph.vertices:
-        img = images[v]
-        if img.graph is not graph:
-            require_graph(graph, img)
-        table += (inv_codes(img.codes), img.codes)
+    try:
+        for v in graph.vertices:
+            img = images[v]
+            if img.graph is not graph:
+                require_graph(graph, img)
+            table += (inv_codes(img.codes), img.codes)
+    except (KeyError, AttributeError):
+        raise PreconditionError("the map gives vertex %s no NormalForm image" % v) from None
     return table
 
 
@@ -238,13 +242,15 @@ def verify_automorphism(phi, inverse_images: dict = None, graph: DefGraph = None
     if isinstance(phi, DlsAutomorphism):
         graph = phi.graph
         images = phi.generator_images
-        if inverse_images is None:
-            inverse_images = inverse(phi).generator_images
     else:
         images = phi
         if graph is None:
             raise PreconditionError("graph required for raw image maps")
-        require_graph(graph, *images.values())
+        letter_images(graph, images)        # refuses a vertex without a valid image
+    if inverse_images is not None:
+        letter_images(graph, inverse_images)
+    elif isinstance(phi, DlsAutomorphism):
+        inverse_images = inverse(phi).generator_images
     for i, j in sorted(graph.edges):
         if not commutes(images[graph.vertices[i]], images[graph.vertices[j]]):
             return False

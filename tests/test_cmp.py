@@ -34,7 +34,7 @@ from raagtk.dls import (
 )
 from raagtk.graph import DefGraph
 from raagtk.oracles import oracle_reduce
-from raagtk.selftest import CATALOG, catalog_graph, random_dls, rooted_defect
+from raagtk.selftest import CATALOG, CATALOG_INDEX, catalog_graph, random_dls, rooted_defect
 from raagtk.words import (
     _nf,
     ball_codes,
@@ -593,12 +593,40 @@ def _long_fold(k):
     return build_transvection(free, "a", normalize(free, _power("c", k)))
 
 
+def _deep_maps():
+    """(name, map, radius) for maps with long images, whose image tries have
+    more than two nodes a word: the plane twist b -> a^64 b, the folds
+    a -> c^k a, the star fold c -> b^-1 d^-1 b^-1 d c, the path twist
+    a -> b^8 a, and a raw endomorphism of the path that sends a to 1, whose
+    images repeat."""
+    plane = catalog_graph(CATALOG_INDEX["K2"])
+    star = catalog_graph(CATALOG_INDEX["star"])
+    path = catalog_graph(CATALOG_INDEX["P3"])
+    maps = [("twist a^64 R%d" % r, build_transvection(plane, "b", normalize(plane, _power("a", 64))), r)
+            for r in (3, 4)]
+    maps += [("fold k=%d R%d" % (k, r), _long_fold(k), r) for k in (40, 160, 640) for r in (3, 4)]
+    maps.append(("star fold R4", build_transvection(star, "c", normalize(star, "b^-1 d^-1 b^-1 d")), 4))
+    maps.append(("path twist b^8 R5", build_transvection(path, "a", normalize(path, _power("b", 8))), 5))
+    raw = {"a": identity(path), "b": normalize(path, "b c c c"), "c": normalize(path, "c")}
+    maps.append(("raw a -> 1 R3", (path, raw), 3))
+    return maps
+
+
+def _ball_and_images(phi, radius):
+    """The graph, the ball's trie, its label weights and the images of its
+    words under phi, a DlsAutomorphism or a raw (graph, images) pair."""
+    graph, images_map = (phi.graph, phi.generator_images) if hasattr(phi, "graph") else phi
+    ball = ball_codes(graph, radius)
+    letters = letter_images(graph, images_map)
+    trie, images = C._ball_trie(graph, ball, letters)
+    return graph, trie, C._label_weights(ball, trie, letters), images
+
+
 def _trie_cases():
-    """(name, trie, weight) for the tables of both regimes: every catalog
-    ball at R <= 3, unweighted and weighted by a random map, with that
-    map's image trie; the plane twist's ball and image tries at R = 4, 8
-    and 12; and the image tries of the folds a -> c^k a at R = 3, k = 40,
-    160 and 640, deep tries of more than two nodes a word."""
+    """(name, trie, weight) for tables of every shape: every catalog ball at
+    R <= 3, unweighted and weighted by a random map, with that map's image
+    trie; the plane twist's ball and image tries at R = 4, 8 and 12; and
+    the ball and image tries of _deep_maps, whose image tries contract."""
     for gi in range(len(CATALOG)):
         graph = catalog_graph(gi)
         rng = random.Random(8000 + gi)
@@ -614,68 +642,106 @@ def _trie_cases():
             yield name, trie, None
             yield name, trie, C._label_weights(ball, trie, letters)
             yield name + " image", _prefix_trie(graph, images), None
-    twist = _plane_twist()
-    letters = letter_images(twist.graph, twist.generator_images)
-    for radius in (4, 8, 12):
-        ball = ball_codes(twist.graph, radius)
-        trie, images = C._ball_trie(twist.graph, ball, letters)
-        yield "twist R%d" % radius, trie, C._label_weights(ball, trie, letters)
-        yield "twist R%d image" % radius, _prefix_trie(twist.graph, images), None
-    for k in (40, 160, 640):
-        fold = _long_fold(k)
-        ball = ball_codes(fold.graph, 3)
-        _, images = C._ball_trie(fold.graph, ball, letter_images(fold.graph, fold.generator_images))
-        yield "fold k=%d R3 image" % k, _prefix_trie(fold.graph, images), None
+    maps = [("twist R%d" % r, _plane_twist(), r) for r in (4, 8, 12)] + _deep_maps()
+    for name, phi, radius in maps:
+        graph, trie, weight, images = _ball_and_images(phi, radius)
+        yield name, trie, weight
+        yield name + " image", _prefix_trie(graph, images), None
 
 
-@pytest.mark.parametrize("doubling", [True, False], ids=["doubling", "levels"])
-def test_both_regimes_match_the_level_loop(doubling, monkeypatch):
-    # each regime, forced, gives the reference's table in value and dtype;
-    # the real rule doubles every ball trie and the twist's image tries, and
-    # walks the levels of the three folds' and four catalog maps' image tries
-    real = C._doubles
-    doubled = []
-    monkeypatch.setattr(C, "_doubles", lambda nodes, words: doubling)
+def _assert_chains_contract(trie):
+    """Every node that ends no word and has exactly one child has the next
+    id as that child, and the contraction keeps at most 2n nodes, whose
+    segments cover every node but the root."""
+    nodes, n = len(trie.parent), len(trie.ends)
+    chain = np.bincount(trie.parent[1:], minlength=nodes) == 1
+    chain[trie.ends] = False
+    t = np.flatnonzero(chain)
+    assert np.array_equal(trie.parent[t + 1], t)
+    up, ends, starts, lengths = C._contraction(trie)
+    assert len(up) == nodes - len(t) <= max(1, 2 * n)
+    assert lengths.min(initial=1) >= 1 and lengths.sum() == nodes - 1
+    assert np.array_equal(starts[1:], np.cumsum(lengths)[:-1])
+
+
+def test_prefix_trie_chains_run_over_consecutive_ids():
+    # random words with repeats and the empty word, catalog maps' images,
+    # and the deep maps' images, among them a raw map's repeated images
+    rng = random.Random(3100)
+    for gi in range(len(CATALOG)):
+        graph = catalog_graph(gi)
+        words = [_reduced_word(rng, graph, rng.randrange(0, 12)) for _ in range(20)]
+        words += [(), ()] + rng.sample(words, 5)
+        rng.shuffle(words)
+        _assert_chains_contract(_prefix_trie(graph, words))
+        for phi in _random_maps(rng, graph, 2):
+            _, _, _, images = _ball_and_images(phi, 2)
+            _assert_chains_contract(_prefix_trie(graph, images))
+    for name, phi, radius in _deep_maps():
+        graph, _, _, images = _ball_and_images(phi, radius)
+        _assert_chains_contract(_prefix_trie(graph, images))
+
+
+def test_defect_workload_tries_never_contract(monkeypatch):
+    # perfbench's defect maps build tries of at most two nodes a word: the
+    # plane twist at R = 4, 8 and 12, and the fold and the partial
+    # conjugation at R = 1; above R = 1 those two answer from row 0
+    maps = _defect_maps()
+    for key, radius in (("twist", 4), ("twist", 8), ("twist", 12), ("fold", 1), ("pconj", 1)):
+        graph, ball_trie, _, images = _ball_and_images(maps[key], radius)
+        for trie in (ball_trie, _prefix_trie(graph, images)):
+            assert len(trie.parent) <= C._DOUBLING_NODES * len(trie.ends), (key, radius)
+
+    def refuse(trie):
+        raise AssertionError("a trie was contracted")
+
+    monkeypatch.setattr(C, "_contraction", refuse)
+    for key, radii in (("fold", range(1, 6)), ("pconj", range(1, 5)), ("twist", (4, 8, 12))):
+        for radius in radii:
+            cmp_defect(maps[key], radius)
+
+
+def test_distance_table_matches_the_reference():
+    # every table equals the reference's in value and dtype; the deep maps'
+    # image tries contract, and every other trie doubles as it is
+    contracted = []
     for name, trie, weight in _trie_cases():
-        doubled.append(real(len(trie.parent), len(trie.ends)))
+        contracted.append(len(trie.parent) > C._DOUBLING_NODES * len(trie.ends))
         want, got = _reference_table(trie, weight), _distance_table(trie, weight)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert (doubled.count(False), doubled.count(True)) == (7, 164)
+    assert (contracted.count(True), len(contracted)) == (14, 190)
 
 
-def test_table_bytes_cover_what_the_tables_allocate(monkeypatch):
-    # in each regime, _distance_table's peak stays within _table_bytes of its
-    # trie, and within _check_memory's bounds for W and DD (_tables_bytes),
-    # which know the image trie only by the images
+def test_table_bytes_cover_what_the_tables_allocate():
+    # _distance_table's peak stays within _table_bytes of its trie, and
+    # within _check_memory's bounds for W and DD (_tables_bytes), which
+    # know the image trie only by the images; the long folds' image tries
+    # contract
     cases = ((_fold(), 1), (_plane_twist(), 8), (_defect_maps()["path_twist"], 3),
-             (_defect_maps()["pconj"], 3), (_long_fold(160), 3))
-    for doubling in (True, False):
-        monkeypatch.setattr(C, "_doubles", lambda nodes, words: doubling)
-        for phi, radius in cases:
-            graph = phi.graph
-            ball = ball_codes(graph, radius)
-            letters = letter_images(graph, phi.generator_images)
-            ball_trie, images = C._ball_trie(graph, ball, letters)
-            image_trie = _prefix_trie(graph, images)
-            weight = C._label_weights(ball, ball_trie, letters)
-            bounds = C._tables_bytes(ball_trie, max(map(len, images)), sum(map(len, images)),
-                                     max(1, *map(len, letters)))
-            for trie, wt, bound in ((ball_trie, weight, bounds[0]), (image_trie, None, bounds[1])):
-                longest = int(trie.depth.max())
-                top = longest * (1 if wt is None else int(wt.max()))
-                size = np.dtype(C._int_dtype(4 * top)).itemsize
-                exact = C._table_bytes(len(ball), len(trie.parent), trie.hyperplanes, longest, size)
-                tracemalloc.start()
-                try:
-                    table = _distance_table(trie, wt)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                # besides its arrays, numpy's ufunc loops may buffer up to
-                # getbufsize() elements of each of three operands
-                slack = 3 * np.getbufsize() * 8
-                assert peak <= exact + slack and exact <= bound, (phi.describe(), radius, doubling)
-                assert table.nbytes <= exact
+             (_defect_maps()["pconj"], 3), (_long_fold(160), 3), (_long_fold(640), 4))
+    for phi, radius in cases:
+        graph, ball_trie, weight, images = _ball_and_images(phi, radius)
+        image_trie = _prefix_trie(graph, images)
+        letters = letter_images(graph, phi.generator_images)
+        bounds = C._tables_bytes(ball_trie, max(map(len, images)), sum(map(len, images)),
+                                 max(1, *map(len, letters)))
+        for trie, wt, bound in ((ball_trie, weight, bounds[0]), (image_trie, None, bounds[1])):
+            longest = int(trie.depth.max())
+            top = longest * (1 if wt is None else int(wt.max()))
+            size = np.dtype(C._int_dtype(4 * top)).itemsize
+            exact = C._table_bytes(len(ball_trie.ends), len(trie.parent), trie.hyperplanes,
+                                   longest, size)
+            tracemalloc.start()
+            try:
+                table = _distance_table(trie, wt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # besides its arrays, numpy's ufunc loops may buffer up to
+            # getbufsize() elements of each of three operands
+            slack = 3 * np.getbufsize() * 8
+            assert peak <= exact + slack and exact <= bound, (phi.describe(), radius)
+            assert table.nbytes <= exact
 
 
 def _fold():

@@ -18,6 +18,7 @@ from raagtk.dls import (
     certificate_work,
     compose,
     inverse,
+    letter_images,
     outer_order_certificate,
     verify_automorphism,
 )
@@ -149,6 +150,22 @@ def test_verify_bad_map(free2):
     images = {"a": normalize(free2, "b"), "b": normalize(free2, "b")}
     fake_inverse = {"a": normalize(free2, "a"), "b": normalize(free2, "b")}
     assert not verify_automorphism(images, fake_inverse, graph=free2)
+
+
+def test_raw_maps_without_an_image_raise_precondition_errors(z2):
+    # a missing vertex and an image that is no NormalForm, for every entry
+    # point that reads a raw map's letter images
+    a, b = normalize(z2, "a"), normalize(z2, "b")
+    for images in ({"a": a}, {"a": a, "b": "b"}, {"a": a, "b": None}):
+        calls = (lambda: letter_images(z2, images), lambda: apply_images(z2, images, a),
+                 lambda: cmp_defect((z2, images), 2),
+                 lambda: verify_automorphism(images, graph=z2),
+                 lambda: verify_automorphism({"a": a, "b": b}, images, graph=z2),
+                 lambda: verify_automorphism(build_transvection(z2, "b", a), images))
+        for call in calls:
+            with pytest.raises(PreconditionError, match="vertex b "):
+                call()
+    assert verify_automorphism({"a": a, "b": b}, {"a": a, "b": b}, graph=z2)
 
 
 def test_verify_fuzz_and_homomorphism():
