@@ -712,6 +712,25 @@ def test_distance_table_matches_the_reference():
     assert (contracted.count(True), len(contracted)) == (14, 190)
 
 
+@pytest.mark.parametrize("doubling", [True, False], ids=["doubling", "levels"])
+def test_both_regimes_match_the_level_loop(doubling, monkeypatch):
+    # each path, forced on every unweighted trie, gives the level loop's
+    # table (_reference_table) in value and dtype: "doubling" doubles each
+    # trie as it is, "levels" contracts each one first to the levels of its
+    # branch nodes and word ends.  Uncontracted, the image trie of the fold
+    # a -> c^640 a at R = 4 (34694 nodes by 34693 hyperplanes) would hold
+    # 150 MB of bits, so "doubling" runs the tries of at most 2^27 bits.
+    monkeypatch.setattr(C, "_DOUBLING_NODES", float("inf") if doubling else 0)
+    checked = 0
+    for name, trie, weight in _trie_cases():
+        if doubling and len(trie.parent) * trie.hyperplanes > 1 << 27:
+            continue
+        want, got = _reference_table(trie, weight), _distance_table(trie, weight)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        checked += 1
+    assert checked == (189 if doubling else 190)
+
+
 def test_table_bytes_cover_what_the_tables_allocate():
     # _distance_table's peak stays within _table_bytes of its trie, and
     # within _check_memory's bounds for W and DD (_tables_bytes), which
