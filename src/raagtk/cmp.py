@@ -12,10 +12,10 @@ max(1, |F(l)|) for its label l, the length of the label's image; since
 every weight is at least 1, p is between x and y iff
 W(x,p) + W(p,y) = W(x,y), and since W >= DD, W - DD bounds how far from the
 median a triple can sit.  A table's rows are sums along the prefix trie of
-the words, taken by ancestor doubling in ceil(log2 depth) rounds over a
-trie of long images whose single-child chains are contracted first
-(_distance_table); one function makes the trie of the ball and that of its
-images.  The ball is prefix-closed, since every prefix of a canonical
+the words, taken by ancestor doubling in ceil(log2 depth) rounds over at
+most two nodes a word: a deeper trie, of long images, has its single-child
+chains contracted first (_distance_table); one function makes the trie of
+the ball and that of its images.  The ball is prefix-closed, since every prefix of a canonical
 word is canonical, so it is its own trie, and its parent pointers also
 grow the images: the image of a word continues the normal form of its
 parent's image by the image of its last letter.  The scan reads
@@ -162,7 +162,9 @@ def _label_weights(ball, trie: _PrefixTrie, letters):
 
 
 # nodes a word above which _doubled_rows contracts a trie's single-child
-# chains; ball tries never contract, since their nodes are their words
+# chains first; a ball's trie never has more.  Contracting every trie made
+# defect_sparse's op_p99_ms 47% slower, its slowest calls building two
+# tables of under ten nodes (BENCH_one_regime.json, always_contract)
 _DOUBLING_NODES = 2
 
 
@@ -172,10 +174,10 @@ def _distance_table(trie: _PrefixTrie, weight=None):
     of |H(node) & H(w)| over all words w is the sum, over the node and its
     ancestors, of the incidence row of each one's column: the words w whose
     H(w) holds it.  The rows are summed by ancestor doubling in
-    ceil(log2 depth) rounds over at most 2n nodes for n words, once
-    single-child chains are contracted (_doubled_rows).  The table has the
-    smallest dtype that holds twice its largest entry, since the scan adds
-    two entries.
+    ceil(log2 depth) rounds over at most 2n nodes for n words, a deeper
+    trie's single-child chains contracted first (_doubled_rows).  The table
+    has the smallest dtype that holds twice its largest entry, since the
+    scan adds two entries.
 
     With `weight`, an integer array over the hyperplane ids, each hyperplane
     counts its weight instead of 1: the incidence row a node adds is that of
@@ -196,24 +198,25 @@ def _distance_table(trie: _PrefixTrie, weight=None):
 
 
 def _contraction(trie: _PrefixTrie):
-    """The trie with its single-child chains contracted, for _doubled_rows:
-    (parent, ends, starts, lengths).  It keeps the root, the word ends and
-    every node with other than one child, at most 2n nodes for n >= 1
-    words: its leaves are word ends, and a tree has fewer nodes of two or
-    more children than leaves.  Every other node ends no word and has one
-    child, the next id (_prefix_trie), so the nodes between two kept ids
-    k' < k form a chain from k' + 1 down to k, and k takes that segment
-    k' + 1..k of ids; its parent is the kept parent of k' + 1.  Kept node
-    j > 0 has the segment of lengths[j - 1] nodes that starts at position
-    starts[j - 1] of column[1:]."""
+    """The trie with its single-child chains contracted, for _contracted_rows:
+    (parent, ends, owner, starts, lengths).  It keeps the root, the word
+    ends and every node with other than one child, at most 2n nodes for
+    n >= 1 words: its leaves are word ends, and a tree has fewer nodes of
+    two or more children than leaves.  Every other node ends no word and
+    has one child, the next id (_prefix_trie), so the nodes between two
+    kept ids k' < k form a chain from k' + 1 down to k, and k takes that
+    segment k' + 1..k of ids; its parent is the kept parent of k' + 1.
+    Node t > 0 belongs to kept node owner[t - 1], and kept node j > 0 owns
+    the lengths[j - 1] positions of column[1:] from starts[j - 1] on."""
     import numpy as np
     parent, ends = trie.parent, trie.ends
     keep = np.bincount(parent[1:], minlength=len(parent)) != 1
     keep[0] = keep[ends] = True
-    index = np.cumsum(keep) - 1       # [t]: the last kept node at or before t
-    starts = np.flatnonzero(keep)[:-1]
-    up = np.concatenate(([0], index[parent[starts + 1]]))
-    return up, index[ends], starts, np.diff(starts, append=len(parent) - 1)
+    index = np.cumsum(keep)         # [t]: the kept nodes at or before t
+    kept = np.flatnonzero(keep)
+    starts = kept[:-1]
+    up = np.concatenate(([0], index[parent[starts + 1]] - 1))
+    return up, index[ends] - 1, index[:-1], starts, kept[1:] - starts
 
 
 def _doubled_rows(trie: _PrefixTrie, longest: int, dtype, scale):
@@ -224,53 +227,60 @@ def _doubled_rows(trie: _PrefixTrie, longest: int, dtype, scale):
     each node's entries those of up[node] and then sets up = up[up]; after
     round r a node holds the sum over itself and its 2^r - 1 nearest
     ancestors, and a chain that reaches the root adds zero.  So
-    ceil(log2 longest) rounds sum every node's path to the root; a
-    contracted trie is shallower and stops once up sends all to the root.
+    ceil(log2 longest) rounds sum every node's path to the root.
 
     The same ladder of up arrays sums twice.  First H(node) as bits over the
-    hyperplanes, with OR for +, which gives the hyperplane x word incidence;
-    then the rows, where node t > 0 starts from the incidence row of
-    column[t], times its weight when `scale` (per node t > 0) is given.  An
-    unweighted trie of more than _DOUBLING_NODES nodes a word is contracted
-    first (_contraction): a kept node starts from its segment's columns, the
-    OR of their bits and the sum of their incidence rows, summed for all
-    segments of one length at once.  (A weighted trie is the ball's, whose
-    nodes are its words.)"""
+    hyperplanes, with OR for +; then the rows, where node t > 0 starts from
+    the incidence row of column[t], whether H(w) holds it for each word w,
+    times its weight when `scale` (per node t > 0) is given.  A trie of more
+    than _DOUBLING_NODES nodes a word is contracted first (_contraction): a
+    kept node starts from the OR of its segment's bits and the sum of its
+    segment's incidence rows, the first node's and then the others', summed
+    for all segments of one length at once, each read off the words' bits."""
     import numpy as np
     parent, column, ends = trie.parent, trie.column[1:], trie.ends
-    starts = None
-    if scale is None and len(parent) > _DOUBLING_NODES * len(ends):
-        parent, ends, starts, lengths = _contraction(trie)
-    nodes, hyperplanes = len(parent), trie.hyperplanes
+    contract = len(parent) > _DOUBLING_NODES * len(ends)
+    if contract:
+        parent, ends, owner, starts, lengths = _contraction(trie)
+    else:
+        owner = np.arange(1, len(parent))
+    nodes = len(parent)
     ladder, up = [], parent
     for _ in range(max(longest - 1, 0).bit_length()):
-        if starts is not None and not up.any():
-            break
         ladder.append(up)
         up = up[up]
-    bits = np.zeros((nodes, (hyperplanes + 7) >> 3), dtype=np.uint8)
-    if starts is None:
-        bits[np.arange(1, nodes), column >> 3] = 1 << (column & 7)
-    else:
-        np.bitwise_or.at(bits, (np.repeat(np.arange(1, nodes), lengths), column >> 3),
-                         (1 << (column & 7)).astype(np.uint8))
+    byte, mask = column >> 3, np.left_shift(np.uint8(1), (column & 7).astype(np.uint8))
+    bits = np.zeros((nodes, (trie.hyperplanes + 7) >> 3), dtype=np.uint8)
+    np.bitwise_or.at(bits, (owner, byte), mask)
     for up in ladder:
         bits |= bits[up]
-    incidence = np.ascontiguousarray(
-        np.unpackbits(bits[ends], axis=1, count=hyperplanes, bitorder="little").T)
+    held = bits[ends]           # [word, byte]: that byte of H(word)
     del bits
     rows = np.empty((nodes, len(ends)), dtype=dtype)
     rows[0] = 0
-    if starts is not None:
-        for length in np.flatnonzero(np.bincount(lengths)).tolist():
-            group = np.flatnonzero(lengths == length)
-            at = column[(starts[group, None] + np.arange(length)).ravel()]
-            rows[group + 1] = incidence[at].reshape(len(group), length, -1).sum(axis=1, dtype=dtype)
-    elif scale is None:
-        rows[1:] = incidence[column]
+    if not contract:
+        incidence = np.ascontiguousarray(
+            np.unpackbits(held, axis=1, count=trie.hyperplanes, bitorder="little").T)[column]
+        if scale is None:
+            rows[1:] = incidence
+        else:
+            np.multiply(incidence, scale, out=rows[1:])
     else:
-        np.multiply(incidence[column], scale, out=rows[1:])
-    del incidence
+        held = np.ascontiguousarray(held.T)
+
+        def incidence(at):
+            """The incidence rows of the nodes at these positions of column[1:]."""
+            crossed = held[byte[at]]
+            crossed &= mask[at, None]
+            crossed = np.not_equal(crossed, 0, out=crossed.view(np.bool_))
+            return crossed if scale is None else crossed * scale[at]
+
+        rows[1:] = incidence(starts)
+        for length in (np.flatnonzero(np.bincount(lengths, minlength=2)[2:]) + 2).tolist():
+            group = np.flatnonzero(lengths == length)
+            at = (starts[group, None] + np.arange(1, length)).ravel()
+            rows[group + 1] += incidence(at).reshape(len(group), length - 1, -1).sum(axis=1, dtype=dtype)
+    del held, incidence
     for up in ladder:
         rows += rows[up]
     return rows[ends]
@@ -414,19 +424,28 @@ def _gate_bound(graph, longest: int, letters: int) -> int:
 def _table_bytes(words: int, nodes: int, hyperplanes: int, longest: int, size: int) -> int:
     """Upper bound on the bytes _distance_table allocates for a trie of
     these sizes, its words at most `longest` letters, whose rows take `size`
-    bytes an entry.  It holds the shared sums and the table cast from them.
-    _doubled_rows runs over at most min(nodes, 2 * words + 1) kept nodes
-    (_contraction), each with its ladder entries, its hyperplane bits and
-    their gather, and its rows and their gather; the words' bits, unpacked
-    to one byte a hyperplane and copied once transposed; and, for every
-    node of the trie, its gathered incidence row and a few index arrays.
-    Array headers add a few kilobytes."""
+    bytes an entry.  It holds the shared sums and the table cast from them,
+    a few index arrays a node, the ladder of the at most
+    min(nodes, 2 * words + 1) nodes _doubled_rows sums over, and the largest
+    of three phases: their bits and its gather; the words' bits and the rows
+    with the incidence rows added to them, one byte an entry; the rows and
+    their gather.  Those incidence rows are, for a trie doubled as it is,
+    all of them, and before them the words' bits unpacked and transposed;
+    contracted, the segments' first ones and their weighted copy, or the
+    other ones of the segments of one length with their sums and the gather
+    of the rows they add to (a weighted trie is a ball's, which is not
+    contracted).  Array headers add a few kilobytes."""
     kept = min(nodes, 2 * words + 1)
     packed = (hyperplanes + 7) >> 3
-    return (2 * words * words * size + (1 << 14)
-            + kept * (8 * (max(longest - 1, 0).bit_length() + 1) + 2 * packed
-                      + 2 * words * size)
-            + words * (packed + 2 * hyperplanes) + nodes * (64 + words))
+    rest = nodes - kept
+    if nodes <= _DOUBLING_NODES * words:
+        added = hyperplanes + nodes
+    else:
+        added = max(kept * (1 + size), rest + 2 * min(kept, rest) * size)
+    phases = (2 * (kept + words) * packed, words * (packed + kept * size + added),
+              2 * kept * words * size)
+    return (2 * words * words * size + (1 << 14) + 48 * nodes
+            + 8 * kept * (max(longest - 1, 0).bit_length() + 4) + max(phases))
 
 
 def _tables_bytes(ball_trie: _PrefixTrie, longest: int, spelt: int, heaviest: int):
@@ -439,14 +458,17 @@ def _tables_bytes(ball_trie: _PrefixTrie, longest: int, spelt: int, heaviest: in
     at most the sum of two ball lengths times the largest weight
     (_label_weights).  The image trie is bounded from the images alone: its
     depth is the longest image, and it has at most one node and one
-    hyperplane per image letter besides the root."""
+    hyperplane per image letter besides the root.  DD counts the larger of
+    the two paths of _doubled_rows, at the most nodes each can take, since
+    the trie decides which runs."""
     import numpy as np
     n = len(ball_trie.ends)
     depth = int(ball_trie.depth.max(initial=0))
     topw, topd = 2 * depth * heaviest, 2 * longest
     size = lambda top: np.dtype(_int_dtype(2 * top)).itemsize
     need_w = _table_bytes(n, len(ball_trie.parent), ball_trie.hyperplanes, depth, size(topw))
-    need_d = _table_bytes(n, spelt + 1, spelt, longest, size(topd))
+    need_d = max(_table_bytes(n, nodes, min(spelt, nodes - 1), longest, size(topd))
+                 for nodes in (min(spelt + 1, _DOUBLING_NODES * n), spelt + 1))
     return need_w, need_d, topw, topd
 
 

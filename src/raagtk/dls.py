@@ -170,20 +170,28 @@ def build_partial_conjugation(
 # applying, composing, inverting
 # ---------------------------------------------------------------------------
 
+def _images(graph: DefGraph, images: dict) -> list:
+    """The generator images in vertex order.  A vertex with no image or with
+    one that is no NormalForm raises PreconditionError naming it, and images
+    from another graph are refused."""
+    found = []
+    for v in graph.vertices:
+        img = images.get(v)
+        if not isinstance(img, NormalForm):
+            raise PreconditionError("the map gives vertex %s no NormalForm image" % v)
+        if img.graph is not graph:
+            require_graph(graph, img)
+        found.append(img)
+    return found
+
+
 def letter_images(graph: DefGraph, images: dict) -> list:
     """The image codes of every letter code under the map with these
-    generator images: vertex i's image at 2i + 1 and its inverse at 2i.
-    Images from another graph are refused, and a vertex with no image or
-    with one that is no NormalForm raises PreconditionError."""
+    generator images (_images): vertex i's image at 2i + 1 and its inverse
+    at 2i."""
     table = []
-    try:
-        for v in graph.vertices:
-            img = images[v]
-            if img.graph is not graph:
-                require_graph(graph, img)
-            table += (inv_codes(img.codes), img.codes)
-    except (KeyError, AttributeError):
-        raise PreconditionError("the map gives vertex %s no NormalForm image" % v) from None
+    for img in _images(graph, images):
+        table += (inv_codes(img.codes), img.codes)
     return table
 
 
@@ -246,9 +254,9 @@ def verify_automorphism(phi, inverse_images: dict = None, graph: DefGraph = None
         images = phi
         if graph is None:
             raise PreconditionError("graph required for raw image maps")
-        letter_images(graph, images)        # refuses a vertex without a valid image
+        _images(graph, images)
     if inverse_images is not None:
-        letter_images(graph, inverse_images)
+        _images(graph, inverse_images)
     elif isinstance(phi, DlsAutomorphism):
         inverse_images = inverse(phi).generator_images
     for i, j in sorted(graph.edges):

@@ -658,10 +658,11 @@ def _assert_chains_contract(trie):
     chain[trie.ends] = False
     t = np.flatnonzero(chain)
     assert np.array_equal(trie.parent[t + 1], t)
-    up, ends, starts, lengths = C._contraction(trie)
+    up, ends, owner, starts, lengths = C._contraction(trie)
     assert len(up) == nodes - len(t) <= max(1, 2 * n)
     assert lengths.min(initial=1) >= 1 and lengths.sum() == nodes - 1
     assert np.array_equal(starts[1:], np.cumsum(lengths)[:-1])
+    assert np.array_equal(owner, np.repeat(np.arange(1, len(up)), lengths))
 
 
 def test_prefix_trie_chains_run_over_consecutive_ids():
@@ -714,12 +715,13 @@ def test_distance_table_matches_the_reference():
 
 @pytest.mark.parametrize("doubling", [True, False], ids=["doubling", "levels"])
 def test_both_regimes_match_the_level_loop(doubling, monkeypatch):
-    # each path, forced on every unweighted trie, gives the level loop's
-    # table (_reference_table) in value and dtype: "doubling" doubles each
-    # trie as it is, "levels" contracts each one first to the levels of its
-    # branch nodes and word ends.  Uncontracted, the image trie of the fold
-    # a -> c^640 a at R = 4 (34694 nodes by 34693 hyperplanes) would hold
-    # 150 MB of bits, so "doubling" runs the tries of at most 2^27 bits.
+    # each path, forced on every trie, gives the level loop's table
+    # (_reference_table) in value and dtype: "doubling" doubles each trie as
+    # it is, "levels" contracts each one first to its root, branch nodes and
+    # word ends, the weighted ball tries too.  Uncontracted, the image trie
+    # of the fold a -> c^640 a at R = 4 (34694 nodes by 34693 hyperplanes)
+    # would hold 150 MB of bits, so "doubling" runs the tries of at most
+    # 2^27 bits.
     monkeypatch.setattr(C, "_DOUBLING_NODES", float("inf") if doubling else 0)
     checked = 0
     for name, trie, weight in _trie_cases():
@@ -761,6 +763,24 @@ def test_table_bytes_cover_what_the_tables_allocate():
             slack = 3 * np.getbufsize() * 8
             assert peak <= exact + slack and exact <= bound, (phi.describe(), radius)
             assert table.nbytes <= exact
+
+
+def test_table_bounds_stay_near_the_level_loops():
+    # _check_memory's bounds for W and DD against their values before the
+    # level loop was deleted (in bytes, from its _tables_bytes): W is no
+    # larger; DD, bounded from the images alone, is within 1% on the fold
+    # a -> c^640 a, whose deep images dominate it, and within 25% on the
+    # path twist a -> ba, whose big balls dominate it, as the doubled rows
+    # hold up to 2n + 1 kept nodes' rows where a level held n
+    before = ((_long_fold(640), 4, 290049, 37308585, 1.01),
+              (_defect_maps()["path_twist"], 5, 8980717, 15966633, 1.25),
+              (_defect_maps()["path_twist"], 6, 81723721, 150253993, 1.25))
+    for phi, radius, need_w, need_d, ratio in before:
+        _, ball_trie, _, images = _ball_and_images(phi, radius)
+        letters = letter_images(phi.graph, phi.generator_images)
+        bounds = C._tables_bytes(ball_trie, max(map(len, images)), sum(map(len, images)),
+                                 max(1, *map(len, letters)))
+        assert bounds[0] <= need_w and bounds[1] <= ratio * need_d, (phi.describe(), radius)
 
 
 def _fold():

@@ -153,10 +153,12 @@ def test_verify_bad_map(free2):
 
 
 def test_raw_maps_without_an_image_raise_precondition_errors(z2):
-    # a missing vertex and an image that is no NormalForm, for every entry
-    # point that reads a raw map's letter images
+    # a missing vertex and an image that is no NormalForm, among them an
+    # unreduced Word with the same fields, for every entry point that reads
+    # a raw map's images
     a, b = normalize(z2, "a"), normalize(z2, "b")
-    for images in ({"a": a}, {"a": a, "b": "b"}, {"a": a, "b": None}):
+    word = W.Word(z2, b.codes * 2 + (b.codes[0] ^ 1,))
+    for images in ({"a": a}, {"a": a, "b": "b"}, {"a": a, "b": None}, {"a": a, "b": word}):
         calls = (lambda: letter_images(z2, images), lambda: apply_images(z2, images, a),
                  lambda: cmp_defect((z2, images), 2),
                  lambda: verify_automorphism(images, graph=z2),
